@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import __version__
 from .configurations import FeketeSearchParams, fekete_search_run, leja_sequence, random_config
 from .discrepancy import phi_for_potential, radial_hat, discrepancy_bound, potential_error
-from .kernel import KernelSpec
+from .kernel import KernelSpec, potential_sums
 from .measures import PointConfig, closeness_m_E, discrete_energy, moment_distance
 from .oracles import (
     describe_mismatch,
@@ -30,7 +29,7 @@ from .oracles import (
     sphere_potential_quadrature,
 )
 from .seeding import child_seed, substream
-from .sets import ball, equilibrium_oracle, sphere_surface
+from .sets import ball, equilibrium_oracle, project_to_set, sphere_surface
 
 DEFAULT_SEED = 1601
 
@@ -94,7 +93,7 @@ def _leja_cached(ctx: dict, seed: int, set_key: str, E, n: int):
     key = ("leja", set_key)
     if key not in ctx or ctx[key].n < n:
         target = 500 if n > 200 else 200
-        north = E.project(E.enclosing_center + np.array([0.0, 0.0, E.enclosing_radius]))
+        north = project_to_set(E, E.enclosing_center + np.array([0.0, 0.0, E.enclosing_radius]))
         ctx[key] = leja_sequence(E, _SPEC3, target, north, candidate_count=4096,
                                  seed=child_seed(seed, "leja", set_key))
     return ctx[key].prefix(n)
@@ -179,10 +178,8 @@ def criterion_leja_energy_bound(seed: int, ctx: dict) -> CriterionResult:
     energy at or below the Robin constant (tolerance 1e-6 for the
     grid-approximate argmin)."""
     L = _leja_cached(ctx, seed, "sphere", _SPHERE, 500)
-    D = cdist(L.points, L.points)
-    np.fill_diagonal(D, np.inf)
-    K = 1.0 / D
-    raw_prefix = np.cumsum([K[:m, m].sum() for m in range(L.n)])
+    P = L.points
+    raw_prefix = np.cumsum([potential_sums(_SPEC3, P[m:m + 1], P[:m])[0] for m in range(L.n)])
     prefix_energy = [2.0 * raw_prefix[m] / ((m + 1) * m) for m in range(1, L.n)]
     worst = max(prefix_energy)
     passed = worst <= 1.0 + 1e-6

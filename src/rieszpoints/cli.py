@@ -21,8 +21,8 @@ Commands: ``generate`` (points CSV + run manifest), ``study`` (one CSV
 row per configuration size), ``verify`` (acceptance criteria, verdict
 JSON), ``potential`` (single-point deficit query).
 
-Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 infeasible input, 4 unsupported set/oracle.
+Exit codes: 0 success, 1 verification failure, 2 parse error or
+invalid value, 3 infeasible input, 4 unsupported set/oracle.
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_INFEASIBLE = 3
 EXIT_UNSUPPORTED = 4
+
+# error type -> exit code; an error takes the code of its nearest listed base
+_EXIT_CODES = {
+    SetDefinitionError: EXIT_PARSE_ERROR,
+    ValueError: EXIT_PARSE_ERROR,
+    InfeasiblePointError: EXIT_INFEASIBLE,
+    UnsupportedOracleError: EXIT_UNSUPPORTED,
+}
 
 STUDY_COLUMNS = ["n", "energy", "energy_gap", "m_E", "moment_distance",
                  "deficit_at_probe", "sup_deficit", "lhs", "rhs", "r"]
@@ -303,15 +311,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SetDefinitionError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except InfeasiblePointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except UnsupportedOracleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        return next(_EXIT_CODES[t] for t in type(exc).__mro__ if t in _EXIT_CODES)
 
 
 if __name__ == "__main__":

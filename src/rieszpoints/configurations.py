@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import CoincidentPointsError, InfeasiblePointError
-from .kernel import KernelSpec, require_newtonian
+from .kernel import KernelSpec, kernel_gradient, pair_forces, pair_terms, potential_sums, require_newtonian
 from .measures import PointConfig, discrete_energy
 from .sets import MEMBERSHIP_TOL, CompactSetModel, distance_to_set, project_to_set, sample_candidates, sample_uniform
 from .seeding import child_seed, substream
@@ -61,29 +60,19 @@ class FeketeRun:
     initial_energies: tuple
 
 
-def _raw_energy(points: np.ndarray, expo: float) -> float:
+def _raw_energy(spec: KernelSpec, points: np.ndarray) -> float:
     """Unnormalized pair sum; +inf signals a coincidence (step rejected)."""
-    d = pdist(points)
-    if np.any(d == 0.0):
+    try:
+        return float(np.add.reduce(pair_terms(spec, points)))
+    except CoincidentPointsError:
         return np.inf
-    return float(np.add.reduce(d ** expo))
 
 
-def _descent_forces(points: np.ndarray, expo: float) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(r2, 1.0)
-    w = r2 ** ((expo - 2.0) / 2.0)
-    np.fill_diagonal(w, 0.0)
-    # -grad of the pair sum w.r.t. each point: mutual repulsion
-    return -expo * np.einsum("ij,ijk->ik", w, diff)
-
-
-def _projected_descent(E, expo, X0, max_iters, step0, tol, force_floor=1e-300):
+def _projected_descent(E, spec, X0, max_iters, step0, tol, force_floor=1e-300):
     """Monotone projected gradient descent from X0; returns (X, raw, iters, converged)."""
     X = project_to_set(E, X0)
-    energy = _raw_energy(X, expo)
-    F = _descent_forces(X, expo)
+    energy = _raw_energy(spec, X)
+    F = pair_forces(spec, X)
     fmax = float(np.linalg.norm(F, axis=1).max())
     t = step0 / fmax if fmax > force_floor else 1.0
     radius = E.enclosing_radius
@@ -91,7 +80,7 @@ def _projected_descent(E, expo, X0, max_iters, step0, tol, force_floor=1e-300):
     it = 0
     converged = False
     for it in range(1, max_iters + 1):
-        F = _descent_forces(X, expo)
+        F = pair_forces(spec, X)
         fmax = float(np.linalg.norm(F, axis=1).max())
         if fmax <= force_floor:
             converged = True
@@ -102,7 +91,7 @@ def _projected_descent(E, expo, X0, max_iters, step0, tol, force_floor=1e-300):
         tt = t
         for _ in range(64):
             Xt = project_to_set(E, X + tt * F)
-            Et = _raw_energy(Xt, expo)
+            Et = _raw_energy(spec, Xt)
             if Et < energy:
                 rel = (energy - Et) / abs(energy) if energy != 0 else 0.0
                 X, energy = Xt, Et
@@ -121,15 +110,16 @@ def _projected_descent(E, expo, X0, max_iters, step0, tol, force_floor=1e-300):
 
 
 def _one_restart(E, spec, params, step0, r):
-    expo = spec.exponent
     radius = E.enclosing_radius
     rng = substream(params.seed, "fekete-init", r)
     X0 = project_to_set(E, sample_uniform(E, params.n, rng))
+    raw0 = _raw_energy(spec, X0)
     # re-jitter exact collisions in the initial draw before evaluation
-    while np.any(pdist(X0) == 0.0):
+    while raw0 == np.inf:
         X0 = project_to_set(E, X0 + rng.normal(size=X0.shape) * 1e-6 * radius)
-    initial = 2.0 / (params.n * (params.n - 1)) * _raw_energy(X0, expo)
-    X, raw, iters, converged = _projected_descent(E, expo, X0, params.max_iters, step0, params.tol)
+        raw0 = _raw_energy(spec, X0)
+    initial = 2.0 / (params.n * (params.n - 1)) * raw0
+    X, raw, iters, converged = _projected_descent(E, spec, X0, params.max_iters, step0, params.tol)
     return initial, X, raw, iters, converged
 
 
@@ -188,25 +178,16 @@ class LejaState:
     set_model: Optional[CompactSetModel] = None
 
 
-def _greedy_objective(x: np.ndarray, prefix_pts: np.ndarray, expo: float) -> float:
-    r = np.linalg.norm(x[None, :] - prefix_pts, axis=1)
-    if np.any(r == 0.0):
-        return np.inf
-    return float(np.add.reduce(r ** expo))
-
-
-def _polish_new_point(E, prefix_pts, expo, x0, value0, step0, iters=60):
+def _polish_new_point(E, prefix_pts, spec, x0, value0, step0, iters=60):
     x, val = x0, value0
     t = step0
     for _ in range(iters):
-        diff = x[None, :] - prefix_pts
-        r = np.linalg.norm(diff, axis=1, keepdims=True)
-        grad = expo * np.sum(r ** (expo - 2.0) * diff, axis=0)
+        grad = kernel_gradient(spec, x - prefix_pts).sum(axis=0)
         gn = float(np.linalg.norm(grad))
         if gn == 0.0:
             break
         xt = project_to_set(E, x - t * grad)
-        vt = _greedy_objective(xt, prefix_pts, expo)
+        vt = float(potential_sums(spec, xt[None, :], prefix_pts)[0])
         if vt < val:
             x, val = xt, vt
             t *= 1.3
@@ -228,20 +209,16 @@ def leja_next(state: LejaState, spec: KernelSpec) -> np.ndarray:
     cands = np.asarray(state.candidates, dtype=float)
     if cands.size == 0:
         raise ValueError("candidate list is empty")
-    expo = 2.0 - spec.dim
     prefix_pts = state.prefix.points
-    d = cdist(cands, prefix_pts)
-    coincident = (d < 1e-12).any(axis=1)
-    if np.all(coincident):
+    u = potential_sums(spec, cands, prefix_pts)
+    if np.all(u == np.inf):
         raise CoincidentPointsError("every candidate coincides with a prefix point")
-    with np.errstate(divide="ignore"):
-        u = np.where(coincident, np.inf, np.add.reduce(d ** expo, axis=1))
     i0 = int(np.argmin(u))
     x0, u0 = cands[i0], float(u[i0])
     if state.set_model is None:
         return x0
     step0 = 0.05 * state.set_model.enclosing_radius
-    x, val = _polish_new_point(state.set_model, prefix_pts, expo, x0, u0, step0)
+    x, val = _polish_new_point(state.set_model, prefix_pts, spec, x0, u0, step0)
     return x if val <= u0 else x0
 
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import MissingHolderDataError
-from .kernel import KernelSpec, require_newtonian
+from .kernel import KernelSpec, potential_sums, require_newtonian
 from .measures import PointConfig, closeness_m_E, discrete_energy, discrete_potential
 from .sets import (
     CompactSetModel,
@@ -381,8 +380,8 @@ def sup_potential_deficit(
         if len(shell):
             pts.append(shell)
     probes = np.concatenate(pts)
+    u = potential_sums(spec, probes, X.points)
     # exclude probes sitting exactly on configuration atoms
-    keep = cdist(probes, X.points).min(axis=1) > 1e-12
-    probes = probes[keep]
-    deficit = np.atleast_1d(oracle.potential(probes)) - discrete_potential(X, spec, probes)
+    keep = np.isfinite(u)
+    deficit = np.atleast_1d(oracle.potential(probes[keep])) - u[keep] / X.n
     return float(deficit.max())

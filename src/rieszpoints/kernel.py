@@ -1,8 +1,18 @@
-"""Riesz kernel family k(x) = |x|**(alpha - dim) and its gradient.
+"""Riesz kernel family k(x) = |x|**(alpha - dim): the one library
+implementation of every kernel quantity the toolkit reports.
 
-This is the single numeric primitive the rest of the toolkit consumes.
-Evaluation goes through the module functions below so an alternative
-radial kernel could be slotted in later; only the power kernel ships.
+Besides the pointwise ``kernel_value`` and ``kernel_gradient``, three
+array primitives carry all the pair and probe work:
+
+- ``pair_terms``: the kernel over every pair j < k (energies);
+- ``pair_forces``: minus the gradient of the pair sum (Fekete descent);
+- ``potential_sums``: per probe, the kernel summed over the points,
+  optionally with the distance capped from below (potentials, the greedy
+  objective).
+
+Callers choose their own summation of ``pair_terms``. ``oracles.py``
+deliberately does not use this module's array primitives: its
+reference paths are the independent second opinion.
 """
 
 from __future__ import annotations
@@ -10,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist, pdist
 
-from .errors import SingularityError
+from .errors import CoincidentPointsError, SingularityError
 
 
 @dataclass(frozen=True)
@@ -53,11 +64,6 @@ def require_newtonian(spec: KernelSpec, what: str) -> None:
         raise ValueError(f"{what} requires the Newtonian kernel (alpha = 2), got alpha={spec.alpha}")
 
 
-def kernel_from_distance(spec: KernelSpec, r):
-    """Kernel value at separation r > 0. Vectorized; caller excludes zeros."""
-    return np.asarray(r, dtype=float) ** spec.exponent
-
-
 def kernel_value(spec: KernelSpec, displacement):
     """Evaluate |displacement|**(alpha - dim).
 
@@ -88,3 +94,40 @@ def kernel_gradient(spec: KernelSpec, displacement):
     if np.any(r == 0.0):
         raise SingularityError("kernel gradient at zero displacement")
     return spec.exponent * r ** (spec.exponent - 2.0) * disp
+
+
+def pair_terms(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """Kernel over every pair j < k of an (n, dim) array, in pdist order.
+
+    Raises CoincidentPointsError when two points coincide exactly.
+    """
+    if points.shape[-1] != spec.dim:
+        raise ValueError(f"config dimension {points.shape[-1]} != kernel dimension {spec.dim}")
+    d = pdist(points)
+    if np.any(d == 0.0):
+        raise CoincidentPointsError("configuration contains coincident points")
+    return d ** spec.exponent
+
+
+def pair_forces(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """Minus the gradient of the pair sum with respect to each point:
+    the mutual repulsion, shape (n, dim)."""
+    expo = spec.exponent
+    diff = points[:, None, :] - points[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(r2, 1.0)
+    w = r2 ** ((expo - 2.0) / 2.0)
+    np.fill_diagonal(w, 0.0)
+    return -expo * np.einsum("ij,ijk->ik", w, diff)
+
+
+def potential_sums(spec: KernelSpec, probes: np.ndarray, points: np.ndarray, cap: float = 0.0) -> np.ndarray:
+    """For each probe (m, dim), the sum over points (n, dim) of
+    max(r, cap)**(alpha - dim), r the probe-point distance.
+
+    A probe sitting exactly on a point gets +inf unless cap > 0.
+    """
+    r = cdist(probes, points)
+    np.maximum(r, cap, out=r)
+    with np.errstate(divide="ignore"):
+        return np.add.reduce(r ** spec.exponent, axis=1)

@@ -9,10 +9,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
-from .errors import CoincidentPointsError, SingularityError
-from .kernel import KernelSpec, require_newtonian
+from .errors import SingularityError
+from .kernel import KernelSpec, pair_terms, potential_sums, require_newtonian
 from .sets import MEMBERSHIP_TOL, CompactSetModel, EquilibriumOracle, distance_to_set
 
 # Fixed chunk size of the deterministic pairwise reduction. Partial sums
@@ -90,21 +89,11 @@ def _deterministic_sum(values: np.ndarray, workers: int = 1) -> float:
     return total
 
 
-def _pair_kernel_terms(X: PointConfig, spec: KernelSpec) -> np.ndarray:
-    if X.dim != spec.dim:
-        raise ValueError(f"config dimension {X.dim} != kernel dimension {spec.dim}")
-    d = pdist(X.points)
-    if np.any(d == 0.0):
-        raise CoincidentPointsError("configuration contains coincident points")
-    return d ** spec.exponent
-
-
 def discrete_energy(X: PointConfig, spec: KernelSpec, workers: int = 1) -> float:
     """Normalized pair energy 2/(n(n-1)) * sum over j<k of k(x_j - x_k)."""
     if X.n < 2:
         raise ValueError("discrete energy needs n >= 2")
-    terms = _pair_kernel_terms(X, spec)
-    s = _deterministic_sum(terms, workers=workers)
+    s = _deterministic_sum(pair_terms(spec, X.points), workers=workers)
     return 2.0 * s / (X.n * (X.n - 1))
 
 
@@ -118,12 +107,10 @@ def discrete_potential(X: PointConfig, spec: KernelSpec, y):
         raise ValueError(f"config dimension {X.dim} != kernel dimension {spec.dim}")
     yv = np.asarray(y, dtype=float)
     scalar = yv.ndim == 1
-    pts = yv[None, :] if scalar else yv
-    diff = pts[:, None, :] - X.points[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    if np.any(r == 0.0):
+    u = potential_sums(spec, yv[None, :] if scalar else yv, X.points)
+    if np.any(u == np.inf):
         raise SingularityError("potential evaluated at a configuration point")
-    u = np.mean(r ** spec.exponent, axis=-1)
+    u /= X.n
     return float(u[0]) if scalar else u
 
 
@@ -164,10 +151,7 @@ def smoothed_potential(S: SmoothedConfig, spec: KernelSpec, y):
     require_newtonian(spec, "smoothed potential")
     yv = np.asarray(y, dtype=float)
     scalar = yv.ndim == 1
-    pts = yv[None, :] if scalar else yv
-    diff = pts[:, None, :] - S.base.points[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    u = np.mean(np.maximum(r, S.radius) ** (2.0 - spec.dim), axis=-1)
+    u = potential_sums(spec, yv[None, :] if scalar else yv, S.base.points, cap=S.radius) / S.base.n
     return float(u[0]) if scalar else u
 
 

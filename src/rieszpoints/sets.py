@@ -48,16 +48,6 @@ class CompactSetModel:
             if not (A > 0 and 0 < s <= 1):
                 raise ValueError(f"holder data needs A > 0 and 0 < s <= 1, got {self.holder}")
 
-    # -- convenience delegates -------------------------------------------
-    def distance(self, x):
-        return distance_to_set(self, x)
-
-    def project(self, x):
-        return project_to_set(self, x)
-
-    def contains(self, x, tol: float = MEMBERSHIP_TOL):
-        return distance_to_set(self, x) <= tol
-
     @property
     def diameter(self) -> float:
         if self.kind in ("ball", "sphere"):

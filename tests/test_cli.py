@@ -217,6 +217,20 @@ def test_potential_inside_probe_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--set", "{set}", "--method", "fekete", "--n", "10", "--restarts", "0", "--out", "{tmp}/g.csv"],
+    ["study", "--set", "{set}", "--method", "random", "--schedule", "20", "--r-c", "-1", "--out", "{tmp}/s.csv"],
+    ["potential", "--set", "{set}", "--points", "{tmp}/two_column.csv", "--y", "2,0,0"],
+], ids=["restarts-0", "negative-r-c", "points-of-wrong-dimension"])
+def test_invalid_value_exits_2_with_one_line(argv, sphere_file, tmp_path, capsys):
+    (tmp_path / "two_column.csv").write_text("x1,x2\n1.0,0.0\n0.0,1.0\n")
+    code = main([a.format(set=sphere_file, tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_only_filter_and_reproducibility(tmp_path, capsys):
     va, vb = tmp_path / "a.json", tmp_path / "b.json"
     code_a = main(["verify", "--only", "energy_correctness,robin", "--out", str(va)])

@@ -1,8 +1,20 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszpoints import KernelSpec, SingularityError, kernel_gradient, kernel_value, newtonian_flag
+import rieszpoints
+from rieszpoints import (
+    CoincidentPointsError,
+    KernelSpec,
+    SingularityError,
+    kernel_gradient,
+    kernel_value,
+    newtonian_flag,
+)
+from rieszpoints.kernel import pair_forces, pair_terms, potential_sums
 
 
 def test_unit_distance_newtonian():
@@ -58,6 +70,70 @@ def test_gradient_matches_finite_differences():
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize("dim", [3, 4, 5])
+@pytest.mark.parametrize("frac", [0.2, 0.5, 0.8])
+def test_pair_forces_match_finite_differences(dim, frac):
+    spec = KernelSpec(alpha=frac * dim, dim=dim)
+    X = np.random.default_rng(dim).normal(size=(6, dim))
+    h = 1e-6
+    fd = np.empty_like(X)
+    for idx in np.ndindex(X.shape):
+        Xp, Xm = X.copy(), X.copy()
+        Xp[idx] += h
+        Xm[idx] -= h
+        fd[idx] = (pair_terms(spec, Xp).sum() - pair_terms(spec, Xm).sum()) / (2 * h)
+    np.testing.assert_allclose(pair_forces(spec, X), -fd, rtol=1e-6, atol=1e-8)
+
+
+def test_pair_terms_coincident_raises():
+    spec = KernelSpec(alpha=2.0, dim=3)
+    with pytest.raises(CoincidentPointsError):
+        pair_terms(spec, np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 0, 0]]))
+
+
+def test_potential_sums_match_kernel_value():
+    rng = np.random.default_rng(5)
+    for d in (3, 4, 5):
+        spec = KernelSpec(alpha=float(rng.uniform(0.5, d - 0.5)), dim=d)
+        probes, points = rng.normal(size=(7, d)), rng.normal(size=(11, d))
+        expected = [kernel_value(spec, y - points).sum() for y in probes]
+        np.testing.assert_allclose(potential_sums(spec, probes, points), expected, rtol=1e-13)
+
+
+def test_potential_sums_coincidence_and_cap():
+    spec = KernelSpec(alpha=2.0, dim=3)
+    points = np.array([[0.0, 0, 0], [0.5, 0, 0], [0, 3.0, 0]])
+    probes = np.array([[0.5, 0, 0], [0.1, 0, 0]])
+    u = potential_sums(spec, probes, points)
+    assert u[0] == np.inf and np.isfinite(u[1])
+    cap = 0.6
+    r = np.linalg.norm(probes[:, None, :] - points[None, :, :], axis=-1)
+    np.testing.assert_allclose(potential_sums(spec, probes, points, cap=cap),
+                               (np.maximum(r, cap) ** spec.exponent).sum(axis=1), rtol=1e-15)
+    # the cap keeps a coincident probe finite: max(0, cap) = cap
+    assert potential_sums(spec, points[:1], points, cap=cap)[0] == pytest.approx(2 / cap + 1 / 3, rel=1e-15)
+
+
+def test_only_kernel_and_oracles_import_scipy_distance():
+    """Pair and probe distances belong to the kernel layer; oracles.py is
+    the deliberately separate second opinion."""
+    package = Path(rieszpoints.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("kernel.py", "oracles.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.spatial.distance" or n.startswith("scipy.spatial.distance.") for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_gradient_antisymmetric():
     spec = KernelSpec(alpha=1.5, dim=4)
     rng = np.random.default_rng(3)
@@ -77,6 +153,10 @@ def test_homogeneity(c, alpha):
     lhs = kernel_value(spec, c * x)
     rhs = c ** spec.exponent * kernel_value(spec, x)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+    X = np.array([x, -x, [1.0, 0.0, 0.0]])
+    np.testing.assert_allclose(pair_terms(spec, c * X), c ** spec.exponent * pair_terms(spec, X), rtol=1e-12)
+    np.testing.assert_allclose(potential_sums(spec, c * X[:1], c * X[1:]),
+                               c ** spec.exponent * potential_sums(spec, X[:1], X[1:]), rtol=1e-12)
 
 
 @settings(deadline=None, max_examples=50)
