@@ -28,21 +28,20 @@ def main() -> None:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
-        fh.write(SPHERE)
-        set_file = fh.name
-
-    for method in ("fekete", "leja", "random"):
-        out = outdir / f"study_{method}.csv"
-        manifest = outdir / f"study_{method}.json"
-        rc = cli_main([
-            "study", "--set", set_file, "--method", method,
-            "--schedule", args.schedule, "--seed", str(args.seed),
-            "--out", str(out), "--manifest", str(manifest),
-        ])
-        if rc != 0:
-            raise SystemExit(rc)
-        print(f"{method}: wrote {out}")
+    with tempfile.TemporaryDirectory() as tmp:
+        set_file = Path(tmp) / "sphere.txt"
+        set_file.write_text(SPHERE, encoding="utf-8")
+        for method in ("fekete", "leja", "random"):
+            out = outdir / f"study_{method}.csv"
+            manifest = outdir / f"study_{method}.json"
+            rc = cli_main([
+                "study", "--set", str(set_file), "--method", method,
+                "--schedule", args.schedule, "--seed", str(args.seed),
+                "--out", str(out), "--manifest", str(manifest),
+            ])
+            if rc != 0:
+                raise SystemExit(rc)
+            print(f"{method}: wrote {out}")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .oracles import (
     sphere_potential_quadrature,
 )
 from .seeding import child_seed, substream
-from .sets import ball, equilibrium_oracle, project_to_set, sphere_surface
+from .sets import ball, equilibrium_oracle, project_to_set, sample_uniform, sphere_surface
 
 DEFAULT_SEED = 1601
 
@@ -128,10 +128,7 @@ def criterion_energy_correctness(seed: int, ctx: dict) -> CriterionResult:
 def criterion_robin_constant_unit_ball(seed: int, ctx: dict) -> CriterionResult:
     """Quadrature potential constant = 1 (within 1e-2) inside the unit
     ball, pinning the Robin constant used throughout."""
-    rng = substream(seed, "acc-robin")
-    v = rng.normal(size=(20, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    probes = v * (0.85 * rng.random(20) ** (1.0 / 3.0))[:, None]
+    probes = sample_uniform(ball([0.0, 0.0, 0.0], 0.85), 20, substream(seed, "acc-robin"))
     worst = 0.0
     for y in probes:
         u = sphere_potential_quadrature(1.0, _SPEC3, y, nodes=20_000)

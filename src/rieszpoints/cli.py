@@ -21,8 +21,9 @@ Commands: ``generate`` (points CSV + run manifest), ``study`` (one CSV
 row per configuration size), ``verify`` (acceptance criteria, verdict
 JSON), ``potential`` (single-point deficit query).
 
-Exit codes: 0 success, 1 verification failure, 2 parse error or
-invalid value, 3 infeasible input, 4 unsupported set/oracle.
+Exit codes: 0 success, 1 verification failure, 2 parse error, invalid
+value or unreadable/unwritable file, 3 infeasible input, 4 unsupported
+set/oracle.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .measures import (
     read_points_csv,
     write_points_csv,
 )
-from .sets import distance_to_set, equilibrium_oracle, load_set_definition, project_to_set
+from .sets import distance_to_set, equilibrium_oracle, parse_set_definition, project_to_set
 from .seeding import child_seed
 
 EXIT_OK = 0
@@ -63,6 +64,7 @@ EXIT_UNSUPPORTED = 4
 _EXIT_CODES = {
     SetDefinitionError: EXIT_PARSE_ERROR,
     ValueError: EXIT_PARSE_ERROR,
+    OSError: EXIT_PARSE_ERROR,
     InfeasiblePointError: EXIT_INFEASIBLE,
     UnsupportedOracleError: EXIT_UNSUPPORTED,
 }
@@ -79,9 +81,8 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _load_set(path: str):
-    E = load_set_definition(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return E, fh.read()
+    text = Path(path).read_text(encoding="utf-8")
+    return parse_set_definition(text), text
 
 
 def _write_manifest(path, command, set_text, spec, seed, params, outputs, result=None):
@@ -170,6 +171,7 @@ def cmd_study(args) -> int:
         raise InfeasiblePointError("probe must lie outside the set")
     r_a = args.r_a if args.r_a is not None else 1.0 / E.dim
     W = oracle.robin_constant
+    phi = phi_for_potential(E, probe, spec)
 
     rows = []
     for n in schedule:
@@ -177,7 +179,6 @@ def cmd_study(args) -> int:
         config, _ = _generate_config(E, spec, args.method, n, seed_n, args)
         energy = discrete_energy(config, spec)
         r_n = args.r_c * n ** (-r_a)
-        phi = phi_for_potential(E, probe, spec)
         rep = discrepancy_bound(E, oracle, config, phi, r_n, spec, seed=child_seed(args.seed, "study-bound", n))
         deficit = abs(float(oracle.potential(probe)) - discrete_potential(config, spec, probe))
         rows.append({
@@ -221,15 +222,17 @@ def cmd_potential(args) -> int:
     oracle = equilibrium_oracle(E, spec)
     X = read_points_csv(args.points)
     y = _parse_vector(args.y)
-    if distance_to_set(E, y) <= 0:
+    d_E = float(distance_to_set(E, y))
+    if d_E <= 0:
         raise InfeasiblePointError("query point must lie outside the set")
-    deficit = float(oracle.potential(y)) - discrete_potential(X, spec, y)
+    u_eq = float(oracle.potential(y))
+    u_X = discrete_potential(X, spec, y)
     out = {
         "y": y.tolist(),
-        "d_E": float(distance_to_set(E, y)),
-        "equilibrium_potential": float(oracle.potential(y)),
-        "discrete_potential": discrete_potential(X, spec, y),
-        "deficit": deficit,
+        "d_E": d_E,
+        "equilibrium_potential": u_eq,
+        "discrete_potential": u_X,
+        "deficit": u_eq - u_X,
     }
     if E.holder is not None and bool(np.all(np.atleast_1d(distance_to_set(E, X.points)) <= 1e-9)):
         _, shape = potential_error(E, oracle, X, y, spec)

@@ -26,15 +26,14 @@ from .seeding import child_seed, substream
 class FeketeSearchParams:
     """Knobs of the projected-descent energy minimizer.
 
-    step0 defaults to 0.1 * (set radius) / sqrt(n): repulsion forces
-    scale with local spacing. tol is the relative energy-decrease
-    stopping tolerance.
+    tol is the relative energy-decrease stopping tolerance. The first
+    step moves the point under the largest force by 0.1 * (set radius) /
+    sqrt(n): repulsion forces scale with local spacing.
     """
 
     n: int
     restarts: int = 4
     max_iters: int = 2000
-    step0: Optional[float] = None
     tol: float = 1e-13
     seed: int = 0
 
@@ -43,8 +42,6 @@ class FeketeSearchParams:
             raise ValueError("n must be >= 2")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.step0 is not None and self.step0 <= 0:
-            raise ValueError("step0 must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -68,13 +65,17 @@ def _raw_energy(spec: KernelSpec, points: np.ndarray) -> float:
         return np.inf
 
 
-def _projected_descent(E, spec, X0, max_iters, step0, tol, force_floor=1e-300):
+# a largest force at or below this counts as a stationary configuration
+_FORCE_FLOOR = 1e-300
+
+
+def _projected_descent(E, spec, X0, max_iters, step0, tol):
     """Monotone projected gradient descent from X0; returns (X, raw, iters, converged)."""
     X = project_to_set(E, X0)
     energy = _raw_energy(spec, X)
     F = pair_forces(spec, X)
     fmax = float(np.linalg.norm(F, axis=1).max())
-    t = step0 / fmax if fmax > force_floor else 1.0
+    t = step0 / fmax if fmax > _FORCE_FLOOR else 1.0
     radius = E.enclosing_radius
     stall = 0
     it = 0
@@ -82,7 +83,7 @@ def _projected_descent(E, spec, X0, max_iters, step0, tol, force_floor=1e-300):
     for it in range(1, max_iters + 1):
         F = pair_forces(spec, X)
         fmax = float(np.linalg.norm(F, axis=1).max())
-        if fmax <= force_floor:
+        if fmax <= _FORCE_FLOOR:
             converged = True
             break
         # cap the largest single-point move at one diameter
@@ -131,7 +132,7 @@ def fekete_search_run(
     Restarts are independent; with workers > 1 they run on a thread pool
     and the outcome is identical to the serial run (the best restart is
     selected in restart order, ties to the lowest index)."""
-    step0 = params.step0 if params.step0 is not None else 0.1 * E.enclosing_radius / np.sqrt(params.n)
+    step0 = 0.1 * E.enclosing_radius / np.sqrt(params.n)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 

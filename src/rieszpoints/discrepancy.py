@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,9 +23,12 @@ from .sets import (
     CompactSetModel,
     EquilibriumOracle,
     MEMBERSHIP_TOL,
+    ball,
     distance_to_set,
     points_at_offset,
+    random_directions,
     sample_candidates,
+    sample_shell,
     sample_uniform,
 )
 from .seeding import child_seed, substream
@@ -132,8 +135,7 @@ def modulus_of_continuity(phi: TestFunction, r: float, probes: int = 2000, seed:
     rng = substream(seed, "modulus-probes")
     d = phi.support_center.size
     x = phi.support_center + (rng.random((probes, d)) * 2.0 - 1.0) * (phi.support_radius + r)
-    u = rng.normal(size=(probes, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u = random_directions(rng, probes, d)
     t = rng.random(probes) * r
     vals = np.abs(phi.evaluator(x) - phi.evaluator(x + t[:, None] * u))
     return 1.2 * float(vals.max())
@@ -145,12 +147,9 @@ def dirichlet_integral(phi: TestFunction, samples: int = 200_000, seed: int = 0)
     finite differences (step 1e-5)."""
     if phi.dirichlet is not None:
         return float(phi.dirichlet)
-    rng = substream(seed, "dirichlet-mc")
     d = phi.support_center.size
     R = phi.support_radius
-    v = rng.normal(size=(samples, d))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    x = phi.support_center + v * (R * rng.random(samples) ** (1.0 / d))[:, None]
+    x = sample_uniform(ball(phi.support_center, R), samples, substream(seed, "dirichlet-mc"))
     h = 1e-5
     grad_sq = np.zeros(samples)
     for i in range(d):
@@ -177,10 +176,7 @@ def max_green_on_shell(
     search suffices.
     """
     rng = substream(seed, "green-shell")
-    base = sample_uniform(E, count, rng)
-    dirs = rng.normal(size=base.shape)
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    shell = points_at_offset(E, base + dirs * offset, offset)
+    shell = sample_shell(E, count, offset, rng)
     if len(shell) == 0:
         raise RuntimeError("no shell points constructed; unexpected for shipped shapes")
     g = np.atleast_1d(oracle.green(shell))
@@ -227,22 +223,7 @@ class DiscrepancyReport:
     n: int
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "omega_term": self.omega_term,
-            "energy_gap": self.energy_gap,
-            "smoothing_term": self.smoothing_term,
-            "green_term": self.green_term,
-            "m_term": self.m_term,
-            "I_value": self.I_value,
-            "rhs": self.rhs,
-            "r": self.r,
-            "lhs_stderr": self.lhs_stderr,
-            "vacuous": self.vacuous,
-            "bound_satisfied": self.bound_satisfied,
-            "omega_estimated": self.omega_estimated,
-            "n": self.n,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -373,12 +354,7 @@ def sup_potential_deficit(
     rng = substream(seed, "sup-shell")
     radius = E.enclosing_radius
     for rel in (0.05, 0.15, 0.4):
-        base = sample_uniform(E, max(grid // 4, 8), rng)
-        dirs = rng.normal(size=base.shape)
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        shell = points_at_offset(E, base + dirs * rel * radius, rel * radius)
-        if len(shell):
-            pts.append(shell)
+        pts.append(sample_shell(E, max(grid // 4, 8), rel * radius, rng))
     probes = np.concatenate(pts)
     u = potential_sums(spec, probes, X.points)
     # exclude probes sitting exactly on configuration atoms

@@ -63,7 +63,9 @@ def write_points_csv(config: PointConfig, path) -> None:
 def read_points_csv(path) -> PointConfig:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
+        if header is None:
+            raise ValueError(f"point CSV {path} is empty")
         dim = len(header)
         expected = [f"x{i+1}" for i in range(dim)]
         if header != expected:

@@ -88,7 +88,7 @@ def _vec(x, dim, name="point"):
 
 
 def ball(center, radius: float, holder=(1.0, 1.0)) -> CompactSetModel:
-    c = np.asarray(center, dtype=float)
+    c = np.array(center, dtype=float)
     if radius <= 0:
         raise ValueError("radius must be positive")
     c.setflags(write=False)
@@ -172,6 +172,13 @@ def _project_to_sphere_shell(p, center, radius):
     return center + radius * unit
 
 
+def _project_to_ball(q, center, radius):
+    """Nearest point of the solid ball: inside points stay, outside points
+    go radially to the boundary."""
+    inside = np.linalg.norm(q - center, axis=-1, keepdims=True) <= radius
+    return np.where(inside, q, _project_to_sphere_shell(q, center, radius))
+
+
 def project_to_set(E: CompactSetModel, x):
     """Nearest point of E; deterministic tie-breaks (sphere center -> +e1,
     equidistant union balls -> lowest index)."""
@@ -179,9 +186,7 @@ def project_to_set(E: CompactSetModel, x):
     scalar = p.ndim == 1
     q = p[None, :] if scalar else p
     if E.kind == "ball":
-        v = q - E.center
-        rho = np.linalg.norm(v, axis=-1, keepdims=True)
-        out = np.where(rho <= E.radius, q, E.center + E.radius * np.divide(v, rho, out=np.zeros_like(v), where=rho > 0))
+        out = _project_to_ball(q, E.center, E.radius)
     elif E.kind == "sphere":
         out = _project_to_sphere_shell(q, E.center, E.radius)
     elif E.kind == "box":
@@ -192,11 +197,8 @@ def project_to_set(E: CompactSetModel, x):
         out = np.empty_like(q)
         for i, (c, r) in enumerate(E.balls):
             sel = idx == i
-            if not np.any(sel):
-                continue
-            v = q[sel] - c
-            rho = np.linalg.norm(v, axis=-1, keepdims=True)
-            out[sel] = np.where(rho <= r, q[sel], c + r * np.divide(v, rho, out=np.zeros_like(v), where=rho > 0))
+            if np.any(sel):
+                out[sel] = _project_to_ball(q[sel], c, r)
     return out[0] if scalar else out
 
 
@@ -253,47 +255,61 @@ def _halton(rng_seed: int, dim: int, count: int) -> np.ndarray:
     return eng.random(count)
 
 
-def _ball_candidates(center, radius, dim, count, seed) -> np.ndarray:
-    """Low-discrepancy points in a solid ball via rejection from the cube."""
-    out = []
-    have = 0
-    block = max(2 * count, 64)
-    eng = qmc.Halton(d=dim, scramble=True, seed=np.random.default_rng(seed))
-    while have < count:
-        u = eng.random(block)
-        pts = (2.0 * u - 1.0) * radius
-        pts = pts[np.linalg.norm(pts, axis=1) <= radius]
-        out.append(pts)
-        have += len(pts)
-    return np.concatenate(out)[:count] + center
+def _gauss_from_uniform(u: np.ndarray) -> np.ndarray:
+    from scipy.stats import norm
+
+    eps = np.finfo(float).tiny
+    return norm.ppf(np.clip(u, eps, 1 - 1e-16))
+
+
+def random_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` i.i.d. uniform unit vectors in R^dim (normalized Gaussian rows)."""
+    v = rng.normal(size=(count, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _halton_ball(center, radius, dim, count, seed, solid) -> np.ndarray:
+    """Exactly ``count`` low-discrepancy points in the solid ball, or on its
+    boundary sphere when ``solid`` is False. The direction is the Gaussian
+    ppf of ``dim`` scrambled Halton coordinates; a solid ball takes its
+    radius from one more coordinate raised to the power 1/dim."""
+    u = _halton(seed, dim + solid, count)
+    g = _gauss_from_uniform(u[:, :dim])
+    v = g / np.linalg.norm(g, axis=1, keepdims=True)
+    if solid:
+        return center + radius * u[:, dim:] ** (1.0 / dim) * v
+    return center + radius * v
 
 
 def sample_uniform(E: CompactSetModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` i.i.d. draws from the natural uniform measure on E
-    (volume measure for solids, surface measure for the sphere shell)."""
+    (volume measure for solids, surface measure for the sphere shell).
+
+    A union first picks each draw's ball with probability proportional to
+    its volume; spheres, balls and unions then share one direction draw
+    and one radius draw, in that order (choice, normal, random)."""
     d = E.dim
-    if E.kind == "sphere":
-        v = rng.normal(size=(count, d))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return E.center + E.radius * v
-    if E.kind == "ball":
-        v = rng.normal(size=(count, d))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        r = E.radius * rng.random(count) ** (1.0 / d)
-        return E.center + r[:, None] * v
     if E.kind == "box":
         return E.low + rng.random((count, d)) * (E.high - E.low)
-    vols = np.array([r ** d for _, r in E.balls])
-    probs = vols / vols.sum()
-    idx = rng.choice(len(E.balls), size=count, p=probs)
-    v = rng.normal(size=(count, d))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    rad = rng.random(count) ** (1.0 / d)
-    out = np.empty((count, d))
-    for i, (c, r) in enumerate(E.balls):
-        sel = idx == i
-        out[sel] = c + (r * rad[sel])[:, None] * v[sel]
-    return out
+    if E.kind == "union":
+        vols = np.array([r ** d for _, r in E.balls])
+        idx = rng.choice(len(E.balls), size=count, p=vols / vols.sum())
+        center = np.array([c for c, _ in E.balls])[idx]
+        radius = np.array([r for _, r in E.balls])[idx, None]
+    else:
+        center, radius = E.center, E.radius
+    v = random_directions(rng, count, d)
+    if E.kind == "sphere":
+        return center + radius * v
+    return center + radius * rng.random((count, 1)) ** (1.0 / d) * v
+
+
+def sample_shell(E: CompactSetModel, count: int, offset: float, rng: np.random.Generator) -> np.ndarray:
+    """Points on the shell {x : d_E(x) = offset}: ``count`` uniform draws on
+    E, each pushed ``offset`` along a random direction and snapped to the
+    shell by points_at_offset (which drops any seed that misses it)."""
+    base = sample_uniform(E, count, rng)
+    return points_at_offset(E, base + random_directions(rng, count, E.dim) * offset, offset)
 
 
 def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
@@ -305,17 +321,12 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     d = E.dim
-    if E.kind == "sphere":
-        if d == 3:
-            base = fibonacci_sphere(count)
-            rot = _random_rotation(substream(seed, "candidates", "rotation"), 3)
-            return E.center + E.radius * (base @ rot.T)
-        u = _halton(child_seed(seed, "candidates"), d, count)
-        v = _gauss_from_uniform(u)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return E.center + E.radius * v
-    if E.kind == "ball":
-        return _ball_candidates(E.center, E.radius, d, count, child_seed(seed, "candidates"))
+    if E.kind == "sphere" and d == 3:
+        base = fibonacci_sphere(count)
+        rot = _random_rotation(substream(seed, "candidates", "rotation"), 3)
+        return E.center + E.radius * (base @ rot.T)
+    if E.kind in ("ball", "sphere"):
+        return _halton_ball(E.center, E.radius, d, count, child_seed(seed, "candidates"), solid=E.kind == "ball")
     if E.kind == "box":
         u = _halton(child_seed(seed, "candidates"), d, count)
         return E.low + u * (E.high - E.low)
@@ -327,18 +338,11 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
     while alloc.sum() < count:
         alloc[np.argmax(vols)] += 1
     parts = [
-        _ball_candidates(c, r, d, k, child_seed(seed, "candidates", i))
+        _halton_ball(c, r, d, k, child_seed(seed, "candidates", i), solid=True)
         for i, ((c, r), k) in enumerate(zip(E.balls, alloc))
         if k > 0
     ]
     return np.concatenate(parts)
-
-
-def _gauss_from_uniform(u: np.ndarray) -> np.ndarray:
-    from scipy.stats import norm
-
-    eps = np.finfo(float).tiny
-    return norm.ppf(np.clip(u, eps, 1 - 1e-16))
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +383,7 @@ def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOr
 
     def sampler(count, seed):
         rng = substream(seed, "equilibrium-sampler")
-        v = rng.normal(size=(count, d))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return c + R * v
+        return c + R * random_directions(rng, count, d)
 
     return EquilibriumOracle(
         robin_constant=W,

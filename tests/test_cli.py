@@ -221,9 +221,14 @@ def test_potential_inside_probe_exits_3(tmp_path, capsys):
     ["generate", "--set", "{set}", "--method", "fekete", "--n", "10", "--restarts", "0", "--out", "{tmp}/g.csv"],
     ["study", "--set", "{set}", "--method", "random", "--schedule", "20", "--r-c", "-1", "--out", "{tmp}/s.csv"],
     ["potential", "--set", "{set}", "--points", "{tmp}/two_column.csv", "--y", "2,0,0"],
-], ids=["restarts-0", "negative-r-c", "points-of-wrong-dimension"])
+    ["potential", "--set", "{set}", "--points", "{tmp}/nope.csv", "--y", "2,0,0"],
+    ["potential", "--set", "{set}", "--points", "{tmp}/empty.csv", "--y", "2,0,0"],
+    ["generate", "--set", "{set}", "--method", "random", "--n", "5", "--out", "{tmp}/no_such_dir/x.csv"],
+], ids=["restarts-0", "negative-r-c", "points-of-wrong-dimension", "missing-points-file",
+        "empty-points-file", "unwritable-out"])
 def test_invalid_value_exits_2_with_one_line(argv, sphere_file, tmp_path, capsys):
     (tmp_path / "two_column.csv").write_text("x1,x2\n1.0,0.0\n0.0,1.0\n")
+    (tmp_path / "empty.csv").write_text("")
     code = main([a.format(set=sphere_file, tmp=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert code == 2

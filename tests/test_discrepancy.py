@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from rieszpoints import (
+    DiscrepancyReport,
     KernelSpec,
     MissingHolderDataError,
     PointConfig,
@@ -100,6 +102,8 @@ def test_dirichlet_hat_exact_and_mc():
     bare = TestFunction(hat.evaluator, hat.support_center, hat.support_radius)
     mc = dirichlet_integral(bare, samples=100_000, seed=4)
     assert mc == pytest.approx(4 * math.pi / 3, rel=0.05)
+    # the Monte Carlo ball draw leaves the caller's center writable
+    assert bare.support_center.flags.writeable
 
 
 def test_dirichlet_mc_self_consistency_for_potential_phi():
@@ -176,9 +180,7 @@ def test_report_json_keys():
     phi = radial_hat([0.5, 0, 0], radius=2.0)
     rep = discrepancy_bound(UNIT_SPHERE, oracle, X, phi, r=0.5, spec=SPEC, mc_samples=1000, seed=4)
     payload = json.loads(rep.to_json())
-    for key in ("lhs", "omega_term", "energy_gap", "smoothing_term", "green_term",
-                "m_term", "I_value", "rhs", "r"):
-        assert key in payload
+    assert set(payload) == {f.name for f in dataclasses.fields(DiscrepancyReport)}
     # the stored rhs reproduces its defining combination
     expected = payload["omega_term"] + math.sqrt(
         dirichlet_integral(phi) / ((3 - 2) * unit_sphere_area(3))

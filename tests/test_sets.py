@@ -17,7 +17,7 @@ from rieszpoints import (
     union_of_balls,
 )
 from rieszpoints.oracles import sphere_potential_quadrature
-from rieszpoints.sets import points_at_offset, sample_uniform
+from rieszpoints.sets import points_at_offset, sample_shell, sample_uniform
 from rieszpoints.seeding import substream
 
 SPEC = KernelSpec(2.0, 3)
@@ -100,6 +100,14 @@ def test_candidates_feasible_all_shapes():
         pts = sample_candidates(E, 257, seed=4)
         assert pts.shape == (257, 3)
         assert np.all(distance_to_set(E, pts) <= 1e-9)
+    # d = 10: exactly count points, all in the ball and uniform in
+    # radius, so about 2**-10 of them lie within radius 1/2
+    B10 = ball(np.zeros(10), 1.0)
+    pts = sample_candidates(B10, 4096, seed=4)
+    assert pts.shape == (4096, 10)
+    assert np.all(distance_to_set(B10, pts) <= 1e-9)
+    inner = np.mean(np.linalg.norm(pts, axis=1) <= 0.5)
+    assert abs(inner * 2 ** 10 - 1.0) <= 0.5
 
 
 def test_sphere_covering_radius():
@@ -199,6 +207,14 @@ def test_points_at_offset():
     shell = points_at_offset(UNIT_SPHERE, sample_uniform(UNIT_SPHERE, 64, np.random.default_rng(2)) * 1.7, 0.5)
     assert len(shell) > 0
     np.testing.assert_allclose(distance_to_set(UNIT_SPHERE, shell), 0.5, atol=1e-9)
+    shapes = [UNIT_BALL, UNIT_SPHERE, box([0.0, 0, 0], [1.0, 2, 1]),
+              union_of_balls([([0.0, 0, 0], 1.0), ([4.0, 0, 0], 2.0)]),
+              sphere_surface([0.0, 0, 0, 0], 1.0)]
+    for E in shapes:
+        for offset in (0.05, 0.3, 2.0):
+            shell = sample_shell(E, 64, offset, np.random.default_rng(3))
+            assert len(shell) > 0 and shell.shape[1] == E.dim
+            np.testing.assert_allclose(distance_to_set(E, shell), offset, atol=1e-9)
 
 
 def test_parse_set_definition_ball():
