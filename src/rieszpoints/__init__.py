@@ -63,4 +63,63 @@ from .discrepancy import (
     unit_sphere_area,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "CoincidentPointsError",
+    "GridBudgetError",
+    "InfeasiblePointError",
+    "MissingHolderDataError",
+    "RieszPointsError",
+    "SetDefinitionError",
+    "SingularityError",
+    "UnsupportedOracleError",
+    # kernel
+    "KernelSpec",
+    "kernel_gradient",
+    "kernel_value",
+    "newtonian_flag",
+    # sets
+    "CompactSetModel",
+    "EquilibriumOracle",
+    "ball",
+    "box",
+    "distance_to_set",
+    "equilibrium_oracle",
+    "load_set_definition",
+    "parse_set_definition",
+    "project_to_set",
+    "sample_candidates",
+    "sphere_surface",
+    "union_of_balls",
+    # measures
+    "PointConfig",
+    "SmoothedConfig",
+    "closeness_m_E",
+    "discrete_energy",
+    "discrete_potential",
+    "moment_distance",
+    "read_points_csv",
+    "smoothed_energy_terms",
+    "smoothed_potential",
+    "write_points_csv",
+    # configurations
+    "FeketeRun",
+    "FeketeSearchParams",
+    "LejaState",
+    "fekete_search",
+    "fekete_search_run",
+    "leja_next",
+    "leja_sequence",
+    "random_config",
+    # discrepancy
+    "DiscrepancyReport",
+    "TestFunction",
+    "dirichlet_integral",
+    "modulus_of_continuity",
+    "phi_for_potential",
+    "radial_hat",
+    "sup_potential_deficit",
+    "discrepancy_bound",
+    "potential_error",
+    "unit_sphere_area",
+]

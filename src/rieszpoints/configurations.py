@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CoincidentPointsError, InfeasiblePointError
-from .kernel import KernelSpec, kernel_gradient, pair_forces, pair_terms, potential_sums, require_newtonian
+from .kernel import KernelSpec, kernel_gradient, pair_energy_forces, potential_sums, require_newtonian
 from .measures import PointConfig, discrete_energy
 from .sets import MEMBERSHIP_TOL, CompactSetModel, distance_to_set, project_to_set, sample_candidates, sample_uniform
 from .seeding import child_seed, substream
@@ -57,23 +57,16 @@ class FeketeRun:
     initial_energies: tuple
 
 
-def _raw_energy(spec: KernelSpec, points: np.ndarray) -> float:
-    """Unnormalized pair sum; +inf signals a coincidence (step rejected)."""
-    try:
-        return float(np.add.reduce(pair_terms(spec, points)))
-    except CoincidentPointsError:
-        return np.inf
-
-
 # a largest force at or below this counts as a stationary configuration
 _FORCE_FLOOR = 1e-300
 
 
-def _projected_descent(E, spec, X0, max_iters, step0, tol):
-    """Monotone projected gradient descent from X0; returns (X, raw, iters, converged)."""
+def _projected_descent(E, spec, X0, max_iters, step0, tol, work):
+    """Monotone projected gradient descent from X0; returns (X, raw, iters, converged).
+
+    ``work`` is the restart's own pair_energy_forces workspace."""
     X = project_to_set(E, X0)
-    energy = _raw_energy(spec, X)
-    F = pair_forces(spec, X)
+    energy, F = pair_energy_forces(spec, X, work)
     fmax = float(np.linalg.norm(F, axis=1).max())
     t = step0 / fmax if fmax > _FORCE_FLOOR else 1.0
     radius = E.enclosing_radius
@@ -81,8 +74,6 @@ def _projected_descent(E, spec, X0, max_iters, step0, tol):
     it = 0
     converged = False
     for it in range(1, max_iters + 1):
-        F = pair_forces(spec, X)
-        fmax = float(np.linalg.norm(F, axis=1).max())
         if fmax <= _FORCE_FLOOR:
             converged = True
             break
@@ -92,10 +83,13 @@ def _projected_descent(E, spec, X0, max_iters, step0, tol):
         tt = t
         for _ in range(64):
             Xt = project_to_set(E, X + tt * F)
-            Et = _raw_energy(spec, Xt)
+            # each trial's forces come with its energy; the accepted
+            # trial's forces drive the next iteration
+            Et, Ft = pair_energy_forces(spec, Xt, work)
             if Et < energy:
                 rel = (energy - Et) / abs(energy) if energy != 0 else 0.0
-                X, energy = Xt, Et
+                X, energy, F = Xt, Et, Ft
+                fmax = float(np.linalg.norm(F, axis=1).max())
                 t = tt * 1.5
                 stall = stall + 1 if rel < tol else 0
                 accepted = True
@@ -113,14 +107,15 @@ def _projected_descent(E, spec, X0, max_iters, step0, tol):
 def _one_restart(E, spec, params, step0, r):
     radius = E.enclosing_radius
     rng = substream(params.seed, "fekete-init", r)
+    work = np.empty((spec.dim + 2, params.n, params.n))
     X0 = project_to_set(E, sample_uniform(E, params.n, rng))
-    raw0 = _raw_energy(spec, X0)
+    raw0, _ = pair_energy_forces(spec, X0, work)
     # re-jitter exact collisions in the initial draw before evaluation
     while raw0 == np.inf:
         X0 = project_to_set(E, X0 + rng.normal(size=X0.shape) * 1e-6 * radius)
-        raw0 = _raw_energy(spec, X0)
+        raw0, _ = pair_energy_forces(spec, X0, work)
     initial = 2.0 / (params.n * (params.n - 1)) * raw0
-    X, raw, iters, converged = _projected_descent(E, spec, X0, params.max_iters, step0, params.tol)
+    X, raw, iters, converged = _projected_descent(E, spec, X0, params.max_iters, step0, params.tol, work)
     return initial, X, raw, iters, converged
 
 

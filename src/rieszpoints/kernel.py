@@ -5,7 +5,9 @@ Besides the pointwise ``kernel_value`` and ``kernel_gradient``, three
 array primitives carry all the pair and probe work:
 
 - ``pair_terms``: the kernel over every pair j < k (energies);
-- ``pair_forces``: minus the gradient of the pair sum (Fekete descent);
+- ``pair_energy_forces``: the pair sum and minus its gradient together
+  (the Fekete descent), every n-by-n intermediate in a workspace the
+  caller owns;
 - ``potential_sums``: per probe, the kernel summed over the points,
   optionally with the distance capped from below (potentials, the greedy
   objective).
@@ -109,16 +111,53 @@ def pair_terms(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     return d ** spec.exponent
 
 
-def pair_forces(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
-    """Minus the gradient of the pair sum with respect to each point:
-    the mutual repulsion, shape (n, dim)."""
+def pair_energy_forces(spec: KernelSpec, points: np.ndarray, work: np.ndarray):
+    """Pair sum and forces of an (n, dim) array from one pass over the pairs.
+
+    Returns ``(energy, forces)``: the kernel summed over every pair j < k,
+    and minus its gradient with respect to each point, shape (n, dim).
+    An exact coincidence gives energy +inf (the forces are then
+    meaningless). ``work`` is a caller-owned float64 array of shape
+    (dim + 2, n, n) that receives every n-by-n intermediate, so a warm
+    call allocates nothing of size n**2; it must not be shared between
+    concurrent calls. The energy sums the full symmetric matrix, so it can
+    differ from ``pair_terms(...).sum()`` in the last bits.
+    """
+    n, dim = points.shape
+    if dim != spec.dim:
+        raise ValueError(f"config dimension {dim} != kernel dimension {spec.dim}")
+    if work.shape != (dim + 2, n, n):
+        raise ValueError(f"workspace has shape {work.shape}, expected {(dim + 2, n, n)}")
+    diff, r2, t = work[:dim], work[dim], work[dim + 1]
+    coords = points.T
+    for k in range(dim):
+        np.subtract(coords[k][:, None], coords[k][None, :], out=diff[k])
+    np.multiply(diff[0], diff[0], out=r2)
+    for k in range(1, dim):
+        np.multiply(diff[k], diff[k], out=t)
+        r2 += t
+    # an infinite self-distance gives the diagonal zero energy and weight
+    np.fill_diagonal(r2, np.inf)
     expo = spec.exponent
-    diff = points[:, None, :] - points[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(r2, 1.0)
-    w = r2 ** ((expo - 2.0) / 2.0)
-    np.fill_diagonal(w, 0.0)
-    return -expo * np.einsum("ij,ijk->ik", w, diff)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # t gets the kernel terms r**expo; r2 is overwritten with the force
+        # weights r**(expo - 2)
+        if expo == -1.0:
+            # alpha = 2 in three dimensions: 1/r cubed, no pow
+            np.sqrt(r2, out=t)
+            np.divide(1.0, t, out=t)
+            np.multiply(t, t, out=r2)
+            r2 *= t
+        else:
+            np.power(r2, expo / 2.0, out=t)
+            np.divide(t, r2, out=r2)
+        energy = 0.5 * float(np.add.reduce(t, axis=None))
+        forces = np.empty((dim, n))
+        for k in range(dim):
+            diff[k] *= r2
+            np.add.reduce(diff[k], axis=1, out=forces[k])
+    forces *= -expo
+    return energy, forces.T
 
 
 def potential_sums(spec: KernelSpec, probes: np.ndarray, points: np.ndarray, cap: float = 0.0) -> np.ndarray:

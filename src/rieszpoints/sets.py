@@ -96,7 +96,7 @@ def ball(center, radius: float, holder=(1.0, 1.0)) -> CompactSetModel:
 
 
 def sphere_surface(center, radius: float, holder=(1.0, 1.0)) -> CompactSetModel:
-    c = np.asarray(center, dtype=float)
+    c = np.array(center, dtype=float)
     if radius <= 0:
         raise ValueError("radius must be positive")
     c.setflags(write=False)
@@ -104,8 +104,8 @@ def sphere_surface(center, radius: float, holder=(1.0, 1.0)) -> CompactSetModel:
 
 
 def box(low, high, holder=(1.0, 1.0)) -> CompactSetModel:
-    lo = np.asarray(low, dtype=float)
-    hi = np.asarray(high, dtype=float)
+    lo = np.array(low, dtype=float)
+    hi = np.array(high, dtype=float)
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ValueError("low/high must be 1-d vectors of equal length")
     if not np.all(hi > lo):
@@ -121,7 +121,7 @@ def union_of_balls(balls_list, holder=None) -> CompactSetModel:
     packed = []
     dim = None
     for c, r in balls_list:
-        cv = np.asarray(c, dtype=float)
+        cv = np.array(c, dtype=float)
         if dim is None:
             dim = cv.size
         elif cv.size != dim:

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from rieszpoints import (
     kernel_value,
     newtonian_flag,
 )
-from rieszpoints.kernel import pair_forces, pair_terms, potential_sums
+from rieszpoints.kernel import pair_energy_forces, pair_terms, potential_sums
 
 
 def test_unit_distance_newtonian():
@@ -70,6 +71,14 @@ def test_gradient_matches_finite_differences():
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
 
 
+def _workspace(spec, n):
+    return np.empty((spec.dim + 2, n, n))
+
+
+def _energy_forces(spec, X):
+    return pair_energy_forces(spec, X, _workspace(spec, len(X)))
+
+
 @pytest.mark.parametrize("dim", [3, 4, 5])
 @pytest.mark.parametrize("frac", [0.2, 0.5, 0.8])
 def test_pair_forces_match_finite_differences(dim, frac):
@@ -81,8 +90,61 @@ def test_pair_forces_match_finite_differences(dim, frac):
         Xp, Xm = X.copy(), X.copy()
         Xp[idx] += h
         Xm[idx] -= h
-        fd[idx] = (pair_terms(spec, Xp).sum() - pair_terms(spec, Xm).sum()) / (2 * h)
-    np.testing.assert_allclose(pair_forces(spec, X), -fd, rtol=1e-6, atol=1e-8)
+        fd[idx] = (_energy_forces(spec, Xp)[0] - _energy_forces(spec, Xm)[0]) / (2 * h)
+    energy, forces = _energy_forces(spec, X)
+    np.testing.assert_allclose(forces, -fd, rtol=1e-6, atol=1e-8)
+    assert energy == pytest.approx(pair_terms(spec, X).sum(), rel=1e-13, abs=0.0)
+
+
+def test_pair_energy_forces_newtonian_fast_path_matches_pow():
+    """alpha = 2 in dim 3 skips pow; the generic formula is the reference."""
+    spec = KernelSpec(alpha=2.0, dim=3)
+    X = np.random.default_rng(11).normal(size=(50, 3))
+    diff = X[:, None, :] - X[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(r2, np.inf)
+    terms = r2 ** (spec.exponent / 2.0)
+    forces = -spec.exponent * np.einsum("ij,ijk->ik", terms / r2, diff)
+    energy, F = _energy_forces(spec, X)
+    assert energy == pytest.approx(0.5 * terms.sum(), rel=1e-13, abs=0.0)
+    np.testing.assert_allclose(F, forces, rtol=1e-13, atol=1e-13 * np.abs(forces).max())
+
+
+@pytest.mark.parametrize("alpha,dim", [(2.0, 3), (1.5, 3), (2.0, 4)])
+def test_pair_energy_forces_coincidence_is_inf(alpha, dim):
+    spec = KernelSpec(alpha=alpha, dim=dim)
+    X = np.random.default_rng(1).normal(size=(5, dim))
+    X[3] = X[1]
+    assert _energy_forces(spec, X)[0] == np.inf
+
+
+def test_pair_energy_forces_reused_workspace_is_bitwise_fresh():
+    spec = KernelSpec(alpha=2.0, dim=3)
+    rng = np.random.default_rng(4)
+    X, Y = rng.normal(size=(30, 3)), rng.normal(size=(30, 3))
+    fresh_energy, fresh_forces = _energy_forces(spec, X)
+    work = _workspace(spec, 30)
+    pair_energy_forces(spec, Y, work)
+    energy, forces = pair_energy_forces(spec, X, work)
+    assert energy == fresh_energy
+    assert forces.tobytes() == fresh_forces.tobytes()
+
+
+def test_pair_energy_forces_warm_call_allocates_no_pair_array():
+    """Fresh n-by-n temporaries on every call cost page faults and system
+    time as the heap is trimmed and regrown; a warm workspace avoids them."""
+    n = 200
+    spec = KernelSpec(alpha=2.0, dim=3)
+    X = np.random.default_rng(8).normal(size=(n, 3))
+    work = _workspace(spec, n)
+    pair_energy_forces(spec, X, work)
+    tracemalloc.start()
+    try:
+        pair_energy_forces(spec, X, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 def test_pair_terms_coincident_raises():
@@ -157,6 +219,11 @@ def test_homogeneity(c, alpha):
     np.testing.assert_allclose(pair_terms(spec, c * X), c ** spec.exponent * pair_terms(spec, X), rtol=1e-12)
     np.testing.assert_allclose(potential_sums(spec, c * X[:1], c * X[1:]),
                                c ** spec.exponent * potential_sums(spec, X[:1], X[1:]), rtol=1e-12)
+    energy, forces = _energy_forces(spec, X)
+    scaled_energy, scaled_forces = _energy_forces(spec, c * X)
+    assert scaled_energy == pytest.approx(c ** spec.exponent * energy, rel=1e-12)
+    expected = c ** (spec.exponent - 1.0) * forces
+    np.testing.assert_allclose(scaled_forces, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 @settings(deadline=None, max_examples=50)

@@ -79,6 +79,21 @@ def test_union_tie_break_lowest_index():
     np.testing.assert_allclose(project_to_set(two, [0.0, 0, 0]), [0.5, 0, 0])
 
 
+@pytest.mark.parametrize("make", [
+    lambda c: ball(c, 1.0),
+    lambda c: sphere_surface(c, 1.0),
+    lambda c: box(c, c + 1.0),
+    lambda c: union_of_balls([(c, 1.0)]),
+], ids=["ball", "sphere_surface", "box", "union_of_balls"])
+def test_constructor_copies_callers_array(make):
+    c = np.zeros(3)
+    E = make(c)
+    probe = np.array([3.0, 0.5, 0.0])
+    before = distance_to_set(E, probe)
+    c[0] = 1.0  # the caller's array stays writable
+    assert distance_to_set(E, probe) == before
+
+
 def test_candidates_on_sphere_count_one():
     pts = sample_candidates(UNIT_SPHERE, 1, seed=3)
     assert pts.shape == (1, 3)
