@@ -120,7 +120,7 @@ def _generate_config(E, spec, method, n, seed, args):
         )
         run = fekete_search_run(E, spec, params)
         return run.config, {"final_energy": run.energy, "iterations": run.iterations,
-                            "converged": run.converged}
+                            "converged": run.converged, "grad_norm": run.grad_norm}
     if method == "leja":
         if args.xi0 is not None:
             xi0 = _parse_vector(args.xi0)
@@ -130,7 +130,7 @@ def _generate_config(E, spec, method, n, seed, args):
     else:
         config = random_config(E, n, seed)
     energy = discrete_energy(config, spec) if config.n >= 2 else None
-    return config, {"final_energy": energy, "iterations": None, "converged": None}
+    return config, {"final_energy": energy, "iterations": None, "converged": None, "grad_norm": None}
 
 
 def cmd_generate(args) -> int:
@@ -173,10 +173,12 @@ def cmd_study(args) -> int:
     W = oracle.robin_constant
     phi = phi_for_potential(E, probe, spec)
 
-    rows = []
+    rows, runs = [], []
     for n in schedule:
         seed_n = child_seed(args.seed, "study", n)
-        config, _ = _generate_config(E, spec, args.method, n, seed_n, args)
+        config, result = _generate_config(E, spec, args.method, n, seed_n, args)
+        runs.append({"n": n, "iterations": result["iterations"], "converged": result["converged"],
+                     "grad_norm": result["grad_norm"]})
         energy = discrete_energy(config, spec)
         r_n = args.r_c * n ** (-r_a)
         rep = discrepancy_bound(E, oracle, config, phi, r_n, spec, seed=child_seed(args.seed, "study-bound", n))
@@ -210,7 +212,7 @@ def cmd_study(args) -> int:
              "r_c": args.r_c, "r_a": r_a, "restarts": args.restarts,
              "max_iters": args.max_iters, "tol": args.tol, "candidates": args.candidates,
              "xi0": args.xi0, "out": str(args.out)},
-            outputs,
+            outputs, {"runs": runs},
         )
     print(f"study written to {args.out} ({len(rows)} rows)")
     return EXIT_OK

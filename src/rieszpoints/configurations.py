@@ -1,15 +1,21 @@
 """Low-energy configuration generators.
 
-Approximate Fekete points come from projected gradient descent on the
-n-fold product of the set with backtracking line search and random
-restarts; greedy (Leja) points come from an argmin over a seeded
-candidate grid followed by a local projected-descent polish of the new
-point. A seeded uniform baseline rounds out the benchmark trio.
+Approximate Fekete points come from a projected L-BFGS (Nocedal, Math.
+Comp. 35, 1980) on the n-fold product of the set, with seeded random
+restarts. On a sphere it is a Riemannian method whose vector transport is
+the tangent projection (Absil, Mahony and Sepulchre, Optimization
+Algorithms on Matrix Manifolds, 2008); on balls, boxes and unions it
+holds the active boundary each iteration, as L-BFGS-B does. A run
+converges when the largest per-point projected force is at most sqrt(tol)
+times the mean force magnitude. Greedy (Leja) points come from an argmin
+over a seeded candidate grid followed by a local projected-descent polish
+of the new point. A seeded uniform baseline rounds out the benchmark trio.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,11 +30,14 @@ from .seeding import child_seed, substream
 
 @dataclass(frozen=True)
 class FeketeSearchParams:
-    """Knobs of the projected-descent energy minimizer.
+    """Knobs of the projected L-BFGS energy minimizer.
 
-    tol is the relative energy-decrease stopping tolerance. The first
-    step moves the point under the largest force by 0.1 * (set radius) /
-    sqrt(n): repulsion forces scale with local spacing.
+    tol is the relative energy accuracy of the result. The energy error
+    of a configuration is quadratic in its gradient, so a run converges
+    when the largest per-point projected force is at most sqrt(tol)
+    times the mean force magnitude. The first step moves the point under
+    the largest projected force by 0.1 * (set radius) / sqrt(n):
+    repulsion forces scale with local spacing.
     """
 
     n: int
@@ -48,60 +57,153 @@ class FeketeSearchParams:
 
 @dataclass(frozen=True)
 class FeketeRun:
-    """Detailed outcome of one fekete_search call."""
+    """Detailed outcome of one fekete_search call.
+
+    ``grad_norm`` is the best restart's final largest per-point projected
+    force over the mean force magnitude; ``converged`` means it is at most
+    sqrt(tol)."""
 
     config: PointConfig
     energy: float
     iterations: int
     converged: bool
+    grad_norm: float
     initial_energies: tuple
 
 
-# a largest force at or below this counts as a stationary configuration
+# a mean force at or below this counts as a stationary configuration
 _FORCE_FLOOR = 1e-300
+# number of (s, y) pairs the L-BFGS direction remembers
+_MEMORY = 8
+# Armijo sufficient-decrease constant and the halvings a line search may try
+_ARMIJO = 1e-4
+_BACKTRACKS = 40
+# a ball point within this fraction of the radius of its sphere is on it
+_ON_SPHERE = 1e-12
 
 
-def _projected_descent(E, spec, X0, max_iters, step0, tol, work):
-    """Monotone projected gradient descent from X0; returns (X, raw, iters, converged).
+def _rowdot(A, B):
+    return np.einsum("ij,ij->i", A, B)
 
-    ``work`` is the restart's own pair_energy_forces workspace."""
+
+def _active_face(E, X, F):
+    """The face of the n-fold product of E that a step from X stays on.
+
+    Returns ``(key, restrict)``. ``restrict`` maps an (n, dim) array to
+    its component along the face: a sphere's points, and boundary points
+    of a ball or union whose force points out of their ball, keep only
+    the part tangent to that ball's sphere; a box coordinate on a face
+    whose force points out of it is held. ``key`` marks what is held, so
+    two faces at the same X are equal when their keys are."""
+    if E.kind == "box":
+        held = ((X <= E.low) & (F < 0.0)) | ((X >= E.high) & (F > 0.0))
+        return held, lambda V: np.where(held, 0.0, V)
+    if E.kind == "union":
+        centers = np.array([c for c, _ in E.balls])
+        radii = np.array([r for _, r in E.balls])
+        gaps = np.linalg.norm(X[:, None, :] - centers[None, :, :], axis=2) - radii
+        j = np.argmin(gaps, axis=1)  # lowest index wins ties, as in project_to_set
+        center, radius = centers[j], radii[j]
+    else:
+        center, radius = E.center, E.radius
+    V = X - center
+    rho = np.linalg.norm(V, axis=1)
+    U = np.divide(V, rho[:, None], out=np.zeros_like(V), where=rho[:, None] > 0)
+    if E.kind == "sphere":
+        held = np.ones(len(X), dtype=bool)
+    else:
+        held = (rho >= (1.0 - _ON_SPHERE) * radius) & (_rowdot(F, U) > 0.0)
+    N = np.where(held[:, None], U, 0.0)
+    return held, lambda V: V - N * _rowdot(V, N)[:, None]
+
+
+def _relative_force(P, F):
+    """Largest per-point norm of P over the mean per-point norm of F."""
+    mean = float(np.linalg.norm(F, axis=1).mean())
+    if mean <= _FORCE_FLOOR:
+        return 0.0
+    return float(np.linalg.norm(P, axis=1).max()) / mean
+
+
+def _lbfgs_direction(P, pairs, gamma):
+    """Two-loop recursion: the inverse-Hessian estimate applied to the
+    projected force P, from the (s, y, 1 / s.y) pairs, oldest first, and
+    the initial scaling gamma."""
+    q = P.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * np.vdot(s, q)
+        q -= a * y
+        alphas.append(a)
+    q *= gamma
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * np.vdot(y, q)) * s
+    return q
+
+
+def _projected_lbfgs(E, spec, X0, max_iters, step0, tol, work):
+    """Monotone projected L-BFGS from X0; returns (X, raw, iters, converged, grad_norm).
+
+    Each trial point is the projection of X + t * d onto E, accepted when
+    the energy strictly decreases by at least the Armijo fraction of the
+    full force along the actual move. ``work`` is the restart's own
+    pair_energy_forces workspace."""
     X = project_to_set(E, X0)
     energy, F = pair_energy_forces(spec, X, work)
-    fmax = float(np.linalg.norm(F, axis=1).max())
-    t = step0 / fmax if fmax > _FORCE_FLOOR else 1.0
-    radius = E.enclosing_radius
-    stall = 0
-    it = 0
+    held, restrict = _active_face(E, X, F)
+    P = restrict(F)
+    pairs = deque(maxlen=_MEMORY)
+    gamma = None
+    max_move = 2.0 * E.enclosing_radius
+    target = float(np.sqrt(tol))
     converged = False
-    for it in range(1, max_iters + 1):
-        if fmax <= _FORCE_FLOOR:
+    it = 0
+    while True:
+        grad_norm = _relative_force(P, F)
+        if grad_norm <= target:
             converged = True
             break
+        if it == max_iters:
+            break
+        it += 1
+        if gamma is None:
+            d = P * (step0 / float(np.linalg.norm(P, axis=1).max()))
+        else:
+            d = restrict(_lbfgs_direction(P, pairs, gamma))
+            if not np.vdot(d, P) > 0.0:
+                pairs.clear()
+                d = gamma * P
         # cap the largest single-point move at one diameter
-        t = min(t, 2.0 * radius / fmax)
-        accepted = False
-        tt = t
-        for _ in range(64):
-            Xt = project_to_set(E, X + tt * F)
+        move = float(np.linalg.norm(d, axis=1).max())
+        if move > max_move:
+            d *= max_move / move
+        t = 1.0
+        for _ in range(_BACKTRACKS):
+            Xt = project_to_set(E, X + t * d)
             # each trial's forces come with its energy; the accepted
             # trial's forces drive the next iteration
             Et, Ft = pair_energy_forces(spec, Xt, work)
-            if Et < energy:
-                rel = (energy - Et) / abs(energy) if energy != 0 else 0.0
-                X, energy, F = Xt, Et, Ft
-                fmax = float(np.linalg.norm(F, axis=1).max())
-                t = tt * 1.5
-                stall = stall + 1 if rel < tol else 0
-                accepted = True
+            if Et < energy and Et <= energy - _ARMIJO * np.vdot(F, Xt - X):
                 break
-            tt *= 0.5
-        if not accepted:
-            converged = True
+            t *= 0.5
+        else:
+            # a failed line search takes no step
+            it -= 1
             break
-        if stall >= 8:
-            converged = True
-            break
-    return X, energy, it, converged
+        held_t, restrict_t = _active_face(E, Xt, Ft)
+        Pt = restrict_t(Ft)
+        if np.array_equal(held_t, held):
+            # old vectors reach the new tangent space by projection
+            s = restrict_t(Xt - X)
+            y = restrict_t(P) - Pt
+            sy = float(np.vdot(s, y))
+            if sy > 0.0:
+                pairs.append((s, y, 1.0 / sy))
+                gamma = sy / float(np.vdot(y, y))
+        else:
+            pairs.clear()
+        X, energy, F, held, restrict, P = Xt, Et, Ft, held_t, restrict_t, Pt
+    return X, energy, it, converged, grad_norm
 
 
 def _one_restart(E, spec, params, step0, r):
@@ -115,8 +217,7 @@ def _one_restart(E, spec, params, step0, r):
         X0 = project_to_set(E, X0 + rng.normal(size=X0.shape) * 1e-6 * radius)
         raw0, _ = pair_energy_forces(spec, X0, work)
     initial = 2.0 / (params.n * (params.n - 1)) * raw0
-    X, raw, iters, converged = _projected_descent(E, spec, X0, params.max_iters, step0, params.tol, work)
-    return initial, X, raw, iters, converged
+    return (initial,) + _projected_lbfgs(E, spec, X0, params.max_iters, step0, params.tol, work)
 
 
 def fekete_search_run(
@@ -138,14 +239,18 @@ def fekete_search_run(
         outcomes = [_one_restart(E, spec, params, step0, r) for r in range(params.restarts)]
     initial_energies = [o[0] for o in outcomes]
     best = None
-    for initial, X, raw, iters, converged in outcomes:
-        if best is None or raw < best[1]:
-            best = (X, raw, iters, converged)
-    X, raw, iters, converged = best
+    for outcome in outcomes:
+        if best is None or outcome[2] < best[2]:
+            best = outcome
+    _, X, raw, iters, converged, grad_norm = best
     config = PointConfig(X)
     if not converged:
+        # iterations counts accepted steps, so fewer than max_iters means
+        # the line search failed
+        reason = f"hit max_iters={params.max_iters}" if iters == params.max_iters else "line search failed"
         warnings.warn(
-            f"fekete_search hit max_iters={params.max_iters} before converging; returning best-so-far",
+            f"fekete_search {reason} before converging (relative projected force {grad_norm:.3g}); "
+            "returning best-so-far",
             RuntimeWarning,
         )
     return FeketeRun(
@@ -153,6 +258,7 @@ def fekete_search_run(
         energy=discrete_energy(config, spec),
         iterations=iters,
         converged=converged,
+        grad_norm=grad_norm,
         initial_energies=tuple(initial_energies),
     )
 

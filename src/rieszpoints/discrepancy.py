@@ -202,12 +202,15 @@ def max_green_on_shell(
 class DiscrepancyReport:
     """All terms of the smoothing-based discrepancy bound for one trial.
 
+    ``lhs`` is |mean of phi over X - phi_integral|, the integral of phi
+    against mu_E by seeded Monte Carlo;
     ``rhs`` is omega_term + sqrt(D[phi]/((d-2) omega_d)) * sqrt(max(I_value, 0));
     ``vacuous`` flags a negative I_value (possible under numerical noise),
     in which case the inequality is not asserted.
     """
 
     lhs: float
+    phi_integral: float
     omega_term: float
     energy_gap: float
     smoothing_term: float
@@ -285,6 +288,7 @@ def discrepancy_bound(
         )
     return DiscrepancyReport(
         lhs=lhs,
+        phi_integral=integral,
         omega_term=omega_term,
         energy_gap=energy_gap,
         smoothing_term=smoothing_term,
@@ -301,6 +305,28 @@ def discrepancy_bound(
     )
 
 
+# Gauss-Legendre nodes of the probe rule; the rule is exact to degree 61
+_PROBE_RULE_NODES = 31
+
+
+def sphere_probe_rule(center, radius: float) -> tuple:
+    """Product quadrature on the 2-sphere |y - center| = radius in R^3.
+
+    Gauss-Legendre in the polar cosine (31 nodes) times the trapezoid
+    rule in azimuth (62 nodes): exact for spherical polynomials of degree
+    up to 61. Returns ``(probes, weights)``, shapes (1922, 3) and
+    (1922,), the weights summing to 1, so a weighted sum is a mean over
+    the sphere.
+    """
+    m = _PROBE_RULE_NODES
+    z, wz = np.polynomial.legendre.leggauss(m)
+    z, az = np.meshgrid(z, np.pi * np.arange(2 * m) / m, indexing="ij")
+    rho = np.sqrt(1.0 - z * z)
+    unit = np.column_stack([(rho * np.cos(az)).ravel(), (rho * np.sin(az)).ravel(), z.ravel()])
+    weights = np.repeat(wz / (4.0 * m), 2 * m)
+    return np.asarray(center, dtype=float) + radius * unit, weights
+
+
 def potential_error(
     E: CompactSetModel,
     oracle: EquilibriumOracle,
@@ -308,19 +334,21 @@ def potential_error(
     y,
     spec: KernelSpec,
 ) -> tuple:
-    """Measured potential error at an exterior probe and the predicted
-    decay shape (no constant is claimed; callers fit one empirically).
+    """Measured potential error at exterior probes and the predicted decay
+    shape (no constant is claimed; callers fit one empirically).
 
     measured = |U^{mu_E}(y) - U^{tau(X)}(y)|
     shape    = d_E(y)**(1-d) n**(-p/s) + d_E(y)**(1-d/2) n**(-p/2),
-    with p = s/(d+s-2) from the set's declared Holder exponent s.
+    with p = s/(d+s-2) from the set's declared Holder exponent s. ``y`` is
+    one probe (dim,), giving two floats, or a batch (m, dim), giving two
+    arrays of length m.
     """
     require_newtonian(spec, "potential error bound")
     if E.holder is None:
         raise MissingHolderDataError("the set carries no Holder data (A, s)")
     yv = np.asarray(y, dtype=float)
-    dEy = float(distance_to_set(E, yv))
-    if dEy <= 0.0:
+    dEy = distance_to_set(E, yv)
+    if np.any(dEy <= 0.0):
         raise ValueError("probe point must lie strictly outside the set")
     if np.any(np.atleast_1d(distance_to_set(E, X.points)) > MEMBERSHIP_TOL):
         raise ValueError("configuration must lie inside the set")
@@ -328,7 +356,7 @@ def potential_error(
     _, s = E.holder
     p = s / (d + s - 2.0)
     n = X.n
-    measured = abs(float(oracle.potential(yv)) - discrete_potential(X, spec, yv))
+    measured = abs(oracle.potential(yv) - discrete_potential(X, spec, yv))
     shape = dEy ** (1.0 - d) * n ** (-p / s) + dEy ** (1.0 - d / 2.0) * n ** (-p / 2.0)
     return measured, shape
 

@@ -6,7 +6,7 @@ array primitives carry all the pair and probe work:
 
 - ``pair_terms``: the kernel over every pair j < k (energies);
 - ``pair_energy_forces``: the pair sum and minus its gradient together
-  (the Fekete descent), every n-by-n intermediate in a workspace the
+  (the Fekete optimizer), every n-by-n intermediate in a workspace the
   caller owns;
 - ``potential_sums``: per probe, the kernel summed over the points,
   optionally with the distance capped from below (potentials, the greedy

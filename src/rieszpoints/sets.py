@@ -244,7 +244,8 @@ def fibonacci_sphere(count: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def _random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
+def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A Haar-random orthogonal matrix (QR of a Gaussian matrix, signs fixed)."""
     A = rng.normal(size=(dim, dim))
     Q, R = np.linalg.qr(A)
     return Q * np.sign(np.diag(R))
@@ -323,7 +324,7 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
     d = E.dim
     if E.kind == "sphere" and d == 3:
         base = fibonacci_sphere(count)
-        rot = _random_rotation(substream(seed, "candidates", "rotation"), 3)
+        rot = random_rotation(substream(seed, "candidates", "rotation"), 3)
         return E.center + E.radius * (base @ rot.T)
     if E.kind in ("ball", "sphere"):
         return _halton_ball(E.center, E.radius, d, count, child_seed(seed, "candidates"), solid=E.kind == "ball")
@@ -402,7 +403,7 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec, support_n: i
     from .configurations import FeketeSearchParams, fekete_search
     from .measures import discrete_energy, discrete_potential
 
-    params = FeketeSearchParams(n=support_n, restarts=1, max_iters=400, tol=1e-10, seed=20406)
+    params = FeketeSearchParams(n=support_n, restarts=1, tol=1e-10, seed=20406)
     support = fekete_search(E, spec, params)
     W_hat = discrete_energy(support, spec)
 

@@ -74,6 +74,7 @@ def test_criterion_06_test_function_bound_matrix(verdicts):
 
 def test_criterion_07_potential_decay(verdicts):
     r = _crit(verdicts, "potential_decay")
+    assert r.details["rms_slope"] <= -0.3
     assert r.details["slope"] <= -0.3
     c = r.details["fitted_constant"]
     for m, s in zip(r.details["measured"], r.details["bound_shape"]):

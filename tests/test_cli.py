@@ -45,13 +45,18 @@ def test_generate_leja_writes_points_and_energy(sphere_file, tmp_path, capsys):
 
 def test_generate_fekete_two_points_antipodal(sphere_file, tmp_path):
     out = tmp_path / "pts.csv"
+    manifest = tmp_path / "run.json"
     code = main([
         "generate", "--set", str(sphere_file), "--method", "fekete", "--n", "2",
-        "--seed", "1", "--restarts", "3", "--out", str(out),
+        "--seed", "1", "--restarts", "3", "--out", str(out), "--manifest", str(manifest),
     ])
     assert code == 0
     X = read_points_csv(out)
     assert np.dot(X.points[0], X.points[1]) == pytest.approx(-1.0, abs=1e-6)
+    result = json.loads(manifest.read_text())["result"]
+    assert result["converged"] is True
+    assert 0 < result["iterations"] < 2000
+    assert 0.0 <= result["grad_norm"] <= np.sqrt(1e-13)
 
 
 def test_generate_reproducible_bitwise(sphere_file, tmp_path):
@@ -158,9 +163,12 @@ def test_study_fekete_gap_shrinks(sphere_file, tmp_path):
     out = tmp_path / "study.csv"
     code = main([
         "study", "--set", str(sphere_file), "--method", "fekete", "--schedule", "10,20,40",
-        "--seed", "9", "--restarts", "3", "--out", str(out),
+        "--seed", "9", "--restarts", "3", "--out", str(out), "--manifest", str(tmp_path / "study.json"),
     ])
     assert code == 0
+    runs = json.loads((tmp_path / "study.json").read_text())["result"]["runs"]
+    assert [r["n"] for r in runs] == [10, 20, 40]
+    assert all(r["converged"] and r["grad_norm"] <= np.sqrt(1e-13) for r in runs)
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     gaps = [float(r["energy_gap"]) for r in rows]

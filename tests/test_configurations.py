@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rieszpoints import (
     LejaState,
     PointConfig,
     ball,
+    box,
     discrete_energy,
     distance_to_set,
     fekete_search,
@@ -19,7 +22,9 @@ from rieszpoints import (
     sample_candidates,
     sphere_surface,
 )
+from rieszpoints.discrepancy import potential_error, sphere_probe_rule
 from rieszpoints.oracles import reference_energy
+from rieszpoints.sets import equilibrium_oracle, random_rotation
 
 SPEC = KernelSpec(2.0, 3)
 UNIT_SPHERE = sphere_surface([0.0, 0.0, 0.0], 1.0)
@@ -104,6 +109,64 @@ def test_fekete_energies_nondecreasing_small_range():
         for n in range(2, 11)
     ]
     assert all(b >= a - 1e-5 for a, b in zip(es, es[1:]))
+
+
+@pytest.mark.parametrize("E, n", [(UNIT_SPHERE, 200), (UNIT_BALL, 50), (box([0, 0, 0], [1, 2, 1]), 100)],
+                         ids=["sphere-200", "ball-50", "box-100"])
+def test_fekete_converges_on_projected_gradient(E, n):
+    params = FeketeSearchParams(n=n, restarts=1, seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run = fekete_search_run(E, SPEC, params)
+    assert run.converged
+    assert run.grad_norm <= np.sqrt(params.tol)
+    assert run.iterations < params.max_iters
+    assert np.all(distance_to_set(E, run.config.points) <= 1e-9)
+
+
+def test_fekete_reports_the_iteration_cap():
+    params = FeketeSearchParams(n=30, restarts=1, max_iters=5, seed=11)
+    with pytest.warns(RuntimeWarning, match="fekete_search hit max_iters=5"):
+        run = fekete_search_run(UNIT_SPHERE, SPEC, params)
+    assert not run.converged
+    assert run.iterations == 5
+    assert run.grad_norm > np.sqrt(params.tol)
+
+
+@pytest.fixture(scope="module")
+def sphere_minimizers():
+    return {
+        n: fekete_search_run(UNIT_SPHERE, SPEC, FeketeSearchParams(n=n, restarts=3, tol=1e-14, seed=4))
+        for n in (25, 50, 100, 200, 400)
+    }
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_fekete_sphere_energy_asymptotics(sphere_minimizers, n):
+    # minimal Coulomb energy on the unit sphere: n^2/2 - 0.5523 n^(3/2) + ...
+    # (Rakhmanov, Saff and Zhou, Math. Res. Lett. 1, 1994)
+    run = sphere_minimizers[n]
+    assert run.converged
+    raw = run.energy * n * (n - 1) / 2.0
+    asymptotic = n * n / 2.0 - 0.5523 * n ** 1.5
+    assert abs(raw - asymptotic) <= 2e-4 * asymptotic
+
+
+def test_probe_rule_rms_is_rotation_invariant(sphere_minimizers):
+    probes, weights = sphere_probe_rule(np.zeros(3), 2.0)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+    oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
+    rng = np.random.default_rng(2024)
+    rotations = [random_rotation(rng, 3) for _ in range(3)]
+
+    def rms(points):
+        err, _ = potential_error(UNIT_SPHERE, oracle, PointConfig(points), probes, SPEC)
+        return float(np.sqrt(weights @ err ** 2))
+
+    for n, run in sphere_minimizers.items():
+        base = rms(run.config.points)
+        for Q in rotations:
+            assert abs(rms(run.config.points @ Q) - base) <= 1e-10 * base, n
 
 
 def test_leja_next_antipode_of_single_point():
