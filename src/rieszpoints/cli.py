@@ -22,8 +22,9 @@ row per configuration size), ``verify`` (acceptance criteria, verdict
 JSON), ``potential`` (single-point deficit query).
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, invalid
-value or unreadable/unwritable file, 3 infeasible input, 4 unsupported
-set/oracle.
+value (including a kernel evaluated at a coincidence or an exhausted
+grid budget) or unreadable/unwritable file, 3 infeasible input, 4
+unsupported set/oracle or missing Holder data.
 """
 
 from __future__ import annotations
@@ -40,7 +41,15 @@ from . import __version__
 from .acceptance import DEFAULT_SEED, run_criteria, verdict_json
 from .configurations import FeketeSearchParams, fekete_search_run, leja_sequence, random_config
 from .discrepancy import phi_for_potential, sup_potential_deficit, discrepancy_bound, potential_error
-from .errors import InfeasiblePointError, SetDefinitionError, UnsupportedOracleError
+from .errors import (
+    CoincidentPointsError,
+    GridBudgetError,
+    InfeasiblePointError,
+    MissingHolderDataError,
+    SetDefinitionError,
+    SingularityError,
+    UnsupportedOracleError,
+)
 from .kernel import KernelSpec
 from .measures import (
     PointConfig,
@@ -65,8 +74,12 @@ _EXIT_CODES = {
     SetDefinitionError: EXIT_PARSE_ERROR,
     ValueError: EXIT_PARSE_ERROR,
     OSError: EXIT_PARSE_ERROR,
+    SingularityError: EXIT_PARSE_ERROR,
+    CoincidentPointsError: EXIT_PARSE_ERROR,
+    GridBudgetError: EXIT_PARSE_ERROR,
     InfeasiblePointError: EXIT_INFEASIBLE,
     UnsupportedOracleError: EXIT_UNSUPPORTED,
+    MissingHolderDataError: EXIT_UNSUPPORTED,
 }
 
 STUDY_COLUMNS = ["n", "energy", "energy_gap", "m_E", "moment_distance",

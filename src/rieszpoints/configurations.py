@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CoincidentPointsError, InfeasiblePointError
-from .kernel import KernelSpec, kernel_gradient, pair_energy_forces, potential_sums, require_newtonian
+from .kernel import KernelSpec, pair_energy_forces, potential_sums, probe_potential_gradient, require_newtonian
 from .measures import PointConfig, discrete_energy
 from .sets import MEMBERSHIP_TOL, CompactSetModel, distance_to_set, project_to_set, sample_candidates, sample_uniform
 from .seeding import child_seed, substream
@@ -282,16 +282,18 @@ class LejaState:
 
 def _polish_new_point(E, prefix_pts, spec, x0, value0, step0, iters=60):
     x, val = x0, value0
+    _, grad = probe_potential_gradient(spec, x, prefix_pts)
     t = step0
     for _ in range(iters):
-        grad = kernel_gradient(spec, x - prefix_pts).sum(axis=0)
         gn = float(np.linalg.norm(grad))
         if gn == 0.0:
             break
         xt = project_to_set(E, x - t * grad)
-        vt = float(potential_sums(spec, xt[None, :], prefix_pts)[0])
+        # each trial's gradient comes with its value; a rejected trial
+        # leaves x, so its gradient stays valid
+        vt, gt = probe_potential_gradient(spec, xt, prefix_pts)
         if vt < val:
-            x, val = xt, vt
+            x, val, grad = xt, vt, gt
             t *= 1.3
         else:
             t *= 0.5

@@ -1,7 +1,7 @@
 """Riesz kernel family k(x) = |x|**(alpha - dim): the one library
 implementation of every kernel quantity the toolkit reports.
 
-Besides the pointwise ``kernel_value`` and ``kernel_gradient``, three
+Besides the pointwise ``kernel_value`` and ``kernel_gradient``, four
 array primitives carry all the pair and probe work:
 
 - ``pair_terms``: the kernel over every pair j < k (energies);
@@ -10,7 +10,11 @@ array primitives carry all the pair and probe work:
   caller owns;
 - ``potential_sums``: per probe, the kernel summed over the points,
   optionally with the distance capped from below (potentials, the greedy
-  objective).
+  objective). It runs over the probes in row blocks of ``_BLOCK`` that
+  reuse one block-by-n buffer, so a call holds O(block * n) memory and
+  each row sums in the same order as an unblocked evaluation;
+- ``probe_potential_gradient``: the potential at one probe and its
+  gradient from one pass over the points (the greedy polish).
 
 Callers choose their own summation of ``pair_terms``. ``oracles.py``
 deliberately does not use this module's array primitives: its
@@ -25,6 +29,9 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import CoincidentPointsError, SingularityError
+
+# probe rows per block of potential_sums
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -160,13 +167,46 @@ def pair_energy_forces(spec: KernelSpec, points: np.ndarray, work: np.ndarray):
     return energy, forces.T
 
 
+def _kernel_of_distance(r, expo, out):
+    """out = r**expo; for expo = -1 the division, which equals the power bitwise."""
+    if expo == -1.0:
+        return np.divide(1.0, r, out=out)
+    return np.power(r, expo, out=out)
+
+
 def potential_sums(spec: KernelSpec, probes: np.ndarray, points: np.ndarray, cap: float = 0.0) -> np.ndarray:
     """For each probe (m, dim), the sum over points (n, dim) of
     max(r, cap)**(alpha - dim), r the probe-point distance.
 
     A probe sitting exactly on a point gets +inf unless cap > 0.
     """
-    r = cdist(probes, points)
-    np.maximum(r, cap, out=r)
+    m = len(probes)
+    out = np.empty(m)
+    buf = np.empty((min(m, _BLOCK), len(points)))
     with np.errstate(divide="ignore"):
-        return np.add.reduce(r ** spec.exponent, axis=1)
+        for i in range(0, m, _BLOCK):
+            r = buf[:min(_BLOCK, m - i)]
+            cdist(probes[i:i + _BLOCK], points, out=r)
+            if cap > 0:
+                np.maximum(r, cap, out=r)
+            _kernel_of_distance(r, spec.exponent, r)
+            np.add.reduce(r, axis=1, out=out[i:i + len(r)])
+    return out
+
+
+def probe_potential_gradient(spec: KernelSpec, x: np.ndarray, points: np.ndarray):
+    """Potential at one probe x (dim,) of the points (n, dim), and its
+    gradient in x, from one pass over the displacements.
+
+    Returns ``(value, gradient)``, bitwise equal to
+    ``potential_sums(spec, x[None], points)[0]`` and
+    ``kernel_gradient(spec, x - points).sum(axis=0)``. A probe sitting on
+    a point gives value +inf (the gradient is then meaningless).
+    """
+    disp = x - points
+    r = np.sqrt(np.add.reduce(disp * disp, axis=1, keepdims=True))
+    expo = spec.exponent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = float(np.add.reduce(_kernel_of_distance(r[:, 0], expo, None)))
+        gradient = (expo * r ** (expo - 2.0) * disp).sum(axis=0)
+    return value, gradient

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import ndtri
 from scipy.stats import qmc
 
 from .errors import SetDefinitionError, UnsupportedOracleError
@@ -82,7 +83,7 @@ def _vec(x, dim, name="point"):
     a = np.asarray(x, dtype=float)
     if a.shape[-1] != dim:
         raise ValueError(f"{name} has dimension {a.shape[-1]}, set has {dim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
 
@@ -158,25 +159,32 @@ def distance_to_set(E: CompactSetModel, x):
     return float(out) if out.ndim == 0 else out
 
 
+def _shell_point(v, rho, center, radius):
+    """center + radius * v / rho for rows v = p - center of norm rho
+    (shape (k, 1)); a row at the center maps to center + radius * e1."""
+    unit = np.divide(v, rho, out=np.zeros_like(v), where=rho > 0)
+    # deterministic tie-break for the shell's center: fixed direction +e1
+    deg = rho[:, 0] == 0
+    if deg.any():
+        unit[deg, 0] = 1.0
+    return center + radius * unit
+
+
 def _project_to_sphere_shell(p, center, radius):
     """Radial projection onto |x - center| = radius; center maps to +e1."""
     v = p - center
-    rho = np.linalg.norm(v, axis=-1, keepdims=True)
-    unit = np.divide(v, rho, out=np.zeros_like(v), where=rho > 0)
-    # deterministic tie-break for the shell's center: fixed direction +e1
-    deg = (rho[..., 0] == 0)
-    if np.any(deg):
-        unit = np.array(unit, copy=True)
-        unit[deg] = 0.0
-        unit[deg, ..., 0] = 1.0
-    return center + radius * unit
+    return _shell_point(v, np.linalg.norm(v, axis=-1, keepdims=True), center, radius)
 
 
 def _project_to_ball(q, center, radius):
     """Nearest point of the solid ball: inside points stay, outside points
     go radially to the boundary."""
-    inside = np.linalg.norm(q - center, axis=-1, keepdims=True) <= radius
-    return np.where(inside, q, _project_to_sphere_shell(q, center, radius))
+    v = q - center
+    rho = np.linalg.norm(v, axis=-1, keepdims=True)
+    inside = rho <= radius
+    if inside.all():
+        return q.copy()
+    return np.where(inside, q, _shell_point(v, rho, center, radius))
 
 
 def project_to_set(E: CompactSetModel, x):
@@ -257,10 +265,8 @@ def _halton(rng_seed: int, dim: int, count: int) -> np.ndarray:
 
 
 def _gauss_from_uniform(u: np.ndarray) -> np.ndarray:
-    from scipy.stats import norm
-
     eps = np.finfo(float).tiny
-    return norm.ppf(np.clip(u, eps, 1 - 1e-16))
+    return ndtri(np.clip(u, eps, 1 - 1e-16))
 
 
 def random_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:

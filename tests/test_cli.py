@@ -232,11 +232,13 @@ def test_potential_inside_probe_exits_3(tmp_path, capsys):
     ["potential", "--set", "{set}", "--points", "{tmp}/nope.csv", "--y", "2,0,0"],
     ["potential", "--set", "{set}", "--points", "{tmp}/empty.csv", "--y", "2,0,0"],
     ["generate", "--set", "{set}", "--method", "random", "--n", "5", "--out", "{tmp}/no_such_dir/x.csv"],
+    ["potential", "--set", "{set}", "--points", "{tmp}/on_probe.csv", "--y", "2,0,0"],
 ], ids=["restarts-0", "negative-r-c", "points-of-wrong-dimension", "missing-points-file",
-        "empty-points-file", "unwritable-out"])
+        "empty-points-file", "unwritable-out", "probe-on-a-point"])
 def test_invalid_value_exits_2_with_one_line(argv, sphere_file, tmp_path, capsys):
     (tmp_path / "two_column.csv").write_text("x1,x2\n1.0,0.0\n0.0,1.0\n")
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "on_probe.csv").write_text("x1,x2,x3\n0.0,0.0,1.0\n2.0,0.0,0.0\n")
     code = main([a.format(set=sphere_file, tmp=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert code == 2

@@ -18,11 +18,15 @@ from rieszpoints import (
     fekete_search_run,
     leja_next,
     leja_sequence,
+    project_to_set,
     random_config,
     sample_candidates,
     sphere_surface,
+    union_of_balls,
 )
+from rieszpoints import configurations
 from rieszpoints.discrepancy import potential_error, sphere_probe_rule
+from rieszpoints.kernel import kernel_gradient, potential_sums
 from rieszpoints.oracles import reference_energy
 from rieszpoints.sets import equilibrium_oracle, random_rotation
 
@@ -211,6 +215,42 @@ def test_leja_next_refinement_never_worse_than_grid():
         val = np.sum(np.linalg.norm(x - prefix_pts, axis=1) ** -1.0)
         grid_min = np.min(np.sum(np.linalg.norm(cands[:, None, :] - prefix_pts, axis=2) ** -1.0, axis=1))
         assert val <= grid_min + 1e-15
+
+
+def _two_pass_polish(E, prefix_pts, spec, x0, value0, step0, iters=60):
+    """The greedy polish with two kernel calls per trial: the gradient at
+    x, then the trial point's potential."""
+    x, val = x0, value0
+    t = step0
+    for _ in range(iters):
+        grad = kernel_gradient(spec, x - prefix_pts).sum(axis=0)
+        if float(np.linalg.norm(grad)) == 0.0:
+            break
+        xt = project_to_set(E, x - t * grad)
+        vt = float(potential_sums(spec, xt[None, :], prefix_pts)[0])
+        if vt < val:
+            x, val = xt, vt
+            t *= 1.3
+        else:
+            t *= 0.5
+            if t < 1e-15:
+                break
+    return x, val
+
+
+@pytest.mark.parametrize("E, xi0", [
+    (UNIT_BALL, [0.0, 0, 1.0]),
+    (UNIT_SPHERE, [0.0, 0, 1.0]),
+    (sphere_surface([0.0, 0, 0, 0], 1.0), [0.0, 0, 0, 1.0]),
+    (box([0.0, 0, 0], [1.0, 2.0, 1.0]), [0.0, 0, 0]),
+    (union_of_balls([([-1.0, 0, 0], 1.0), ([1.0, 0, 0], 1.0)]), [-2.0, 0, 0]),
+], ids=["ball", "sphere-d3", "sphere-d4", "box", "union"])
+def test_leja_polish_matches_two_pass_reference(E, xi0, monkeypatch):
+    spec = KernelSpec(2.0, E.dim)
+    one_pass = leja_sequence(E, spec, 40, xi0, candidate_count=512, seed=5)
+    monkeypatch.setattr(configurations, "_polish_new_point", _two_pass_polish)
+    two_pass = leja_sequence(E, spec, 40, xi0, candidate_count=512, seed=5)
+    assert np.array_equal(one_pass.points, two_pass.points)
 
 
 def test_leja_sequence_basics():

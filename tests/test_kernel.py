@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 import rieszpoints
 from rieszpoints import (
@@ -15,7 +16,7 @@ from rieszpoints import (
     kernel_value,
     newtonian_flag,
 )
-from rieszpoints.kernel import pair_energy_forces, pair_terms, potential_sums
+from rieszpoints.kernel import _BLOCK, pair_energy_forces, pair_terms, potential_sums, probe_potential_gradient
 
 
 def test_unit_distance_newtonian():
@@ -174,6 +175,61 @@ def test_potential_sums_coincidence_and_cap():
                                (np.maximum(r, cap) ** spec.exponent).sum(axis=1), rtol=1e-15)
     # the cap keeps a coincident probe finite: max(0, cap) = cap
     assert potential_sums(spec, points[:1], points, cap=cap)[0] == pytest.approx(2 / cap + 1 / 3, rel=1e-15)
+
+
+def _unblocked_potential_sums(spec, probes, points, cap):
+    r = cdist(probes, points)
+    np.maximum(r, cap, out=r)
+    with np.errstate(divide="ignore"):
+        return np.add.reduce(r ** spec.exponent, axis=1)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_potential_sums_row_blocks_match_unblocked_bitwise(d):
+    rng = np.random.default_rng(d)
+    points = rng.normal(size=(50, d))
+    for alpha in (2.0, 0.7):
+        spec = KernelSpec(alpha, d)
+        for m in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+            probes = rng.normal(size=(m, d))
+            if m > _BLOCK:
+                # a coincidence in a later block
+                probes[-1] = points[7]
+            for cap in (0.0, 0.3):
+                got = potential_sums(spec, probes, points, cap=cap)
+                assert np.array_equal(got, _unblocked_potential_sums(spec, probes, points, cap))
+                if m > _BLOCK:
+                    assert (got[-1] == np.inf) == (cap == 0.0)
+
+
+def test_potential_sums_warm_call_allocates_no_probe_by_point_array():
+    spec = KernelSpec(alpha=2.0, dim=3)
+    rng = np.random.default_rng(11)
+    m, n = 4096, 400
+    probes, points = rng.normal(size=(m, 3)), rng.normal(size=(n, 3))
+    potential_sums(spec, probes, points)
+    tracemalloc.start()
+    try:
+        potential_sums(spec, probes, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one m-by-n array is 13 MB; a block buffer is 1/8 of it
+    assert peak < m * n * 8 / 4
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_probe_potential_gradient_matches_the_two_primitives_bitwise(d):
+    rng = np.random.default_rng(20 + d)
+    points = rng.normal(size=(300, d))
+    for alpha in (2.0, 0.7):
+        spec = KernelSpec(alpha, d)
+        for x in rng.normal(size=(5, d)):
+            value, gradient = probe_potential_gradient(spec, x, points)
+            assert value == potential_sums(spec, x[None], points)[0]
+            assert np.array_equal(gradient, kernel_gradient(spec, x - points).sum(axis=0))
+        value, _ = probe_potential_gradient(spec, points[3].copy(), points)
+        assert value == np.inf
 
 
 def test_only_kernel_and_oracles_import_scipy_distance():

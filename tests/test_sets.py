@@ -46,6 +46,20 @@ def test_projection_examples():
     np.testing.assert_allclose(project_to_set(UNIT_SPHERE, [0.0, 0, 0]), [1.0, 0, 0])
 
 
+def test_ball_projection_matches_radial_reference_bitwise():
+    rng = np.random.default_rng(12)
+    center, radius = np.array([0.5, -1.0, 2.0]), 1.5
+    E = ball(center, radius)
+    x = np.vstack([center + rng.normal(scale=1.5, size=(500, 3)), center])
+    v = x - center
+    rho = np.linalg.norm(v, axis=1, keepdims=True)
+    unit = np.divide(v, rho, out=np.zeros_like(v), where=rho > 0)
+    expected = np.where(rho <= radius, x, center + radius * unit)
+    assert np.array_equal(project_to_set(E, x), expected)
+    for row, want in zip(x[::50], expected[::50]):
+        assert np.array_equal(project_to_set(E, row), want)
+
+
 def test_projection_realizes_distance():
     rng = np.random.default_rng(1)
     shapes = [
