@@ -192,7 +192,7 @@ def cmd_study(args) -> int:
         config, result = _generate_config(E, spec, args.method, n, seed_n, args)
         runs.append({"n": n, "iterations": result["iterations"], "converged": result["converged"],
                      "grad_norm": result["grad_norm"]})
-        energy = discrete_energy(config, spec)
+        energy = result["final_energy"]
         r_n = args.r_c * n ** (-r_a)
         rep = discrepancy_bound(E, oracle, config, phi, r_n, spec, seed=child_seed(args.seed, "study-bound", n))
         deficit = abs(float(oracle.potential(probe)) - discrete_potential(config, spec, probe))

@@ -51,8 +51,10 @@ class FeketeSearchParams:
             raise ValueError("n must be >= 2")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if not 0 < self.tol < np.inf:  # NaN fails too
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,23 @@ union of balls. Balls and spheres carry exact Newtonian equilibrium
 oracles (Robin constant, equilibrium potential, Green function); boxes
 and unions fall back to a quadrature-backed oracle built from a dense
 low-energy configuration, clearly labeled approximate.
+
+Candidate grids on balls, boxes, unions and spheres outside d = 3 come
+from the module's own scrambled Halton draw (Owen's randomized Halton,
+arXiv:1706.02808), which reproduces the points of scipy 1.17.1's
+``scipy.stats.qmc.Halton(d, scramble=True)`` bit for bit, so the module
+needs no ``scipy.stats``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import SetDefinitionError, UnsupportedOracleError
 from .kernel import KernelSpec, newtonian_flag
@@ -46,8 +53,8 @@ class CompactSetModel:
     def __post_init__(self):
         if self.holder is not None:
             A, s = self.holder
-            if not (A > 0 and 0 < s <= 1):
-                raise ValueError(f"holder data needs A > 0 and 0 < s <= 1, got {self.holder}")
+            if not (0 < A < np.inf and 0 < s <= 1):
+                raise ValueError(f"holder data needs finite A > 0 and 0 < s <= 1, got {self.holder}")
 
     @property
     def diameter(self) -> float:
@@ -88,31 +95,38 @@ def _vec(x, dim, name="point"):
     return a
 
 
+def _frozen_finite(x, name):
+    """A read-only float copy of the caller's array, checked finite."""
+    a = np.array(x, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    a.setflags(write=False)
+    return a
+
+
+def _radius(r, name="radius"):
+    if not 0 < r < np.inf:  # NaN fails too
+        raise ValueError(f"{name} must be positive and finite")
+    return float(r)
+
+
 def ball(center, radius: float, holder=(1.0, 1.0)) -> CompactSetModel:
-    c = np.array(center, dtype=float)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    c.setflags(write=False)
-    return CompactSetModel(dim=c.size, kind="ball", center=c, radius=float(radius), holder=holder)
+    c = _frozen_finite(center, "center")
+    return CompactSetModel(dim=c.size, kind="ball", center=c, radius=_radius(radius), holder=holder)
 
 
 def sphere_surface(center, radius: float, holder=(1.0, 1.0)) -> CompactSetModel:
-    c = np.array(center, dtype=float)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    c.setflags(write=False)
-    return CompactSetModel(dim=c.size, kind="sphere", center=c, radius=float(radius), holder=holder)
+    c = _frozen_finite(center, "center")
+    return CompactSetModel(dim=c.size, kind="sphere", center=c, radius=_radius(radius), holder=holder)
 
 
 def box(low, high, holder=(1.0, 1.0)) -> CompactSetModel:
-    lo = np.array(low, dtype=float)
-    hi = np.array(high, dtype=float)
+    lo = _frozen_finite(low, "low")
+    hi = _frozen_finite(high, "high")
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ValueError("low/high must be 1-d vectors of equal length")
     if not np.all(hi > lo):
         raise ValueError("box needs high > low componentwise")
-    lo.setflags(write=False)
-    hi.setflags(write=False)
     return CompactSetModel(dim=lo.size, kind="box", low=lo, high=hi, holder=holder)
 
 
@@ -122,15 +136,12 @@ def union_of_balls(balls_list, holder=None) -> CompactSetModel:
     packed = []
     dim = None
     for c, r in balls_list:
-        cv = np.array(c, dtype=float)
+        cv = _frozen_finite(c, "ball center")
         if dim is None:
             dim = cv.size
         elif cv.size != dim:
             raise ValueError("all union balls must share a dimension")
-        if r <= 0:
-            raise ValueError("ball radii must be positive")
-        cv.setflags(write=False)
-        packed.append((cv, float(r)))
+        packed.append((cv, _radius(r, "ball radius")))
     return CompactSetModel(dim=dim, kind="union", balls=tuple(packed), holder=holder)
 
 
@@ -259,9 +270,72 @@ def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
+@lru_cache(maxsize=None)
+def _primes(count: int) -> tuple:
+    """The first ``count`` primes, by trial division."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return tuple(primes)
+
+
+@lru_cache(maxsize=None)
+def _digit_weights(base: int) -> np.ndarray:
+    """base**-(j + 1) for the ceil(54 / log2(base)) - 1 digits that a
+    double resolves, by repeated division."""
+    weights = np.empty(math.ceil(54 / math.log2(base)) - 1)
+    w = 1.0 / base
+    for j in range(weights.size):
+        weights[j] = w
+        w /= base
+    weights.setflags(write=False)
+    return weights
+
+
+@lru_cache(maxsize=32)
+def _digit_index(base: int, count: int) -> np.ndarray:
+    """Flat indices j * base + (digit j of i) into a (digits, base) table,
+    one row per digit j that is nonzero for some i < count."""
+    q = np.arange(count)
+    rows = []
+    while q.any():
+        rows.append(q % base + len(rows) * base)
+        q //= base
+    index = np.array(rows, dtype=np.intp).reshape(len(rows), count)
+    index.setflags(write=False)
+    return index
+
+
 def _halton(rng_seed: int, dim: int, count: int) -> np.ndarray:
-    eng = qmc.Halton(d=dim, scramble=True, seed=np.random.default_rng(rng_seed))
-    return eng.random(count)
+    """The first ``count`` points of a scrambled Halton sequence in [0, 1)^dim.
+
+    Owen's scrambling (arXiv:1706.02808): coordinate c is the radical
+    inverse in the c-th prime base b, with digit j of the index mapped
+    through its own random permutation of range(b) before it is weighted
+    by b**-(j + 1). The stream is pinned to scipy 1.17.1's
+    ``qmc.Halton(dim, scramble=True, seed=np.random.default_rng(rng_seed))
+    .random(count)``: the same child generator, the same shuffles in the
+    same order, and each point's terms summed digit by digit as scipy's
+    loop sums them, so the bytes and the column-major layout match."""
+    # scipy spawns its engine's generator from a Generator seed
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed).spawn(1)[0]))
+    out = np.zeros((dim, count))
+    for acc, base in zip(out, _primes(dim)):
+        weights = _digit_weights(base)
+        perms = np.repeat(np.arange(base)[None], weights.size, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        table = perms * weights[:, None]
+        index = _digit_index(base, count)
+        for term in table.ravel().take(index):
+            acc += term
+        # digits past the largest index are zero for every point
+        for j in range(len(index), weights.size):
+            acc += table[j, 0]
+    return out.T
 
 
 def _gauss_from_uniform(u: np.ndarray) -> np.ndarray:

@@ -233,12 +233,25 @@ def test_potential_inside_probe_exits_3(tmp_path, capsys):
     ["potential", "--set", "{set}", "--points", "{tmp}/empty.csv", "--y", "2,0,0"],
     ["generate", "--set", "{set}", "--method", "random", "--n", "5", "--out", "{tmp}/no_such_dir/x.csv"],
     ["potential", "--set", "{set}", "--points", "{tmp}/on_probe.csv", "--y", "2,0,0"],
+    ["generate", "--set", "{tmp}/nan_radius.txt", "--method", "random", "--n", "5", "--out", "{tmp}/g.csv"],
+    ["generate", "--set", "{tmp}/inf_center.txt", "--method", "random", "--n", "5", "--out", "{tmp}/g.csv"],
+    ["generate", "--set", "{tmp}/inf_union.txt", "--method", "random", "--n", "5", "--out", "{tmp}/g.csv"],
+    ["generate", "--set", "{tmp}/inf_box.txt", "--method", "random", "--n", "5", "--out", "{tmp}/g.csv"],
+    ["generate", "--set", "{set}", "--method", "fekete", "--n", "10", "--tol", "nan", "--out", "{tmp}/g.csv"],
+    ["generate", "--set", "{set}", "--method", "fekete", "--n", "10", "--tol", "inf", "--out", "{tmp}/g.csv"],
+    ["generate", "--set", "{set}", "--method", "fekete", "--n", "10", "--max-iters", "-1", "--out", "{tmp}/g.csv"],
 ], ids=["restarts-0", "negative-r-c", "points-of-wrong-dimension", "missing-points-file",
-        "empty-points-file", "unwritable-out", "probe-on-a-point"])
+        "empty-points-file", "unwritable-out", "probe-on-a-point", "nan-ball-radius",
+        "infinite-sphere-center", "infinite-union-radius", "infinite-box-corner", "nan-tol",
+        "infinite-tol", "negative-max-iters"])
 def test_invalid_value_exits_2_with_one_line(argv, sphere_file, tmp_path, capsys):
     (tmp_path / "two_column.csv").write_text("x1,x2\n1.0,0.0\n0.0,1.0\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "on_probe.csv").write_text("x1,x2,x3\n0.0,0.0,1.0\n2.0,0.0,0.0\n")
+    (tmp_path / "nan_radius.txt").write_text("shape = ball\ncenter = 0 0 0\nradius = nan\n")
+    (tmp_path / "inf_center.txt").write_text("shape = sphere\ncenter = 0 0 inf\nradius = 1\n")
+    (tmp_path / "inf_union.txt").write_text("shape = union\nball = 0 0 0 1\nball = 3 0 0 inf\n")
+    (tmp_path / "inf_box.txt").write_text("shape = box\nlow = 0 0 0\nhigh = 1 1 inf\n")
     code = main([a.format(set=sphere_file, tmp=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert code == 2

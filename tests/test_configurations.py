@@ -267,6 +267,15 @@ def test_leja_sequence_prefix_incrementality():
     np.testing.assert_array_equal(short.points, long.points[:10])
 
 
+def test_leja_sequence_prefix_on_the_ball():
+    """The ball draws its candidates from the scrambled Halton sampler,
+    keyed by the step index, so the prefix claim holds there too."""
+    xi0 = [0.0, 0, 1.0]
+    short = leja_sequence(UNIT_BALL, SPEC, 20, xi0, seed=5)
+    long = leja_sequence(UNIT_BALL, SPEC, 30, xi0, seed=5)
+    assert short.points.tobytes() == long.points[:20].tobytes()
+
+
 def test_leja_sequence_energy_bound():
     L = leja_sequence(UNIT_SPHERE, SPEC, 100, [0.0, 0, 1.0], candidate_count=2048, seed=3)
     assert discrete_energy(L, SPEC) <= 1.0 + 1e-6

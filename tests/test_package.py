@@ -1,4 +1,9 @@
+import ast
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import rieszpoints
 
@@ -7,3 +12,33 @@ def test_all_lists_public_names_not_modules():
     assert len(set(rieszpoints.__all__)) == len(rieszpoints.__all__)
     for name in rieszpoints.__all__:
         assert not isinstance(getattr(rieszpoints, name), types.ModuleType), name
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs about half of a cold import; only the reference
+    Sobol path in oracles.py loads it, on first use."""
+    code = ("import sys, rieszpoints, rieszpoints.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    env = dict(os.environ, PYTHONPATH=str(Path(rieszpoints.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_only_oracles_imports_scipy_stats():
+    """The package samples its own scrambled Halton points; oracles.py is
+    the deliberately separate second opinion."""
+    package = Path(rieszpoints.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.stats" or n.startswith("scipy.stats.") for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -17,7 +19,7 @@ from rieszpoints import (
     union_of_balls,
 )
 from rieszpoints.oracles import sphere_potential_quadrature
-from rieszpoints.sets import points_at_offset, sample_shell, sample_uniform
+from rieszpoints.sets import _halton, _primes, points_at_offset, sample_shell, sample_uniform
 from rieszpoints.seeding import substream
 
 SPEC = KernelSpec(2.0, 3)
@@ -106,6 +108,52 @@ def test_constructor_copies_callers_array(make):
     before = distance_to_set(E, probe)
     c[0] = 1.0  # the caller's array stays writable
     assert distance_to_set(E, probe) == before
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ball([0.0, 0, 0], np.nan),
+    lambda: ball([0.0, np.nan, 0], 1.0),
+    lambda: sphere_surface([0.0, 0, np.inf], 1.0),
+    lambda: sphere_surface([0.0, 0, 0], np.inf),
+    lambda: box([0.0, 0, 0], [1.0, 1, np.inf]),
+    lambda: box([-np.inf, 0, 0], [1.0, 1, 1]),
+    lambda: union_of_balls([([0.0, 0, 0], np.inf)]),
+    lambda: union_of_balls([([0.0, 0, 0], 1.0), ([np.nan, 0, 0], 1.0)]),
+    lambda: ball([0.0, 0, 0], 1.0, holder=(np.inf, 1.0)),
+], ids=["ball-radius", "ball-center", "sphere-center", "sphere-radius", "box-high", "box-low",
+        "union-radius", "union-center", "holder-A"])
+def test_constructors_reject_non_finite(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+def test_halton_matches_scipy_bitwise():
+    """The module's scrambled Halton draw is scipy's engine, byte for byte
+    and in the same column-major layout: ten seeds for each dim 1-11, each
+    at counts 1, 2, 512, 4096 and around the largest power b**k <= 512 of
+    one of its bases b, where the number of varying digits changes."""
+    from scipy.stats import qmc
+
+    for seed in range(110):
+        dim = 1 + seed % 11
+        b = _primes(dim)[seed % dim]
+        power = b ** int(math.log(512, b) + 1e-9)
+        for count in (1, 2, 512, 4096, power - 1, power, power + 1):
+            ours = _halton(seed, dim, count)
+            ref = qmc.Halton(d=dim, scramble=True, seed=np.random.default_rng(seed)).random(count)
+            assert ours.tobytes() == ref.tobytes(), (seed, dim, count)
+            assert ours.strides == ref.strides
+
+
+def test_halton_stream_is_pinned():
+    """The first points of one draw, written out, so the candidate grids
+    stay fixed whatever later scipy releases do to their engine."""
+    assert _halton(7, 3, 4).tolist() == [
+        [0.9739290315223428, 0.9514162026412822, 0.22224154570517254],
+        [0.4739290315223428, 0.618082869307949, 0.6222415457051729],
+        [0.7239290315223428, 0.28474953597461544, 0.4222415457051726],
+        [0.22392903152234278, 0.7291939804190601, 0.022241545705172554],
+    ]
 
 
 def test_candidates_on_sphere_count_one():
