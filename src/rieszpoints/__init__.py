@@ -21,7 +21,6 @@ from .sets import (
     box,
     distance_to_set,
     equilibrium_oracle,
-    load_set_definition,
     parse_set_definition,
     project_to_set,
     sample_candidates,
@@ -30,21 +29,17 @@ from .sets import (
 )
 from .measures import (
     PointConfig,
-    SmoothedConfig,
     closeness_m_E,
     discrete_energy,
     discrete_potential,
     moment_distance,
     read_points_csv,
-    smoothed_energy_terms,
-    smoothed_potential,
     write_points_csv,
 )
 from .configurations import (
     FeketeRun,
     FeketeSearchParams,
     LejaState,
-    fekete_search,
     fekete_search_run,
     leja_next,
     leja_sequence,
@@ -85,7 +80,6 @@ __all__ = [
     "box",
     "distance_to_set",
     "equilibrium_oracle",
-    "load_set_definition",
     "parse_set_definition",
     "project_to_set",
     "sample_candidates",
@@ -93,20 +87,16 @@ __all__ = [
     "union_of_balls",
     # measures
     "PointConfig",
-    "SmoothedConfig",
     "closeness_m_E",
     "discrete_energy",
     "discrete_potential",
     "moment_distance",
     "read_points_csv",
-    "smoothed_energy_terms",
-    "smoothed_potential",
     "write_points_csv",
     # configurations
     "FeketeRun",
     "FeketeSearchParams",
     "LejaState",
-    "fekete_search",
     "fekete_search_run",
     "leja_next",
     "leja_sequence",

@@ -69,16 +69,12 @@ _SPHERE = sphere_surface([0.0, 0.0, 0.0], 1.0)
 _BALL = ball([0.0, 0.0, 0.0], 1.0)
 
 
-def _fekete_restarts(n: int) -> int:
-    return 6 if n <= 60 else (4 if n <= 150 else 3)
-
-
 def _fekete_cached(ctx: dict, seed: int, set_key: str, E, n: int):
     key = ("fekete", set_key, n)
     if key not in ctx:
         params = FeketeSearchParams(
             n=n,
-            restarts=_fekete_restarts(n),
+            restarts=6 if n <= 60 else (4 if n <= 150 else 3),
             max_iters=3000,
             tol=1e-14,
             seed=child_seed(seed, "fekete", set_key, n),
@@ -392,6 +388,8 @@ def run_criteria(seed: int = DEFAULT_SEED, only=None, ledger_path=None):
     """Run the selected criteria; the reproducibility criterion re-runs
     the whole selection from scratch and compares serialized verdicts."""
     names, include_repro = _select(only)
+    if not names:
+        raise ValueError(f"no criterion besides {REPRODUCIBILITY} matches {','.join(only)!r}")
     results = _run_pass(names, seed, ledger_path=ledger_path)
     if include_repro:
         second = _run_pass(names, seed, ledger_path=ledger_path)

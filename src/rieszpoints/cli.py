@@ -22,9 +22,9 @@ row per configuration size), ``verify`` (acceptance criteria, verdict
 JSON), ``potential`` (single-point deficit query).
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, invalid
-value (including a kernel evaluated at a coincidence or an exhausted
-grid budget) or unreadable/unwritable file, 3 infeasible input, 4
-unsupported set/oracle or missing Holder data.
+value (including a kernel evaluated at a coincidence, an exhausted grid
+budget or a floating-point overflow) or unreadable/unwritable file, 3
+infeasible input, 4 unsupported set/oracle or missing Holder data.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .errors import (
 )
 from .kernel import KernelSpec
 from .measures import (
-    PointConfig,
     closeness_m_E,
     discrete_energy,
     discrete_potential,
@@ -77,6 +76,7 @@ _EXIT_CODES = {
     SingularityError: EXIT_PARSE_ERROR,
     CoincidentPointsError: EXIT_PARSE_ERROR,
     GridBudgetError: EXIT_PARSE_ERROR,
+    FloatingPointError: EXIT_PARSE_ERROR,
     InfeasiblePointError: EXIT_INFEASIBLE,
     UnsupportedOracleError: EXIT_UNSUPPORTED,
     MissingHolderDataError: EXIT_UNSUPPORTED,
@@ -177,8 +177,8 @@ def cmd_study(args) -> int:
     spec = KernelSpec(alpha=args.alpha, dim=E.dim)
     oracle = equilibrium_oracle(E, spec)  # exit 4 when unsupported
     schedule = [int(t) for t in args.schedule.replace(",", " ").split()]
-    if any(n < 2 for n in schedule):
-        raise SetDefinitionError("study schedule entries must be >= 2")
+    if not schedule or any(n < 2 for n in schedule):
+        raise SetDefinitionError("study schedule needs one or more entries, each >= 2")
     probe = _parse_vector(args.probe) if args.probe else _default_probe(E)
     if distance_to_set(E, probe) <= 0:
         raise InfeasiblePointError("probe must lie outside the set")
@@ -328,7 +328,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow means an input beyond floating-point range: exit 2, not garbage
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[t] for t in type(exc).__mro__ if t in _EXIT_CODES)

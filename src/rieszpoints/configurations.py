@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class FeketeSearchParams:
 
 @dataclass(frozen=True)
 class FeketeRun:
-    """Detailed outcome of one fekete_search call.
+    """Detailed outcome of one fekete_search_run call.
 
     ``grad_norm`` is the best restart's final largest per-point projected
     force over the mean force magnitude; ``converged`` means it is at most
@@ -232,19 +232,12 @@ def fekete_search_run(
     selected in restart order, ties to the lowest index)."""
     step0 = 0.1 * E.enclosing_radius / np.sqrt(params.n)
     if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(lambda r: _one_restart(E, spec, params, step0, r),
                                      range(params.restarts)))
     else:
         outcomes = [_one_restart(E, spec, params, step0, r) for r in range(params.restarts)]
-    initial_energies = [o[0] for o in outcomes]
-    best = None
-    for outcome in outcomes:
-        if best is None or outcome[2] < best[2]:
-            best = outcome
-    _, X, raw, iters, converged, grad_norm = best
+    _, X, _, iters, converged, grad_norm = min(outcomes, key=lambda o: o[2])
     config = PointConfig(X)
     if not converged:
         # iterations counts accepted steps, so fewer than max_iters means
@@ -261,25 +254,18 @@ def fekete_search_run(
         iterations=iters,
         converged=converged,
         grad_norm=grad_norm,
-        initial_energies=tuple(initial_energies),
+        initial_energies=tuple(o[0] for o in outcomes),
     )
-
-
-def fekete_search(E: CompactSetModel, spec: KernelSpec, params: FeketeSearchParams) -> PointConfig:
-    """Approximate Fekete points of E (see fekete_search_run for details)."""
-    return fekete_search_run(E, spec, params).config
 
 
 @dataclass(frozen=True)
 class LejaState:
     """Prefix of a greedy sequence plus the candidate grid for the next
-    step. ``set_model`` drives the projected polish; with None the step
-    is the bare grid argmin."""
+    step; ``set_model`` is the set the projected polish stays on."""
 
     prefix: PointConfig
     candidates: np.ndarray
-    dim: int
-    set_model: Optional[CompactSetModel] = None
+    set_model: CompactSetModel
 
 
 def _polish_new_point(E, prefix_pts, spec, x0, value0, step0, iters=60):
@@ -321,8 +307,6 @@ def leja_next(state: LejaState, spec: KernelSpec) -> np.ndarray:
         raise CoincidentPointsError("every candidate coincides with a prefix point")
     i0 = int(np.argmin(u))
     x0, u0 = cands[i0], float(u[i0])
-    if state.set_model is None:
-        return x0
     step0 = 0.05 * state.set_model.enclosing_radius
     x, val = _polish_new_point(state.set_model, prefix_pts, spec, x0, u0, step0)
     return x if val <= u0 else x0
@@ -350,7 +334,7 @@ def leja_sequence(
     pts = [project_to_set(E, x0)]
     for k in range(1, n):
         cands = sample_candidates(E, candidate_count, child_seed(seed, "leja-candidates", k))
-        state = LejaState(PointConfig(np.array(pts)), cands, E.dim, set_model=E)
+        state = LejaState(PointConfig(np.array(pts)), cands, E)
         pts.append(leja_next(state, spec))
     return PointConfig(np.array(pts))
 

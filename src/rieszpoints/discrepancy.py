@@ -8,10 +8,9 @@ equilibrium potential together with their predicted decay shapes.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,7 +54,6 @@ class TestFunction:
     support_radius: float
     modulus_model: Optional[Callable[[float], float]] = None
     dirichlet: Optional[float] = None
-    lipschitz: Optional[float] = None
 
     __test__ = False  # not a pytest class despite the name
 
@@ -97,7 +95,6 @@ def phi_for_potential(E: CompactSetModel, y, spec: KernelSpec) -> TestFunction:
         support_radius=R,
         modulus_model=lambda r: lip * r,
         dirichlet=dirichlet_bound,
-        lipschitz=lip,
     )
 
 
@@ -121,15 +118,14 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
         support_radius=a,
         modulus_model=lambda r: min(r / a, 1.0),
         dirichlet=a ** (d - 2) * unit_sphere_area(d) / d,
-        lipschitz=1.0 / a,
     )
 
 
 def modulus_of_continuity(phi: TestFunction, r: float, probes: int = 2000, seed: int = 0) -> float:
     """omega(phi; r): closed form when the function carries a model,
     otherwise a seeded random-probe lower estimate inflated by 1.2."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < np.inf:  # NaN fails too
+        raise ValueError("r must be positive and finite")
     if phi.modulus_model is not None:
         return float(phi.modulus_model(r))
     rng = substream(seed, "modulus-probes")
@@ -178,7 +174,7 @@ def max_green_on_shell(
     rng = substream(seed, "green-shell")
     shell = sample_shell(E, count, offset, rng)
     if len(shell) == 0:
-        raise RuntimeError("no shell points constructed; unexpected for shipped shapes")
+        raise ValueError(f"no shell point at distance {offset:.3g} from the set could be constructed")
     g = np.atleast_1d(oracle.green(shell))
     best_i = int(np.argmax(g))
     x, gx = shell[best_i], float(g[best_i])
@@ -225,12 +221,6 @@ class DiscrepancyReport:
     omega_estimated: bool
     n: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def discrepancy_bound(
     E: CompactSetModel,
@@ -253,8 +243,8 @@ def discrepancy_bound(
             + 2 max over {d_E <= 2r} of g_E.
     """
     require_newtonian(spec, "discrepancy bound")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < np.inf:  # NaN fails too
+        raise ValueError("r must be positive and finite")
     if not np.isfinite(oracle.robin_constant):
         raise ValueError("oracle must provide a finite Robin constant")
     d = spec.dim

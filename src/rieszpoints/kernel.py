@@ -8,11 +8,11 @@ array primitives carry all the pair and probe work:
 - ``pair_energy_forces``: the pair sum and minus its gradient together
   (the Fekete optimizer), every n-by-n intermediate in a workspace the
   caller owns;
-- ``potential_sums``: per probe, the kernel summed over the points,
-  optionally with the distance capped from below (potentials, the greedy
-  objective). It runs over the probes in row blocks of ``_BLOCK`` that
-  reuse one block-by-n buffer, so a call holds O(block * n) memory and
-  each row sums in the same order as an unblocked evaluation;
+- ``potential_sums``: per probe, the kernel summed over the points
+  (potentials, the greedy objective). It runs over the probes in row
+  blocks of ``_BLOCK`` that reuse one block-by-n buffer, so a call holds
+  O(block * n) memory and each row sums in the same order as an
+  unblocked evaluation;
 - ``probe_potential_gradient``: the potential at one probe and its
   gradient from one pass over the points (the greedy polish).
 
@@ -174,11 +174,11 @@ def _kernel_of_distance(r, expo, out):
     return np.power(r, expo, out=out)
 
 
-def potential_sums(spec: KernelSpec, probes: np.ndarray, points: np.ndarray, cap: float = 0.0) -> np.ndarray:
+def potential_sums(spec: KernelSpec, probes: np.ndarray, points: np.ndarray) -> np.ndarray:
     """For each probe (m, dim), the sum over points (n, dim) of
-    max(r, cap)**(alpha - dim), r the probe-point distance.
+    r**(alpha - dim), r the probe-point distance.
 
-    A probe sitting exactly on a point gets +inf unless cap > 0.
+    A probe sitting exactly on a point gets +inf.
     """
     m = len(probes)
     out = np.empty(m)
@@ -187,8 +187,6 @@ def potential_sums(spec: KernelSpec, probes: np.ndarray, points: np.ndarray, cap
         for i in range(0, m, _BLOCK):
             r = buf[:min(_BLOCK, m - i)]
             cdist(probes[i:i + _BLOCK], points, out=r)
-            if cap > 0:
-                np.maximum(r, cap, out=r)
             _kernel_of_distance(r, spec.exponent, r)
             np.add.reduce(r, axis=1, out=out[i:i + len(r)])
     return out

@@ -1,6 +1,6 @@
 """Discrete counting measures: energies, potentials, the closeness
-functional over the Green function, and smoothed (surface-averaged)
-variants used by the discrepancy bound."""
+functional over the Green function, and moment distances to the
+equilibrium measure."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError
-from .kernel import KernelSpec, pair_terms, potential_sums, require_newtonian
+from .kernel import KernelSpec, pair_terms, potential_sums
 from .sets import MEMBERSHIP_TOL, CompactSetModel, EquilibriumOracle, distance_to_set
 
 # Fixed chunk size of the deterministic pairwise reduction. Partial sums
@@ -77,8 +77,6 @@ def read_points_csv(path) -> PointConfig:
 def _deterministic_sum(values: np.ndarray, workers: int = 1) -> float:
     """Chunked tree reduction with a layout independent of worker count."""
     m = len(values)
-    if m == 0:
-        return 0.0
     bounds = range(0, m, _REDUCTION_CHUNK)
     if workers <= 1 or m <= _REDUCTION_CHUNK:
         partials = [float(np.add.reduce(values[a:a + _REDUCTION_CHUNK])) for a in bounds]
@@ -128,44 +126,6 @@ def closeness_m_E(X: PointConfig, E: CompactSetModel, oracle: EquilibriumOracle)
         return 0.0
     g = np.atleast_1d(oracle.green(X.points[outside]))
     return float(np.sum(g) / X.n)
-
-
-@dataclass(frozen=True)
-class SmoothedConfig:
-    """A configuration with each atom spread uniformly over the sphere of
-    radius ``radius`` about it (the surface-averaged smoothing of the
-    counting measure)."""
-
-    base: PointConfig
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("smoothing radius must be positive")
-
-
-def smoothed_potential(S: SmoothedConfig, spec: KernelSpec, y):
-    """Potential of the smoothed measure, finite everywhere.
-
-    Each atom's surface average has the closed form
-    max(r, |y - x_k|)**(2-d), valid in the Newtonian case.
-    """
-    require_newtonian(spec, "smoothed potential")
-    yv = np.asarray(y, dtype=float)
-    scalar = yv.ndim == 1
-    u = potential_sums(spec, yv[None, :] if scalar else yv, S.base.points, cap=S.radius) / S.base.n
-    return float(u[0]) if scalar else u
-
-
-def smoothed_energy_terms(S: SmoothedConfig, spec: KernelSpec) -> float:
-    """Upper bound on the smoothed self-energy:
-    (n-1)/n * discrete energy + r**(2-d)/n."""
-    require_newtonian(spec, "smoothed energy bound")
-    n = S.base.n
-    if n < 2:
-        raise ValueError("smoothed energy bound needs n >= 2")
-    e = discrete_energy(S.base, spec)
-    return (n - 1) / n * e + S.radius ** (2.0 - spec.dim) / n
 
 
 def _monomial_means(points: np.ndarray, degree: int) -> np.ndarray:

@@ -442,7 +442,6 @@ class EquilibriumOracle:
     green: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[int, int], np.ndarray]  # (count, seed) -> points
     approximate: bool = False
-    label: str = ""
 
 
 def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
@@ -472,7 +471,6 @@ def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOr
         green=green,
         sampler=sampler,
         approximate=False,
-        label=f"analytic-{E.kind}",
     )
 
 
@@ -480,12 +478,11 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec, support_n: i
     # The equilibrium measure is approximated by a dense low-energy
     # configuration on E and its discrete potential; documented as
     # approximate, never used by the acceptance bounds.
-    from .configurations import FeketeSearchParams, fekete_search
-    from .measures import discrete_energy, discrete_potential
+    from .configurations import FeketeSearchParams, fekete_search_run
+    from .measures import discrete_potential
 
-    params = FeketeSearchParams(n=support_n, restarts=1, tol=1e-10, seed=20406)
-    support = fekete_search(E, spec, params)
-    W_hat = discrete_energy(support, spec)
+    run = fekete_search_run(E, spec, FeketeSearchParams(n=support_n, restarts=1, tol=1e-10, seed=20406))
+    support, W_hat = run.config, run.energy
 
     def potential(x):
         return discrete_potential(support, spec, x)
@@ -509,7 +506,6 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec, support_n: i
         green=green,
         sampler=sampler,
         approximate=True,
-        label=f"quadrature-backed-{E.kind}(n={support_n})",
     )
 
 
@@ -598,12 +594,3 @@ def parse_set_definition(text: str) -> CompactSetModel:
     except ValueError as exc:
         raise SetDefinitionError(str(exc)) from exc
     raise SetDefinitionError(f"unknown or missing shape {shape!r}")
-
-
-def load_set_definition(path) -> CompactSetModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SetDefinitionError(f"cannot read set definition {path}: {exc}") from exc
-    return parse_set_definition(text)

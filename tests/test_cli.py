@@ -1,8 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rieszpoints.cli import STUDY_COLUMNS, main
 from rieszpoints.measures import read_points_csv
@@ -240,14 +245,22 @@ def test_potential_inside_probe_exits_3(tmp_path, capsys):
     ["generate", "--set", "{set}", "--method", "fekete", "--n", "10", "--tol", "nan", "--out", "{tmp}/g.csv"],
     ["generate", "--set", "{set}", "--method", "fekete", "--n", "10", "--tol", "inf", "--out", "{tmp}/g.csv"],
     ["generate", "--set", "{set}", "--method", "fekete", "--n", "10", "--max-iters", "-1", "--out", "{tmp}/g.csv"],
+    ["study", "--set", "{set}", "--method", "random", "--schedule", ",", "--out", "{tmp}/s.csv"],
+    ["study", "--set", "{set}", "--method", "random", "--schedule", "20", "--r-c", "nan", "--out", "{tmp}/s.csv"],
+    ["study", "--set", "{set}", "--method", "random", "--schedule", "20", "--r-c", "inf", "--out", "{tmp}/s.csv"],
+    ["study", "--set", "{set}", "--method", "random", "--schedule", "20", "--r-a", "nan", "--out", "{tmp}/s.csv"],
+    ["study", "--set", "{set}", "--method", "random", "--schedule", "20", "--r-a=-inf", "--out", "{tmp}/s.csv"],
+    ["potential", "--set", "{set}", "--points", "{tmp}/huge.csv", "--y", "2,0,0"],
 ], ids=["restarts-0", "negative-r-c", "points-of-wrong-dimension", "missing-points-file",
         "empty-points-file", "unwritable-out", "probe-on-a-point", "nan-ball-radius",
         "infinite-sphere-center", "infinite-union-radius", "infinite-box-corner", "nan-tol",
-        "infinite-tol", "negative-max-iters"])
+        "infinite-tol", "negative-max-iters", "empty-schedule", "nan-r-c", "infinite-r-c",
+        "nan-r-a", "negative-infinite-r-a", "point-beyond-float-range"])
 def test_invalid_value_exits_2_with_one_line(argv, sphere_file, tmp_path, capsys):
     (tmp_path / "two_column.csv").write_text("x1,x2\n1.0,0.0\n0.0,1.0\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "on_probe.csv").write_text("x1,x2,x3\n0.0,0.0,1.0\n2.0,0.0,0.0\n")
+    (tmp_path / "huge.csv").write_text("x1,x2,x3\n0.0,0.0,1.0\n0.0,0.0,1e200\n")
     (tmp_path / "nan_radius.txt").write_text("shape = ball\ncenter = 0 0 0\nradius = nan\n")
     (tmp_path / "inf_center.txt").write_text("shape = sphere\ncenter = 0 0 inf\nradius = 1\n")
     (tmp_path / "inf_union.txt").write_text("shape = union\nball = 0 0 0 1\nball = 3 0 0 inf\n")
@@ -257,6 +270,9 @@ def test_invalid_value_exits_2_with_one_line(argv, sphere_file, tmp_path, capsys
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if "--r-c" in argv or any(a.startswith("--r-a") for a in argv):
+        assert err == "error: r must be positive and finite\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_verify_only_filter_and_reproducibility(tmp_path, capsys):
@@ -269,6 +285,16 @@ def test_verify_only_filter_and_reproducibility(tmp_path, capsys):
     names = [c["name"] for c in payload["criteria"]]
     assert names == ["energy_correctness", "robin_constant_unit_ball"]
     assert payload["all_passed"] is True
+
+
+@pytest.mark.parametrize("only", ["nothing_matches", "reproducibility", ","])
+def test_verify_only_without_a_criterion_to_run_exits_2(only, tmp_path, capsys):
+    out = tmp_path / "v.json"
+    code = main(["verify", "--only", only, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_corrupted_ledger_names_provenance(tmp_path, capsys):
@@ -287,3 +313,96 @@ def test_verify_corrupted_ledger_names_provenance(tmp_path, capsys):
     payload = json.loads((tmp_path / "v.json").read_text())
     prov = [c for c in payload["criteria"] if c["name"] == "provenance"][0]
     assert prov["passed"] is False
+
+
+def _mostly(common, rare, odds=8):
+    """``rare`` about once in ``odds`` draws, else ``common``."""
+    return st.integers(1, odds).flatmap(lambda k: rare if k == 1 else common)
+
+
+# numbers as the set grammar and the flags read them: mostly moderate, so
+# that runs get past parsing, else any double (zero, negatives, extremes,
+# nan and infinities)
+_ANY = st.floats().map(repr)
+_NUMBER = _mostly(st.floats(-3.0, 3.0).map(repr), _ANY)
+_POSITIVE = _mostly(st.floats(0.05, 5.0).map(repr), _NUMBER)
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+def _numbers(number=_NUMBER, count=3):
+    length = _mostly(st.just(count), st.integers(0, 4))
+    return length.flatmap(lambda k: st.lists(number, min_size=k, max_size=k))
+
+
+@st.composite
+def _set_texts(draw):
+    """Set definitions of balls and spheres (the shapes with closed-form
+    oracles), with missing, malformed and out-of-range fields."""
+    shape = draw(_mostly(st.sampled_from(["ball", "sphere"]), st.sampled_from(["Sphere", "torus"])))
+    lines = [f"shape = {shape}"]
+    if draw(_mostly(st.just(True), st.just(False))):
+        lines.append("center = " + " ".join(draw(_numbers())))
+    if draw(_mostly(st.just(True), st.just(False))):
+        lines.append("radius = " + ", ".join(draw(_numbers(_POSITIVE, count=1))))
+    if draw(st.integers(0, 4)) == 0:
+        lines += [f"holder_A = {draw(_POSITIVE)}", f"holder_s = {draw(_POSITIVE)}"]
+    if draw(st.integers(0, 9)) == 0:
+        lines.append(draw(_TEXT))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def _points_csvs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_TEXT)
+    header = draw(_mostly(st.just("x1,x2,x3"), st.sampled_from(["x1,x2", "x1,x2,x3,x4", "x2,x1,x3", ""])))
+    rows = draw(st.lists(_numbers().map(",".join), max_size=6))
+    return "\n".join([header] + rows) + "\n"
+
+
+_COMMANDS = st.fixed_dictionaries({
+    "command": st.sampled_from(["generate", "study", "potential"]),
+    "set": _set_texts(),
+    "points": _points_csvs(),
+    "y": _numbers(_mostly(st.floats(-4.0, 4.0).map(repr), _ANY)).map(",".join),
+    "n": st.integers(-2, 40),
+    "seed": st.integers(-2 ** 70, 2 ** 70),
+    "alpha": _mostly(st.just("2.0"), _NUMBER),
+    "tol": _ANY,
+    "max_iters": st.integers(-2, 50),
+    "candidates": st.integers(-2, 64),
+    "r_c": _POSITIVE,
+    "r_a": _POSITIVE,
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(cmd=_COMMANDS)
+def test_cli_fuzz_exits_with_a_documented_code_and_one_line(cmd):
+    """generate --method random, study --method random and potential on
+    fuzzed sets, point files and flags: every outcome is a documented
+    exit code, never 1 (reserved for verify), and a failure is exactly
+    one 'error:' line on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        set_file, points_file = Path(tmp, "set.txt"), Path(tmp, "pts.csv")
+        set_file.write_text(cmd["set"], encoding="utf-8")
+        points_file.write_text(cmd["points"], encoding="utf-8")
+        if cmd["command"] == "potential":
+            argv = ["potential", "--set", str(set_file), "--points", str(points_file), f"--y={cmd['y']}"]
+        else:
+            argv = [cmd["command"], "--set", str(set_file), "--method", "random",
+                    f"--seed={cmd['seed']}", f"--tol={cmd['tol']}", f"--max-iters={cmd['max_iters']}",
+                    f"--candidates={cmd['candidates']}", "--out", str(Path(tmp, "out.csv"))]
+            if cmd["command"] == "generate":
+                argv.append(f"--n={cmd['n']}")
+            else:
+                argv += [f"--schedule={cmd['n']}", f"--r-c={cmd['r_c']}", f"--r-a={cmd['r_a']}"]
+        argv.append(f"--alpha={cmd['alpha']}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code != 0:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

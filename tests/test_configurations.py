@@ -14,7 +14,6 @@ from rieszpoints import (
     box,
     discrete_energy,
     distance_to_set,
-    fekete_search,
     fekete_search_run,
     leja_next,
     leja_sequence,
@@ -64,31 +63,31 @@ def known_optimum_energy(n):
 
 
 def test_fekete_two_points_antipodal():
-    cfg = fekete_search(UNIT_SPHERE, SPEC, FeketeSearchParams(n=2, restarts=4, seed=0))
+    cfg = fekete_search_run(UNIT_SPHERE, SPEC, FeketeSearchParams(n=2, restarts=4, seed=0)).config
     assert discrete_energy(cfg, SPEC) == pytest.approx(0.5, abs=1e-6)
     assert np.dot(cfg.points[0], cfg.points[1]) == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_fekete_tetrahedron():
-    cfg = fekete_search(UNIT_SPHERE, SPEC, FeketeSearchParams(n=4, restarts=4, seed=0))
+    cfg = fekete_search_run(UNIT_SPHERE, SPEC, FeketeSearchParams(n=4, restarts=4, seed=0)).config
     assert discrete_energy(cfg, SPEC) == pytest.approx(0.6123724356957945, abs=1e-4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
 def test_fekete_reproduces_known_optima(n):
-    cfg = fekete_search(UNIT_SPHERE, SPEC, FeketeSearchParams(n=n, restarts=6, seed=1))
+    cfg = fekete_search_run(UNIT_SPHERE, SPEC, FeketeSearchParams(n=n, restarts=6, seed=1)).config
     assert discrete_energy(cfg, SPEC) == pytest.approx(known_optimum_energy(n), abs=1e-4)
 
 
 def test_fekete_below_robin_constant():
-    cfg = fekete_search(UNIT_SPHERE, SPEC, FeketeSearchParams(n=50, restarts=3, seed=2))
+    cfg = fekete_search_run(UNIT_SPHERE, SPEC, FeketeSearchParams(n=50, restarts=3, seed=2)).config
     assert discrete_energy(cfg, SPEC) < 1.0
 
 
 def test_fekete_feasible_and_deterministic():
     params = FeketeSearchParams(n=20, restarts=2, seed=5)
-    a = fekete_search(UNIT_BALL, SPEC, params)
-    b = fekete_search(UNIT_BALL, SPEC, params)
+    a = fekete_search_run(UNIT_BALL, SPEC, params).config
+    b = fekete_search_run(UNIT_BALL, SPEC, params).config
     np.testing.assert_array_equal(a.points, b.points)
     assert np.all(distance_to_set(UNIT_BALL, a.points) <= 1e-9)
 
@@ -177,7 +176,6 @@ def test_leja_next_antipode_of_single_point():
     state = LejaState(
         prefix=PointConfig([[0.0, 0.0, 1.0]]),
         candidates=sample_candidates(UNIT_SPHERE, 4096, seed=1),
-        dim=3,
         set_model=UNIT_SPHERE,
     )
     nxt = leja_next(state, SPEC)
@@ -188,7 +186,6 @@ def test_leja_next_equator_after_antipodal_pair():
     state = LejaState(
         prefix=PointConfig([[1.0, 0, 0], [-1.0, 0, 0]]),
         candidates=sample_candidates(UNIT_SPHERE, 10_000, seed=2),
-        dim=3,
         set_model=UNIT_SPHERE,
     )
     nxt = leja_next(state, SPEC)
@@ -198,7 +195,7 @@ def test_leja_next_equator_after_antipodal_pair():
 
 def test_leja_next_candidates_equal_prefix_raises():
     prefix = PointConfig([[0.0, 0, 1.0], [1.0, 0, 0]])
-    state = LejaState(prefix=prefix, candidates=np.array(prefix.points), dim=3, set_model=UNIT_SPHERE)
+    state = LejaState(prefix=prefix, candidates=np.array(prefix.points), set_model=UNIT_SPHERE)
     with pytest.raises(CoincidentPointsError):
         leja_next(state, SPEC)
 
@@ -210,7 +207,7 @@ def test_leja_next_refinement_never_worse_than_grid():
         prefix_pts = rng.normal(size=(m, 3))
         prefix_pts /= np.linalg.norm(prefix_pts, axis=1, keepdims=True)
         cands = sample_candidates(UNIT_SPHERE, 10_000, seed=trial)
-        state = LejaState(PointConfig(prefix_pts), cands, 3, set_model=UNIT_SPHERE)
+        state = LejaState(PointConfig(prefix_pts), cands, UNIT_SPHERE)
         x = leja_next(state, SPEC)
         val = np.sum(np.linalg.norm(x - prefix_pts, axis=1) ** -1.0)
         grid_min = np.min(np.sum(np.linalg.norm(cands[:, None, :] - prefix_pts, axis=2) ** -1.0, axis=1))
@@ -297,7 +294,7 @@ def test_random_config_deterministic_and_feasible():
 
 def test_random_config_worse_than_fekete():
     rnd = random_config(UNIT_SPHERE, 200, seed=6)
-    fek = fekete_search(UNIT_SPHERE, SPEC, FeketeSearchParams(n=200, restarts=1, max_iters=800, seed=6))
+    fek = fekete_search_run(UNIT_SPHERE, SPEC, FeketeSearchParams(n=200, restarts=1, max_iters=800, seed=6)).config
     e_rnd = discrete_energy(rnd, SPEC)
     assert np.isfinite(e_rnd)
     assert e_rnd > discrete_energy(fek, SPEC)

@@ -22,7 +22,7 @@ from rieszpoints import (
     potential_error,
     unit_sphere_area,
 )
-from rieszpoints.configurations import FeketeSearchParams, fekete_search
+from rieszpoints.configurations import FeketeSearchParams, fekete_search_run
 from rieszpoints.discrepancy import TestFunction, max_green_on_shell
 
 SPEC = KernelSpec(2.0, 3)
@@ -164,7 +164,6 @@ def test_discrepancy_bound_vacuous_flag():
         green=lambda x: np.zeros(np.asarray(x).shape[0]) if np.asarray(x).ndim > 1 else 0.0,
         sampler=base.sampler,
         approximate=True,
-        label="inflated",
     )
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     phi = radial_hat([0.5, 0, 0], radius=2.0)
@@ -179,13 +178,26 @@ def test_report_json_keys():
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     phi = radial_hat([0.5, 0, 0], radius=2.0)
     rep = discrepancy_bound(UNIT_SPHERE, oracle, X, phi, r=0.5, spec=SPEC, mc_samples=1000, seed=4)
-    payload = json.loads(rep.to_json())
+    payload = json.loads(json.dumps(dataclasses.asdict(rep)))
     assert set(payload) == {f.name for f in dataclasses.fields(DiscrepancyReport)}
     # the stored rhs reproduces its defining combination
     expected = payload["omega_term"] + math.sqrt(
         dirichlet_integral(phi) / ((3 - 2) * unit_sphere_area(3))
     ) * math.sqrt(max(payload["I_value"], 0.0))
     assert payload["rhs"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_bound_energy_term_examples():
+    """The bound's smoothed self-energy (n-1)/n * energy + r**(2-d)/n, read
+    back from the report as energy_gap + W + smoothing_term."""
+    oracle = equilibrium_oracle(UNIT_BALL, SPEC)
+    phi = radial_hat([0.5, 0, 0], radius=2.0)
+    pair = PointConfig([[-0.5, 0, 0], [0.5, 0, 0]])  # distance 1
+    tetra = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / (2.0 * math.sqrt(2.0))  # edge 1
+    for X, r, expected in [(pair, 1.0, 1.0), (pair, 0.5, 1.5), (PointConfig(tetra), 1.0, 1.0)]:
+        rep = discrepancy_bound(UNIT_BALL, oracle, X, phi, r, SPEC, mc_samples=1000, shell_count=64)
+        got = rep.energy_gap + oracle.robin_constant + rep.smoothing_term
+        assert got == pytest.approx(expected, rel=1e-14)
 
 
 def test_potential_error_shapes():
@@ -234,8 +246,9 @@ def test_sup_deficit_directions():
 
 def test_sup_deficit_decreases_with_n():
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
-    small_n = fekete_search(UNIT_SPHERE, SPEC, FeketeSearchParams(n=20, restarts=2, seed=8))
-    large_n = fekete_search(UNIT_SPHERE, SPEC, FeketeSearchParams(n=200, restarts=1, max_iters=1200, seed=8))
+    small_n = fekete_search_run(UNIT_SPHERE, SPEC, FeketeSearchParams(n=20, restarts=2, seed=8)).config
+    large_n = fekete_search_run(UNIT_SPHERE, SPEC,
+                                FeketeSearchParams(n=200, restarts=1, max_iters=1200, seed=8)).config
     d_small = sup_potential_deficit(oracle, small_n, UNIT_SPHERE, SPEC, grid=256, seed=2)
     d_large = sup_potential_deficit(oracle, large_n, UNIT_SPHERE, SPEC, grid=256, seed=2)
     assert d_large < d_small

@@ -168,18 +168,12 @@ def test_potential_sums_coincidence_and_cap():
     points = np.array([[0.0, 0, 0], [0.5, 0, 0], [0, 3.0, 0]])
     probes = np.array([[0.5, 0, 0], [0.1, 0, 0]])
     u = potential_sums(spec, probes, points)
-    assert u[0] == np.inf and np.isfinite(u[1])
-    cap = 0.6
-    r = np.linalg.norm(probes[:, None, :] - points[None, :, :], axis=-1)
-    np.testing.assert_allclose(potential_sums(spec, probes, points, cap=cap),
-                               (np.maximum(r, cap) ** spec.exponent).sum(axis=1), rtol=1e-15)
-    # the cap keeps a coincident probe finite: max(0, cap) = cap
-    assert potential_sums(spec, points[:1], points, cap=cap)[0] == pytest.approx(2 / cap + 1 / 3, rel=1e-15)
+    assert u[0] == np.inf
+    assert u[1] == pytest.approx(1 / 0.1 + 1 / 0.4 + 1 / np.hypot(0.1, 3.0), rel=1e-15)
 
 
-def _unblocked_potential_sums(spec, probes, points, cap):
+def _unblocked_potential_sums(spec, probes, points):
     r = cdist(probes, points)
-    np.maximum(r, cap, out=r)
     with np.errstate(divide="ignore"):
         return np.add.reduce(r ** spec.exponent, axis=1)
 
@@ -195,11 +189,10 @@ def test_potential_sums_row_blocks_match_unblocked_bitwise(d):
             if m > _BLOCK:
                 # a coincidence in a later block
                 probes[-1] = points[7]
-            for cap in (0.0, 0.3):
-                got = potential_sums(spec, probes, points, cap=cap)
-                assert np.array_equal(got, _unblocked_potential_sums(spec, probes, points, cap))
-                if m > _BLOCK:
-                    assert (got[-1] == np.inf) == (cap == 0.0)
+            got = potential_sums(spec, probes, points)
+            assert np.array_equal(got, _unblocked_potential_sums(spec, probes, points))
+            if m > _BLOCK:
+                assert got[-1] == np.inf
 
 
 def test_potential_sums_warm_call_allocates_no_probe_by_point_array():

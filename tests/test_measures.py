@@ -7,7 +7,6 @@ from rieszpoints import (
     KernelSpec,
     PointConfig,
     SingularityError,
-    SmoothedConfig,
     ball,
     closeness_m_E,
     discrete_energy,
@@ -15,8 +14,6 @@ from rieszpoints import (
     equilibrium_oracle,
     moment_distance,
     read_points_csv,
-    smoothed_energy_terms,
-    smoothed_potential,
     sphere_surface,
     write_points_csv,
 )
@@ -143,47 +140,6 @@ def test_m_E_bounded_by_robin_constant():
         X = PointConfig(rng.normal(scale=5.0, size=(int(rng.integers(1, 30)), 3)))
         m = closeness_m_E(X, UNIT_BALL, oracle)
         assert 0.0 <= m <= oracle.robin_constant
-
-
-def test_smoothed_potential_examples():
-    X = PointConfig([[0.0, 0, 0]])
-    assert smoothed_potential(SmoothedConfig(X, 1.0), SPEC, [0.0, 0, 0]) == 1.0
-    assert smoothed_potential(SmoothedConfig(X, 1.0), SPEC, [2.0, 0, 0]) == 0.5
-    assert smoothed_potential(SmoothedConfig(X, 0.1), SPEC, [0.05, 0, 0]) == pytest.approx(10.0)
-
-
-def test_smoothed_energy_terms_examples():
-    X = PointConfig([[0.0, 0, 0], [1.0, 0, 0]])
-    assert smoothed_energy_terms(SmoothedConfig(X, 1.0), SPEC) == pytest.approx(1.0)
-    assert smoothed_energy_terms(SmoothedConfig(X, 0.5), SPEC) == pytest.approx(1.5)
-    assert smoothed_energy_terms(SmoothedConfig(unit_edge_tetrahedron(), 1.0), SPEC) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_smoothing_monotone_and_agrees_far_away():
-    rng = np.random.default_rng(8)
-    pts = rng.normal(size=(12, 3))
-    X = PointConfig(pts)
-    S = SmoothedConfig(X, 0.3)
-    for _ in range(200):
-        y = rng.normal(scale=2.0, size=3)
-        r_min = np.linalg.norm(y - pts, axis=1).min()
-        if r_min == 0.0:
-            continue
-        ps = smoothed_potential(S, SPEC, y)
-        pd = discrete_potential(X, SPEC, y)
-        assert ps <= pd + 1e-15
-        if r_min >= S.radius:
-            assert ps == pytest.approx(pd, rel=1e-15)
-
-
-def test_smoothed_ops_require_newtonian():
-    X = PointConfig([[0.0, 0, 0], [1.0, 0, 0]])
-    S = SmoothedConfig(X, 0.5)
-    nonnewt = KernelSpec(1.5, 3)
-    with pytest.raises(ValueError):
-        smoothed_potential(S, nonnewt, [2.0, 0, 0])
-    with pytest.raises(ValueError):
-        smoothed_energy_terms(S, nonnewt)
 
 
 def test_csv_round_trip_preserves_order_and_values(tmp_path):
