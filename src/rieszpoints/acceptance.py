@@ -313,8 +313,9 @@ def criterion_converse_witness(seed: int, ctx: dict) -> CriterionResult:
 
 def criterion_provenance(seed: int, ctx: dict, ledger_path=None) -> CriterionResult:
     """Replay the committed oracle ledger; every row must reproduce
-    bitwise. Each mismatch is reported with its committed value, its
-    recomputed value and their distance in ulp."""
+    bitwise in every field. Each mismatch names the fields that differ,
+    with their committed and recomputed values, and for floats their
+    distance in ulp."""
     path = ledger_path or find_default_ledger()
     if path is None or not Path(path).exists():
         return _result("provenance", False, error="oracle ledger not found")

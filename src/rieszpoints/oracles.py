@@ -1,13 +1,18 @@
 """Independent brute-force and quadrature references.
 
-Everything here exists to anchor derived test values against a second,
-slower computation path: an exact-rounded pure-Python energy sum, an
-exhaustive grid search for tiny optimal configurations, and a spherical
-quadrature for equilibrium potentials. These functions back the test
-harness and the provenance ledger; they are not part of the library's
-top-level API.
+Everything here exists to anchor derived test values against a second
+computation path that shares no code with the library's kernel: an
+exact-rounded energy sum, an exhaustive grid search for tiny optimal
+configurations, and a spherical quadrature for equilibrium potentials.
+These functions back the test harness and the provenance ledger; they
+are not part of the library's top-level API.
 
-Single-threaded by design: determinism outranks speed for ground truth.
+The energy sum and the quadrature evaluate arrays with elementwise
+subtract, multiply, add, sqrt and divide only, which round exactly on
+every numpy build; other powers are Python's scalar ``**`` and every sum
+is ``math.fsum``, so their ledgered values replay bitwise across numpy
+builds. Single-threaded by design: determinism outranks speed for ground
+truth.
 """
 
 from __future__ import annotations
@@ -29,9 +34,12 @@ from .measures import PointConfig
 from .sets import CompactSetModel
 
 # caps on enumerated subset evaluations in grid_fekete: the n <= 4 paths
-# are vectorized, the n = 5 path is a scalar loop and gets a tighter cap
+# are array sweeps over rows of the grid kernel (n = 4 streams row blocks
+# of _GRID_BLOCK rows, so its memory stays O(block * N)); the n = 5 path is
+# a scalar loop over the whole N x N kernel and gets a tighter cap
 _GRID_BUDGET_VECTOR = 2_000_000_000
 _GRID_BUDGET_SCALAR = 50_000_000
+_GRID_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -47,27 +55,31 @@ class OracleRecord:
 
 
 def reference_energy(X: PointConfig, spec: KernelSpec) -> float:
-    """Ground-truth discrete energy: independent double loop with
-    exact-rounded accumulation (math.fsum), no shared code with the
-    vectorized path."""
+    """Ground-truth discrete energy, sharing no code with the library's
+    kernel path.
+
+    Squared distances over the pairs j < k are accumulated coordinate by
+    coordinate with elementwise subtract, multiply and add, which round
+    exactly; each pair's power is Python's scalar ``float ** float`` and
+    the sum is exact-rounded (math.fsum), so the value replays bitwise
+    across numpy builds.
+    """
     n = X.n
     if n < 2:
         raise ValueError("reference energy needs n >= 2")
-    pts = [tuple(float(v) for v in row) for row in X.points]
+    pts = np.asarray(X.points, dtype=float)
+    j, k = np.triu_indices(n, 1)
+    r2 = np.zeros(len(j))
+    with np.errstate(over="ignore"):  # like Python floats: inf, no warning
+        for c in range(pts.shape[1]):
+            t = pts[j, c] - pts[k, c]
+            r2 += t * t
+    hit = np.flatnonzero(r2 == 0.0)
+    if hit.size:
+        p = hit[0]
+        raise CoincidentPointsError(f"points {j[p]} and {k[p]} coincide")
     half_expo = (spec.alpha - spec.dim) / 2.0
-    terms = []
-    for j in range(n):
-        xj = pts[j]
-        for k in range(j + 1, n):
-            xk = pts[k]
-            r2 = 0.0
-            for a, b in zip(xj, xk):
-                t = a - b
-                r2 += t * t
-            if r2 == 0.0:
-                raise CoincidentPointsError(f"points {j} and {k} coincide")
-            terms.append(r2 ** half_expo)
-    return 2.0 * math.fsum(terms) / (n * (n - 1))
+    return 2.0 * math.fsum(v ** half_expo for v in r2.tolist()) / (n * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +156,23 @@ def _grid_polish(points: np.ndarray, expo: float, radius: float, center, iters: 
     return X, e
 
 
+def _grid_kernel(G: np.ndarray, rows, col0: int, expo: float) -> np.ndarray:
+    """Rows ``rows`` of the grid kernel K[a, b] = |G[a] - G[b]|^expo over
+    the columns ``col0:``, inf on the diagonal a == b.
+
+    Each entry is evaluated with the same elementwise expressions as the
+    whole N x N matrix would be, so every block is bitwise a slice of it.
+    """
+    rows = np.asarray(rows)
+    diff = G[rows, None, :] - G[None, col0:, :]
+    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    on_diag = np.flatnonzero(rows >= col0)
+    r[on_diag, rows[on_diag] - col0] = np.inf
+    K = r ** expo
+    K[on_diag, rows[on_diag] - col0] = np.inf
+    return K
+
+
 def grid_fekete(E: CompactSetModel, spec: KernelSpec, n: int, grid_size: int = 48) -> PointConfig:
     """Certified small-n minimizer: exhaustive search over a product
     angular grid with rotational symmetry pruning (first point pinned to
@@ -172,40 +201,52 @@ def grid_fekete(E: CompactSetModel, spec: KernelSpec, n: int, grid_size: int = 4
             f"(budget {budget:.0e}); reduce grid_size"
         )
     expo = spec.alpha - spec.dim
-    diff = G[:, None, :] - G[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(r, np.inf)
-    K = r ** expo
-    np.fill_diagonal(K, np.inf)
-    k0 = K[0]
+    k0 = _grid_kernel(G, [0], 0, expo)[0]
+    Km = _grid_kernel(G, meridian, 0, expo) if n > 2 else None
 
     if n == 2:
         i = int(np.argmin(k0))
         idx = (0, i)
     elif n == 3:
         best = (np.inf, None)
-        for i1 in meridian:
-            tot = k0 + K[i1] + k0[i1]
+        for i1, k1 in zip(meridian, Km):
+            tot = k0 + k1 + k0[i1]
             j = int(np.argmin(tot))
             if tot[j] < best[0]:
                 best = (float(tot[j]), (0, i1, j))
         idx = best[1]
     elif n == 4:
-        iu = np.triu_indices(N, 1)
+        # the upper triangle of M = (w[a] + w[b]) + K[a, b] streamed in row
+        # blocks, each K block shared by every meridian node; K is bitwise
+        # symmetric, so a block's first minimum in row-major order lies
+        # above the diagonal and matches the first minimum of M[triu]
+        W = k0 + Km
+        node_val = np.full(len(meridian), np.inf)
+        node_ab = [None] * len(meridian)
+        buf = np.empty(_GRID_BLOCK * N)
+        for a0 in range(0, N - 1, _GRID_BLOCK):
+            a1 = min(a0 + _GRID_BLOCK, N - 1)
+            Kb = _grid_kernel(G, np.arange(a0, a1), a0 + 1, expo)
+            M = buf[:Kb.size].reshape(Kb.shape)
+            for m, w in enumerate(W):
+                np.add(w[a0:a1, None], w[None, a0 + 1:], out=M)
+                M += Kb
+                j = int(np.argmin(M))
+                if M.flat[j] < node_val[m]:
+                    node_val[m] = M.flat[j]
+                    da, db = divmod(j, Kb.shape[1])
+                    node_ab[m] = (a0 + da, a0 + 1 + db)
         best = (np.inf, None)
-        for i1 in meridian:
-            w = k0 + K[i1]
-            M = w[:, None] + w[None, :] + K
-            v = M[iu]
-            j = int(np.argmin(v))
-            if v[j] + k0[i1] < best[0]:
-                best = (float(v[j] + k0[i1]), (0, i1, int(iu[0][j]), int(iu[1][j])))
+        for i1, v, ab in zip(meridian, node_val, node_ab):
+            if v + k0[i1] < best[0]:
+                best = (float(v + k0[i1]), (0, i1) + ab)
         idx = best[1]
     else:  # n == 5, feasible only for coarse grids
+        K = _grid_kernel(G, np.arange(N), 0, expo)
         best = (np.inf, None)
         nodes = range(N)
-        for i1 in meridian:
-            w = k0 + K[i1]
+        for i1, k1 in zip(meridian, Km):
+            w = k0 + k1
             c0 = k0[i1]
             for a, b, c in itertools.combinations(nodes, 3):
                 val = c0 + w[a] + w[b] + w[c] + K[a, b] + K[a, c] + K[b, c]
@@ -222,7 +263,6 @@ def grid_fekete(E: CompactSetModel, spec: KernelSpec, n: int, grid_size: int = 4
 # spherical quadrature for equilibrium potentials
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4)
 def _sphere_nodes(count: int, dim: int) -> tuple:
     """Quasi-uniform unit directions in R^dim as a tuple of coordinate tuples.
 
@@ -253,6 +293,13 @@ def _sphere_nodes(count: int, dim: int) -> tuple:
     return tuple(map(tuple, (v / np.linalg.norm(v, axis=1, keepdims=True)).tolist()))
 
 
+@functools.lru_cache(maxsize=4)
+def _sphere_node_columns(count: int, dim: int) -> np.ndarray:
+    """The nodes of ``_sphere_nodes`` as a (dim, count) array whose rows are
+    contiguous coordinate columns."""
+    return np.array(_sphere_nodes(count, dim)).T.copy()
+
+
 def sphere_potential_quadrature(
     radius: float,
     spec: KernelSpec,
@@ -267,9 +314,10 @@ def sphere_potential_quadrature(
     value uses the doubled node count. Probes within 5% of the surface
     trigger a near-singular warning and a 4x refined rule.
 
-    Evaluated in scalar IEEE arithmetic (sqrt, division, an exact-rounded
-    ``math.fsum`` mean), so the d = 3 values replay bitwise across numpy
-    builds.
+    Evaluated over all nodes at once with elementwise subtract, multiply,
+    add, sqrt and divide only, which IEEE rounds exactly on every numpy
+    build, and an exact-rounded ``math.fsum`` mean, so the d = 3 values
+    replay bitwise across numpy builds.
     """
     if not newtonian_flag(spec):
         raise UnsupportedOracleError("spherical quadrature ships for the Newtonian kernel")
@@ -289,16 +337,17 @@ def sphere_potential_quadrature(
     power = spec.dim - 2  # Newtonian kernel |x|^(2-d)
 
     def value(m: int) -> float:
-        terms = []
-        for node in _sphere_nodes(m, spec.dim):
-            r2 = 0.0
-            for a, b in zip(yt, node):
-                t = a - radius * b
+        r2 = np.zeros(m)
+        with np.errstate(over="ignore"):
+            for a, col in zip(yt, _sphere_node_columns(m, spec.dim)):
+                t = a - radius * col
                 r2 += t * t
-            inv = 1.0 / math.sqrt(r2)
-            # d = 3 stays clear of libm pow: sqrt and division round exactly
-            terms.append(inv if power == 1 else inv ** power)
-        return math.fsum(terms) / m
+        if not r2.all():
+            raise ZeroDivisionError("probe coincides with a quadrature node")
+        inv = (1.0 / np.sqrt(r2)).tolist()
+        # d = 3 stays clear of pow: sqrt and division round exactly; d > 3
+        # takes Python's scalar pow, never a vectorized np.power
+        return math.fsum(inv if power == 1 else (v ** power for v in inv)) / m
 
     v1 = value(nodes)
     v2 = value(2 * nodes)
@@ -397,7 +446,7 @@ def replay_ledger(path):
     out = []
     for rec in read_ledger(path):
         new = fresh.get(rec.name)
-        ok = new is not None and new.value == rec.value and new.inputs == rec.inputs
+        ok = new == rec
         out.append((rec, new, ok))
     return out
 
@@ -412,10 +461,17 @@ def _ulp_distance(a: float, b: float) -> int:
 
 
 def describe_mismatch(rec: OracleRecord, new) -> str:
-    """One line naming a ledger row that failed to replay, and why."""
+    """One line naming a ledger row that failed to replay, and each field
+    that differs."""
     if new is None:
         return f"{rec.name}: no oracle recomputes this row"
-    if new.inputs != rec.inputs:
-        return f"{rec.name}: committed inputs {rec.inputs}, recomputed inputs {new.inputs}"
-    return (f"{rec.name}: committed {rec.value!r}, recomputed {new.value!r} "
-            f"({_ulp_distance(rec.value, new.value)} ulp apart)")
+    parts = []
+    for field in LEDGER_FIELDS[1:]:
+        old_v, new_v = getattr(rec, field), getattr(new, field)
+        if old_v == new_v:
+            continue
+        part = f"{field} committed {old_v!r}, recomputed {new_v!r}"
+        if isinstance(old_v, float):
+            part += f" ({_ulp_distance(old_v, new_v)} ulp apart)"
+        parts.append(part)
+    return f"{rec.name}: " + "; ".join(parts)
