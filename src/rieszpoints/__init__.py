@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     CoincidentPointsError,
-    GridBudgetError,
     InfeasiblePointError,
     MissingHolderDataError,
     RieszPointsError,
@@ -48,8 +47,6 @@ from .configurations import (
 from .discrepancy import (
     DiscrepancyReport,
     TestFunction,
-    dirichlet_integral,
-    modulus_of_continuity,
     phi_for_potential,
     radial_hat,
     sup_potential_deficit,
@@ -61,7 +58,6 @@ from .discrepancy import (
 __all__ = [
     # errors
     "CoincidentPointsError",
-    "GridBudgetError",
     "InfeasiblePointError",
     "MissingHolderDataError",
     "RieszPointsError",
@@ -104,8 +100,6 @@ __all__ = [
     # discrepancy
     "DiscrepancyReport",
     "TestFunction",
-    "dirichlet_integral",
-    "modulus_of_continuity",
     "phi_for_potential",
     "radial_hat",
     "sup_potential_deficit",

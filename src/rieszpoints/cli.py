@@ -10,9 +10,10 @@ comments allowed)::
     low  = <d numbers>              # box
     high = <d numbers>              # box
     ball = <d numbers> <radius>     # union, repeatable
-    holder_A = <number>             # optional Green-function bound data
-    holder_s = <number>             # (declared together; default 1 1 for
-                                    #  ball/sphere/box, absent for union)
+    holder_s = <number>             # optional Holder exponent s, 0 < s <= 1,
+                                    # of the Green function near E (default
+                                    # 1 for ball/sphere, none for box/union:
+                                    # a box edge gives 2/3, a vertex ~0.45)
 
 Vectors accept spaces or commas between numbers. The ambient dimension is
 inferred from the vector lengths.
@@ -22,9 +23,9 @@ row per configuration size), ``verify`` (acceptance criteria, verdict
 JSON), ``potential`` (single-point deficit query).
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, invalid
-value (including a kernel evaluated at a coincidence, an exhausted grid
-budget or a floating-point overflow) or unreadable/unwritable file, 3
-infeasible input, 4 unsupported set/oracle or missing Holder data.
+value (including a kernel evaluated at a coincidence or a floating-point
+overflow) or unreadable/unwritable file, 3 infeasible input, 4
+unsupported set/oracle or a missing Holder exponent.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .configurations import FeketeSearchParams, fekete_search_run, leja_sequence
 from .discrepancy import phi_for_potential, sup_potential_deficit, discrepancy_bound, potential_error
 from .errors import (
     CoincidentPointsError,
-    GridBudgetError,
     InfeasiblePointError,
     MissingHolderDataError,
     SetDefinitionError,
@@ -59,7 +59,7 @@ from .measures import (
     read_points_csv,
     write_points_csv,
 )
-from .sets import distance_to_set, equilibrium_oracle, parse_set_definition, project_to_set
+from .sets import MEMBERSHIP_TOL, distance_to_set, equilibrium_oracle, parse_set_definition, project_to_set
 from .seeding import child_seed
 
 EXIT_OK = 0
@@ -75,7 +75,6 @@ _EXIT_CODES = {
     OSError: EXIT_PARSE_ERROR,
     SingularityError: EXIT_PARSE_ERROR,
     CoincidentPointsError: EXIT_PARSE_ERROR,
-    GridBudgetError: EXIT_PARSE_ERROR,
     FloatingPointError: EXIT_PARSE_ERROR,
     InfeasiblePointError: EXIT_INFEASIBLE,
     UnsupportedOracleError: EXIT_UNSUPPORTED,
@@ -249,7 +248,7 @@ def cmd_potential(args) -> int:
         "discrete_potential": u_X,
         "deficit": u_eq - u_X,
     }
-    if E.holder is not None and bool(np.all(np.atleast_1d(distance_to_set(E, X.points)) <= 1e-9)):
+    if E.holder_s is not None and bool(np.all(np.atleast_1d(distance_to_set(E, X.points)) <= MEMBERSHIP_TOL)):
         _, shape = potential_error(E, oracle, X, y, spec)
         out["bound_shape"] = shape
     print(json.dumps(out, sort_keys=True, indent=2))

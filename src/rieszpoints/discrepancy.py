@@ -1,9 +1,10 @@
 """Quantitative equidistribution machinery.
 
-Builds the truncated-kernel test function, computes moduli of continuity
-and Dirichlet integrals, assembles the smoothing-based discrepancy bound
-for test-function means, and measures potential errors against the
-equilibrium potential together with their predicted decay shapes.
+Builds test functions that carry closed-form bounds on their modulus of
+continuity and Dirichlet integral, assembles the smoothing-based
+discrepancy bound for test-function means, and measures potential errors
+against the equilibrium potential together with their predicted decay
+shapes.
 """
 
 from __future__ import annotations
@@ -22,13 +23,10 @@ from .sets import (
     CompactSetModel,
     EquilibriumOracle,
     MEMBERSHIP_TOL,
-    ball,
     distance_to_set,
     points_at_offset,
-    random_directions,
     sample_candidates,
     sample_shell,
-    sample_uniform,
 )
 from .seeding import child_seed, substream
 
@@ -43,17 +41,17 @@ class TestFunction:
     """A continuous compactly supported test function.
 
     ``evaluator`` is vectorized over (m, d) batches and vanishes outside
-    the ball of ``support_radius`` about ``support_center``. When known
-    in closed form, ``modulus_model`` dominates the true modulus of
-    continuity and ``dirichlet`` dominates the true Dirichlet integral,
-    so bounds assembled from them stay valid.
+    the ball of ``support_radius`` about ``support_center``.
+    ``modulus_model`` dominates the true modulus of continuity and
+    ``dirichlet`` dominates the true Dirichlet integral, so bounds
+    assembled from them stay valid.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     support_center: np.ndarray
     support_radius: float
-    modulus_model: Optional[Callable[[float], float]] = None
-    dirichlet: Optional[float] = None
+    modulus_model: Callable[[float], float]
+    dirichlet: float
 
     __test__ = False  # not a pytest class despite the name
 
@@ -121,42 +119,6 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
     )
 
 
-def modulus_of_continuity(phi: TestFunction, r: float, probes: int = 2000, seed: int = 0) -> float:
-    """omega(phi; r): closed form when the function carries a model,
-    otherwise a seeded random-probe lower estimate inflated by 1.2."""
-    if not 0 < r < np.inf:  # NaN fails too
-        raise ValueError("r must be positive and finite")
-    if phi.modulus_model is not None:
-        return float(phi.modulus_model(r))
-    rng = substream(seed, "modulus-probes")
-    d = phi.support_center.size
-    x = phi.support_center + (rng.random((probes, d)) * 2.0 - 1.0) * (phi.support_radius + r)
-    u = random_directions(rng, probes, d)
-    t = rng.random(probes) * r
-    vals = np.abs(phi.evaluator(x) - phi.evaluator(x + t[:, None] * u))
-    return 1.2 * float(vals.max())
-
-
-def dirichlet_integral(phi: TestFunction, samples: int = 200_000, seed: int = 0) -> float:
-    """D[phi] = integral of |grad phi|^2: the closed-form value/bound when
-    present, otherwise Monte Carlo over the support ball with central
-    finite differences (step 1e-5)."""
-    if phi.dirichlet is not None:
-        return float(phi.dirichlet)
-    d = phi.support_center.size
-    R = phi.support_radius
-    x = sample_uniform(ball(phi.support_center, R), samples, substream(seed, "dirichlet-mc"))
-    h = 1e-5
-    grad_sq = np.zeros(samples)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        gi = (phi.evaluator(x + e) - phi.evaluator(x - e)) / (2.0 * h)
-        grad_sq += gi * gi
-    vol = unit_sphere_area(d) / d * R ** d
-    return vol * float(grad_sq.mean())
-
-
 def max_green_on_shell(
     E: CompactSetModel,
     oracle: EquilibriumOracle,
@@ -218,7 +180,6 @@ class DiscrepancyReport:
     lhs_stderr: float
     vacuous: bool
     bound_satisfied: Optional[bool]
-    omega_estimated: bool
     n: int
 
 
@@ -257,9 +218,8 @@ def discrepancy_bound(
     green_term = 2.0 * max_green_on_shell(E, oracle, 2.0 * r, count=shell_count, seed=child_seed(seed, "shell"))
     I_value = m_term + energy_gap + smoothing_term + green_term
 
-    omega_estimated = phi.modulus_model is None
-    omega_term = modulus_of_continuity(phi, r, seed=child_seed(seed, "modulus"))
-    D = dirichlet_integral(phi, seed=child_seed(seed, "dirichlet"))
+    omega_term = float(phi.modulus_model(r))
+    D = float(phi.dirichlet)
 
     mc = oracle.sampler(mc_samples, child_seed(seed, "phi-integral"))
     vals = np.atleast_1d(phi.evaluator(mc))
@@ -290,7 +250,6 @@ def discrepancy_bound(
         lhs_stderr=stderr,
         vacuous=vacuous,
         bound_satisfied=bound_satisfied,
-        omega_estimated=omega_estimated,
         n=n,
     )
 
@@ -329,13 +288,14 @@ def potential_error(
 
     measured = |U^{mu_E}(y) - U^{tau(X)}(y)|
     shape    = d_E(y)**(1-d) n**(-p/s) + d_E(y)**(1-d/2) n**(-p/2),
-    with p = s/(d+s-2) from the set's declared Holder exponent s. ``y`` is
-    one probe (dim,), giving two floats, or a batch (m, dim), giving two
-    arrays of length m.
+    with p = s/(d+s-2) from the set's declared Holder exponent
+    ``holder_s``; a set that declares none raises MissingHolderDataError.
+    ``y`` is one probe (dim,), giving two floats, or a batch (m, dim),
+    giving two arrays of length m.
     """
     require_newtonian(spec, "potential error bound")
-    if E.holder is None:
-        raise MissingHolderDataError("the set carries no Holder data (A, s)")
+    if E.holder_s is None:
+        raise MissingHolderDataError("the set declares no Holder exponent s")
     yv = np.asarray(y, dtype=float)
     dEy = distance_to_set(E, yv)
     if np.any(dEy <= 0.0):
@@ -343,7 +303,7 @@ def potential_error(
     if np.any(np.atleast_1d(distance_to_set(E, X.points)) > MEMBERSHIP_TOL):
         raise ValueError("configuration must lie inside the set")
     d = spec.dim
-    _, s = E.holder
+    s = E.holder_s
     p = s / (d + s - 2.0)
     n = X.n
     measured = abs(oracle.potential(yv) - discrete_potential(X, spec, yv))

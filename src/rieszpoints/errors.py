@@ -33,9 +33,5 @@ class SetDefinitionError(RieszPointsError):
     """A set definition file or text block could not be parsed."""
 
 
-class GridBudgetError(RieszPointsError):
-    """Exhaustive grid search would exceed its combinatorial budget."""
-
-
 class MissingHolderDataError(RieszPointsError):
-    """The operation needs a declared Holder pair (A, s) on the set."""
+    """The operation needs a declared Holder exponent s on the set."""

@@ -3,7 +3,9 @@
 Everything here exists to anchor derived test values against a second
 computation path that shares no code with the library's kernel: an
 exact-rounded energy sum, an exhaustive grid search for tiny optimal
-configurations, and a spherical quadrature for equilibrium potentials.
+configurations, a spherical quadrature for equilibrium potentials, and a
+Monte Carlo Dirichlet integral that checks the test functions' closed
+forms.
 These functions back the test harness and the provenance ledger; they
 are not part of the library's top-level API.
 
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import math
 import struct
@@ -28,17 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPointsError, GridBudgetError, UnsupportedOracleError
+from .errors import CoincidentPointsError, UnsupportedOracleError
 from .kernel import KernelSpec, newtonian_flag
 from .measures import PointConfig
 from .sets import CompactSetModel
+from .seeding import substream
 
-# caps on enumerated subset evaluations in grid_fekete: the n <= 4 paths
-# are array sweeps over rows of the grid kernel (n = 4 streams row blocks
-# of _GRID_BLOCK rows, so its memory stays O(block * N)); the n = 5 path is
-# a scalar loop over the whole N x N kernel and gets a tighter cap
-_GRID_BUDGET_VECTOR = 2_000_000_000
-_GRID_BUDGET_SCALAR = 50_000_000
+# grid_fekete at n = 4 streams the grid kernel in blocks of this many rows,
+# so its memory stays O(block * N)
 _GRID_BLOCK = 32
 
 
@@ -179,27 +177,19 @@ def grid_fekete(E: CompactSetModel, spec: KernelSpec, n: int, grid_size: int = 4
     the pole, second to the phi = 0 meridian), then a deterministic local
     polish that removes the O(grid step squared) snap bias.
 
-    Supports n <= 5 on d = 3 balls/spheres (minimizers lie on the
-    boundary sphere). Raises GridBudgetError when the enumeration would
-    exceed its combinatorial budget.
+    Supports 2 <= n <= 4 and grid_size in [4, 64] on d = 3 balls/spheres
+    (minimizers lie on the boundary sphere). The largest search, n = 4 at
+    grid_size 64, enumerates about 4.96e8 subsets.
     """
-    if not 2 <= n <= 5:
-        raise ValueError("grid search supports 2 <= n <= 5")
-    if grid_size < 4 or grid_size > 64:
-        raise GridBudgetError("grid_size must lie in [4, 64] per angular dimension")
+    if not 2 <= n <= 4:
+        raise ValueError("grid search supports 2 <= n <= 4")
+    if not 4 <= grid_size <= 64:
+        raise ValueError("grid_size must lie in [4, 64] per angular dimension")
     if E.dim != 3 or E.kind not in ("ball", "sphere"):
         raise UnsupportedOracleError("grid search ships for d = 3 balls and spheres only")
     T = P = int(grid_size)
     G, meridian = _sphere_product_grid(E.center, E.radius, T, P)
     N = len(G)
-    pair_evals = {2: N, 3: len(meridian) * N, 4: len(meridian) * N * N // 2,
-                  5: len(meridian) * math.comb(N, 3)}[n]
-    budget = _GRID_BUDGET_SCALAR if n == 5 else _GRID_BUDGET_VECTOR
-    if pair_evals > budget:
-        raise GridBudgetError(
-            f"n={n} with grid_size={grid_size} needs ~{pair_evals:.2e} subset evaluations "
-            f"(budget {budget:.0e}); reduce grid_size"
-        )
     expo = spec.alpha - spec.dim
     k0 = _grid_kernel(G, [0], 0, expo)[0]
     Km = _grid_kernel(G, meridian, 0, expo) if n > 2 else None
@@ -215,7 +205,7 @@ def grid_fekete(E: CompactSetModel, spec: KernelSpec, n: int, grid_size: int = 4
             if tot[j] < best[0]:
                 best = (float(tot[j]), (0, i1, j))
         idx = best[1]
-    elif n == 4:
+    else:  # n == 4
         # the upper triangle of M = (w[a] + w[b]) + K[a, b] streamed in row
         # blocks, each K block shared by every meridian node; K is bitwise
         # symmetric, so a block's first minimum in row-major order lies
@@ -240,18 +230,6 @@ def grid_fekete(E: CompactSetModel, spec: KernelSpec, n: int, grid_size: int = 4
         for i1, v, ab in zip(meridian, node_val, node_ab):
             if v + k0[i1] < best[0]:
                 best = (float(v + k0[i1]), (0, i1) + ab)
-        idx = best[1]
-    else:  # n == 5, feasible only for coarse grids
-        K = _grid_kernel(G, np.arange(N), 0, expo)
-        best = (np.inf, None)
-        nodes = range(N)
-        for i1, k1 in zip(meridian, Km):
-            w = k0 + k1
-            c0 = k0[i1]
-            for a, b, c in itertools.combinations(nodes, 3):
-                val = c0 + w[a] + w[b] + w[c] + K[a, b] + K[a, c] + K[b, c]
-                if val < best[0]:
-                    best = (float(val), (0, i1, a, b, c))
         idx = best[1]
 
     grid_best = G[list(idx)]
@@ -356,6 +334,33 @@ def sphere_potential_quadrature(
 
 
 # ---------------------------------------------------------------------------
+# Monte Carlo Dirichlet integrals
+# ---------------------------------------------------------------------------
+
+def dirichlet_integral_mc(phi, samples: int = 200_000, seed: int = 0) -> float:
+    """Monte Carlo estimate of the Dirichlet integral of |grad phi|^2 for a
+    test function ``phi``: seeded uniform draws in its support ball,
+    central finite differences (step 1e-5). A second opinion on the
+    closed-form bound ``phi.dirichlet``, not a bound itself."""
+    c = np.asarray(phi.support_center, dtype=float)
+    radius = phi.support_radius
+    d = c.size
+    rng = substream(seed, "dirichlet-mc")
+    v = rng.normal(size=(samples, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    x = c + radius * rng.random((samples, 1)) ** (1.0 / d) * v
+    h = 1e-5
+    grad_sq = np.zeros(samples)
+    for i in range(d):
+        e = np.zeros(d)
+        e[i] = h
+        gi = (phi.evaluator(x + e) - phi.evaluator(x - e)) / (2.0 * h)
+        grad_sq += gi * gi
+    vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius ** d
+    return vol * float(grad_sq.mean())
+
+
+# ---------------------------------------------------------------------------
 # provenance ledger
 # ---------------------------------------------------------------------------
 
@@ -388,7 +393,6 @@ def read_ledger(path):
 def make_default_ledger_records() -> list:
     """Regenerate the committed ground-truth rows from scratch."""
     from .sets import sample_candidates, sphere_surface
-    from .seeding import substream
 
     spec = KernelSpec(alpha=2.0, dim=3)
     sphere = sphere_surface([0.0, 0.0, 0.0], 1.0)

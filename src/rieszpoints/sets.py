@@ -35,10 +35,15 @@ MEMBERSHIP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CompactSetModel:
-    """A compact set E with geometric queries and optional Holder data.
+    """A compact set E with geometric queries and an optional Holder exponent.
 
-    ``holder`` is the user-declared pair (A, s) bounding the Green
-    function by A * d_E(x)**s; the toolkit never estimates s.
+    ``holder_s`` is the user-declared exponent s, 0 < s <= 1, of a bound
+    g_E(x) <= A * d_E(x)**s on the Green function; the constant A never
+    enters a result, and the toolkit never estimates s. Balls and spheres
+    default to s = 1, which holds: g_E(x) <= (d-2) d_E(x) / R**(d-1) there.
+    Boxes and unions declare none by default: outside a box the Green
+    function grows like d_E**(2/3) at an edge and like about d_E**0.45 at
+    a vertex.
     """
 
     dim: int
@@ -48,13 +53,11 @@ class CompactSetModel:
     low: Optional[np.ndarray] = None
     high: Optional[np.ndarray] = None
     balls: Optional[tuple] = None  # tuple of (center ndarray, radius)
-    holder: Optional[tuple] = None  # (A, s)
+    holder_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.holder is not None:
-            A, s = self.holder
-            if not (0 < A < np.inf and 0 < s <= 1):
-                raise ValueError(f"holder data needs finite A > 0 and 0 < s <= 1, got {self.holder}")
+        if self.holder_s is not None and not 0 < self.holder_s <= 1:  # NaN fails too
+            raise ValueError(f"holder_s needs a finite 0 < s <= 1, got {self.holder_s!r}")
 
     @property
     def diameter(self) -> float:
@@ -110,27 +113,27 @@ def _radius(r, name="radius"):
     return float(r)
 
 
-def ball(center, radius: float, holder=(1.0, 1.0)) -> CompactSetModel:
+def ball(center, radius: float, holder_s=1.0) -> CompactSetModel:
     c = _frozen_finite(center, "center")
-    return CompactSetModel(dim=c.size, kind="ball", center=c, radius=_radius(radius), holder=holder)
+    return CompactSetModel(dim=c.size, kind="ball", center=c, radius=_radius(radius), holder_s=holder_s)
 
 
-def sphere_surface(center, radius: float, holder=(1.0, 1.0)) -> CompactSetModel:
+def sphere_surface(center, radius: float, holder_s=1.0) -> CompactSetModel:
     c = _frozen_finite(center, "center")
-    return CompactSetModel(dim=c.size, kind="sphere", center=c, radius=_radius(radius), holder=holder)
+    return CompactSetModel(dim=c.size, kind="sphere", center=c, radius=_radius(radius), holder_s=holder_s)
 
 
-def box(low, high, holder=(1.0, 1.0)) -> CompactSetModel:
+def box(low, high, holder_s=None) -> CompactSetModel:
     lo = _frozen_finite(low, "low")
     hi = _frozen_finite(high, "high")
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ValueError("low/high must be 1-d vectors of equal length")
     if not np.all(hi > lo):
         raise ValueError("box needs high > low componentwise")
-    return CompactSetModel(dim=lo.size, kind="box", low=lo, high=hi, holder=holder)
+    return CompactSetModel(dim=lo.size, kind="box", low=lo, high=hi, holder_s=holder_s)
 
 
-def union_of_balls(balls_list, holder=None) -> CompactSetModel:
+def union_of_balls(balls_list, holder_s=None) -> CompactSetModel:
     if not balls_list:
         raise ValueError("union needs at least one ball")
     packed = []
@@ -142,7 +145,7 @@ def union_of_balls(balls_list, holder=None) -> CompactSetModel:
         elif cv.size != dim:
             raise ValueError("all union balls must share a dimension")
         packed.append((cv, _radius(r, "ball radius")))
-    return CompactSetModel(dim=dim, kind="union", balls=tuple(packed), holder=holder)
+    return CompactSetModel(dim=dim, kind="union", balls=tuple(packed), holder_s=holder_s)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +566,7 @@ def parse_set_definition(text: str) -> CompactSetModel:
             union_balls.append((nums[:-1], nums[-1]))
         elif key in ("center", "low", "high"):
             fields[key] = _parse_floats(value, key)
-        elif key in ("radius", "holder_a", "holder_s"):
+        elif key in ("radius", "holder_s"):
             nums = _parse_floats(value, key)
             if len(nums) != 1:
                 raise SetDefinitionError(f"{key} takes a single number")
@@ -571,26 +574,23 @@ def parse_set_definition(text: str) -> CompactSetModel:
         else:
             raise SetDefinitionError(f"unknown key {key!r}")
 
-    holder = None
-    if "holder_a" in fields or "holder_s" in fields:
-        if not ("holder_a" in fields and "holder_s" in fields):
-            raise SetDefinitionError("holder_A and holder_s must be given together")
-        holder = (fields["holder_a"], fields["holder_s"])
+    # an undeclared exponent takes the constructor's default for the shape
+    holder = {"holder_s": fields["holder_s"]} if "holder_s" in fields else {}
 
     try:
         if shape in ("ball", "sphere"):
             if "center" not in fields or "radius" not in fields:
                 raise SetDefinitionError(f"{shape} needs center and radius")
             make = ball if shape == "ball" else sphere_surface
-            return make(fields["center"], fields["radius"], holder=holder or (1.0, 1.0))
+            return make(fields["center"], fields["radius"], **holder)
         if shape == "box":
             if "low" not in fields or "high" not in fields:
                 raise SetDefinitionError("box needs low and high corners")
-            return box(fields["low"], fields["high"], holder=holder or (1.0, 1.0))
+            return box(fields["low"], fields["high"], **holder)
         if shape == "union":
             if not union_balls:
                 raise SetDefinitionError("union needs at least one ball line")
-            return union_of_balls(union_balls, holder=holder)
+            return union_of_balls(union_balls, **holder)
     except ValueError as exc:
         raise SetDefinitionError(str(exc)) from exc
     raise SetDefinitionError(f"unknown or missing shape {shape!r}")

@@ -219,6 +219,27 @@ def test_potential_query(sphere_file, tmp_path, capsys):
     assert "bound_shape" in payload
 
 
+def test_potential_bound_shape_needs_a_declared_exponent(tmp_path, capsys):
+    """A box declares no Holder exponent by default (its exterior Green
+    function grows like d**(2/3) at an edge), so ``potential`` prints no
+    decay shape until the file gives holder_s."""
+    cube = "shape = box\nlow = 0 0 0\nhigh = 1 1 1\n"
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,x3\n0.5,0.5,0.5\n1.0,0.0,1.0\n")
+    payloads = []
+    for text in (cube, cube + "holder_s = 0.5\n"):
+        set_file = tmp_path / "cube.txt"
+        set_file.write_text(text)
+        code = main(["potential", "--set", str(set_file), "--points", str(pts), "--y", "2,0.5,0.5"])
+        assert code == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    bare, declared = payloads
+    assert "bound_shape" not in bare
+    # n = 2, d_E = 1, p = s/(d+s-2) = 1/3: 2**(-p/s) + 2**(-p/2)
+    assert declared["bound_shape"] == pytest.approx(2 ** (-2 / 3) + 2 ** (-1 / 6), rel=1e-12)
+    assert {k: v for k, v in declared.items() if k != "bound_shape"} == bare
+
+
 def test_potential_inside_probe_exits_3(tmp_path, capsys):
     ball_file = tmp_path / "ball.txt"
     ball_file.write_text("shape = ball\ncenter = 0 0 0\nradius = 1.0\n")
@@ -251,11 +272,12 @@ def test_potential_inside_probe_exits_3(tmp_path, capsys):
     ["study", "--set", "{set}", "--method", "random", "--schedule", "20", "--r-a", "nan", "--out", "{tmp}/s.csv"],
     ["study", "--set", "{set}", "--method", "random", "--schedule", "20", "--r-a=-inf", "--out", "{tmp}/s.csv"],
     ["potential", "--set", "{set}", "--points", "{tmp}/huge.csv", "--y", "2,0,0"],
+    ["generate", "--set", "{tmp}/holder_a.txt", "--method", "random", "--n", "5", "--out", "{tmp}/g.csv"],
 ], ids=["restarts-0", "negative-r-c", "points-of-wrong-dimension", "missing-points-file",
         "empty-points-file", "unwritable-out", "probe-on-a-point", "nan-ball-radius",
         "infinite-sphere-center", "infinite-union-radius", "infinite-box-corner", "nan-tol",
         "infinite-tol", "negative-max-iters", "empty-schedule", "nan-r-c", "infinite-r-c",
-        "nan-r-a", "negative-infinite-r-a", "point-beyond-float-range"])
+        "nan-r-a", "negative-infinite-r-a", "point-beyond-float-range", "holder-A"])
 def test_invalid_value_exits_2_with_one_line(argv, sphere_file, tmp_path, capsys):
     (tmp_path / "two_column.csv").write_text("x1,x2\n1.0,0.0\n0.0,1.0\n")
     (tmp_path / "empty.csv").write_text("")
@@ -265,6 +287,8 @@ def test_invalid_value_exits_2_with_one_line(argv, sphere_file, tmp_path, capsys
     (tmp_path / "inf_center.txt").write_text("shape = sphere\ncenter = 0 0 inf\nradius = 1\n")
     (tmp_path / "inf_union.txt").write_text("shape = union\nball = 0 0 0 1\nball = 3 0 0 inf\n")
     (tmp_path / "inf_box.txt").write_text("shape = box\nlow = 0 0 0\nhigh = 1 1 inf\n")
+    (tmp_path / "holder_a.txt").write_text("shape = sphere\ncenter = 0 0 0\nradius = 1\n"
+                                           "holder_A = 1\nholder_s = 1\n")
     code = main([a.format(set=sphere_file, tmp=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
@@ -272,6 +296,8 @@ def test_invalid_value_exits_2_with_one_line(argv, sphere_file, tmp_path, capsys
     assert "Traceback" not in err
     if "--r-c" in argv or any(a.startswith("--r-a") for a in argv):
         assert err == "error: r must be positive and finite\n"
+    if "holder_a.txt" in argv[2]:
+        assert err == "error: unknown key 'holder_a'\n"
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -345,7 +371,9 @@ def _set_texts(draw):
     if draw(_mostly(st.just(True), st.just(False))):
         lines.append("radius = " + ", ".join(draw(_numbers(_POSITIVE, count=1))))
     if draw(st.integers(0, 4)) == 0:
-        lines += [f"holder_A = {draw(_POSITIVE)}", f"holder_s = {draw(_POSITIVE)}"]
+        lines.append(f"holder_s = {draw(_POSITIVE)}")
+    if draw(st.integers(0, 19)) == 0:  # a key the grammar no longer knows
+        lines.append(f"holder_A = {draw(_POSITIVE)}")
     if draw(st.integers(0, 9)) == 0:
         lines.append(draw(_TEXT))
     return "\n".join(draw(st.permutations(lines))) + "\n"

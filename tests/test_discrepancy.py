@@ -11,9 +11,7 @@ from rieszpoints import (
     MissingHolderDataError,
     PointConfig,
     ball,
-    dirichlet_integral,
     equilibrium_oracle,
-    modulus_of_continuity,
     phi_for_potential,
     radial_hat,
     sphere_surface,
@@ -24,6 +22,7 @@ from rieszpoints import (
 )
 from rieszpoints.configurations import FeketeSearchParams, fekete_search_run
 from rieszpoints.discrepancy import TestFunction, max_green_on_shell
+from rieszpoints.oracles import dirichlet_integral_mc
 
 SPEC = KernelSpec(2.0, 3)
 UNIT_BALL = ball([0.0, 0.0, 0.0], 1.0)
@@ -61,57 +60,46 @@ def test_phi_rejects_inside_probe():
 
 
 def test_phi_lipschitz_certificate():
-    y = np.array([2.0, 0, 0])
-    phi = phi_for_potential(UNIT_BALL, y, SPEC)
+    """Random pairs never change a test function by more than its modulus
+    model: slope 2 (d-2) sqrt(d) / d_E(y)**(d-1) for the potential test
+    function, min(r/a, 1) for the hat."""
     lip = 2 * (3 - 2) * math.sqrt(3) * 1.0 ** (1 - 3)
-    rng = np.random.default_rng(2)
-    a = y + rng.normal(scale=2.0, size=(10_000, 3))
-    b = a + rng.normal(scale=0.5, size=(10_000, 3))
-    num = np.abs(phi.evaluator(a) - phi.evaluator(b))
-    den = np.linalg.norm(a - b, axis=1)
-    assert np.all(num <= lip * den + 1e-12)
+    cases = [
+        (phi_for_potential(UNIT_BALL, np.array([2.0, 0, 0]), SPEC), lambda r: lip * r),
+        (radial_hat([0.5, 0, 0], radius=2.0), lambda r: min(r / 2.0, 1.0)),
+    ]
+    for f, model in cases:
+        rng = np.random.default_rng(2)
+        a = f.support_center + rng.normal(scale=2.0, size=(10_000, 3))
+        b = a + rng.normal(scale=0.5, size=(10_000, 3))
+        num = np.abs(f.evaluator(a) - f.evaluator(b))
+        den = np.linalg.norm(a - b, axis=1)
+        bound = np.array([f.modulus_model(t) for t in den])
+        assert np.array_equal(bound, [model(t) for t in den])
+        assert np.all(num <= bound + 1e-12)
 
 
 def test_modulus_model_value():
     y = np.array([2.0, 0, 0])
     phi = phi_for_potential(UNIT_BALL, y, SPEC)
     # d_E(y) = 1, d = 3: slope 2 * 1 * sqrt(3)
-    assert modulus_of_continuity(phi, 0.1) == pytest.approx(2 * math.sqrt(3) * 0.1, rel=1e-12)
-
-
-def test_modulus_constant_zero_function():
-    zero = TestFunction(
-        evaluator=lambda x: np.zeros(np.asarray(x).shape[0]) if np.asarray(x).ndim > 1 else 0.0,
-        support_center=np.zeros(3),
-        support_radius=1.0,
-    )
-    assert modulus_of_continuity(zero, 0.5, probes=200, seed=1) == 0.0
-
-
-def test_modulus_estimate_monotone_in_r():
-    hat = radial_hat([0.0, 0, 0], radius=1.0)
-    bare = TestFunction(hat.evaluator, hat.support_center, hat.support_radius)  # no model: probe path
-    small = modulus_of_continuity(bare, 0.1, probes=4000, seed=3)
-    big = modulus_of_continuity(bare, 0.2, probes=4000, seed=3)
-    assert big >= small > 0
+    assert phi.modulus_model(0.1) == pytest.approx(2 * math.sqrt(3) * 0.1, rel=1e-12)
 
 
 def test_dirichlet_hat_exact_and_mc():
     hat = radial_hat([0.0, 0, 0], radius=1.0)
-    assert dirichlet_integral(hat) == pytest.approx(4 * math.pi / 3, rel=1e-12)
-    bare = TestFunction(hat.evaluator, hat.support_center, hat.support_radius)
-    mc = dirichlet_integral(bare, samples=100_000, seed=4)
+    assert hat.dirichlet == pytest.approx(4 * math.pi / 3, rel=1e-12)
+    mc = dirichlet_integral_mc(hat, samples=100_000, seed=4)
     assert mc == pytest.approx(4 * math.pi / 3, rel=0.05)
     # the Monte Carlo ball draw leaves the caller's center writable
-    assert bare.support_center.flags.writeable
+    assert hat.support_center.flags.writeable
 
 
 def test_dirichlet_mc_self_consistency_for_potential_phi():
     y = np.array([2.0, 0, 0])
     phi = phi_for_potential(UNIT_BALL, y, SPEC)
-    bare = TestFunction(phi.evaluator, phi.support_center, phi.support_radius)
-    coarse = dirichlet_integral(bare, samples=200_000, seed=5)
-    fine = dirichlet_integral(bare, samples=1_000_000, seed=6)
+    coarse = dirichlet_integral_mc(phi, samples=200_000, seed=5)
+    fine = dirichlet_integral_mc(phi, samples=1_000_000, seed=6)
     assert coarse == pytest.approx(fine, rel=0.2)
     # the closed-form bound dominates the measured integral
     assert phi.dirichlet >= fine
@@ -182,7 +170,7 @@ def test_report_json_keys():
     assert set(payload) == {f.name for f in dataclasses.fields(DiscrepancyReport)}
     # the stored rhs reproduces its defining combination
     expected = payload["omega_term"] + math.sqrt(
-        dirichlet_integral(phi) / ((3 - 2) * unit_sphere_area(3))
+        phi.dirichlet / ((3 - 2) * unit_sphere_area(3))
     ) * math.sqrt(max(payload["I_value"], 0.0))
     assert payload["rhs"] == pytest.approx(expected, rel=1e-12)
 
@@ -218,7 +206,7 @@ def test_potential_error_mc_configs_converge():
 
 
 def test_potential_error_requires_holder_and_inside_config():
-    no_holder = sphere_surface([0.0, 0, 0], 1.0, holder=None)
+    no_holder = sphere_surface([0.0, 0, 0], 1.0, holder_s=None)
     oracle = equilibrium_oracle(no_holder, SPEC)
     X = PointConfig(oracle.sampler(10, 1))
     with pytest.raises(MissingHolderDataError):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rieszpoints import CoincidentPointsError, GridBudgetError, KernelSpec, PointConfig, ball, sphere_surface
+from rieszpoints import CoincidentPointsError, KernelSpec, PointConfig, ball, sphere_surface
 from rieszpoints.acceptance import criterion_provenance, find_default_ledger
 from rieszpoints.measures import discrete_energy
 from rieszpoints.oracles import (
@@ -203,10 +203,9 @@ def test_grid_fekete_n4_allocates_no_grid_by_grid_array():
 
 
 def test_grid_fekete_budget_and_validation():
-    with pytest.raises(GridBudgetError):
-        grid_fekete(UNIT_SPHERE, SPEC, 5, grid_size=64)
-    with pytest.raises(ValueError):
-        grid_fekete(UNIT_SPHERE, SPEC, 6, grid_size=16)
+    for n, grid_size in [(5, 16), (6, 16), (1, 16), (4, 3), (4, 65)]:
+        with pytest.raises(ValueError):
+            grid_fekete(UNIT_SPHERE, SPEC, n, grid_size=grid_size)
 
 
 def test_quadrature_interior_and_exterior():

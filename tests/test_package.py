@@ -14,6 +14,15 @@ def test_all_lists_public_names_not_modules():
         assert not isinstance(getattr(rieszpoints, name), types.ModuleType), name
 
 
+def test_all_drops_the_estimators_and_the_grid_budget_error():
+    """The bound machinery exports only paths that yield bounds; grid_fekete
+    validates its inputs with ValueError."""
+    for gone in ("modulus_of_continuity", "dirichlet_integral", "GridBudgetError"):
+        assert gone not in rieszpoints.__all__
+        assert not hasattr(rieszpoints, gone)
+    assert len(rieszpoints.__all__) == 44
+
+
 def test_import_leaves_scipy_stats_unloaded():
     """scipy.stats costs about half of a cold import; only the reference
     Sobol path in oracles.py loads it, on first use."""

@@ -119,9 +119,9 @@ def test_constructor_copies_callers_array(make):
     lambda: box([-np.inf, 0, 0], [1.0, 1, 1]),
     lambda: union_of_balls([([0.0, 0, 0], np.inf)]),
     lambda: union_of_balls([([0.0, 0, 0], 1.0), ([np.nan, 0, 0], 1.0)]),
-    lambda: ball([0.0, 0, 0], 1.0, holder=(np.inf, 1.0)),
+    lambda: ball([0.0, 0, 0], 1.0, holder_s=np.nan),
 ], ids=["ball-radius", "ball-center", "sphere-center", "sphere-radius", "box-high", "box-low",
-        "union-radius", "union-center", "holder-A"])
+        "union-radius", "union-center", "holder-s"])
 def test_constructors_reject_non_finite(make):
     with pytest.raises(ValueError, match="finite"):
         make()
@@ -237,9 +237,11 @@ def test_green_positive_exactly_outside():
 
 
 def test_holder_witness_unit_ball():
-    # declared (A, s) = (1, 1) dominates the Green function outside
+    # the declared exponent s = 1, with the unit ball's constant A = 1
+    # (g_E <= d_E / R**2 in R^3), dominates the Green function outside
     oracle = equilibrium_oracle(UNIT_BALL, SPEC)
-    A, s = UNIT_BALL.holder
+    A, s = 1.0, UNIT_BALL.holder_s
+    assert s == 1.0
     rng = np.random.default_rng(13)
     pts = rng.normal(size=(1000, 3))
     pts *= (1.0 + 3.0 * rng.random(1000))[:, None] / np.linalg.norm(pts, axis=1)[:, None]
@@ -302,7 +304,7 @@ def test_parse_set_definition_ball():
     radius = 1.0
     """)
     assert E.kind == "ball" and E.dim == 3 and E.radius == 1.0
-    assert E.holder == (1.0, 1.0)
+    assert E.holder_s == 1.0
 
 
 def test_parse_set_definition_union_and_holder():
@@ -310,11 +312,13 @@ def test_parse_set_definition_union_and_holder():
     shape = union
     ball = 3 0 0 1
     ball = -3, 0, 0, 1
-    holder_A = 2.0
     holder_s = 0.5
     """)
     assert E.kind == "union" and len(E.balls) == 2
-    assert E.holder == (2.0, 0.5)
+    assert E.holder_s == 0.5
+    # a box and a union declare no exponent unless the file gives one
+    assert parse_set_definition("shape = box\nlow = 0 0 0\nhigh = 1 1 1\n").holder_s is None
+    assert parse_set_definition("shape = union\nball = 0 0 0 1\n").holder_s is None
 
 
 def test_parse_errors():
@@ -326,3 +330,5 @@ def test_parse_errors():
         parse_set_definition("shape = ball\ncenter = 0 0 zero\nradius = 1\n")
     with pytest.raises(SetDefinitionError):
         parse_set_definition("shape = ball\ncenter = 0 0 0\nradius = 1\nholder_A = 1\n")
+    with pytest.raises(SetDefinitionError):
+        parse_set_definition("shape = ball\ncenter = 0 0 0\nradius = 1\nholder_s = 1.5\n")
