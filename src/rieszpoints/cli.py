@@ -59,7 +59,8 @@ from .measures import (
     read_points_csv,
     write_points_csv,
 )
-from .sets import MEMBERSHIP_TOL, distance_to_set, equilibrium_oracle, parse_set_definition, project_to_set
+from .sets import (MEMBERSHIP_TOL, distance_to_set, equilibrium_oracle, parse_set_definition, points_at_offset,
+                   project_to_set)
 from .seeding import child_seed
 
 EXIT_OK = 0
@@ -115,13 +116,9 @@ def _write_manifest(path, command, set_text, spec, seed, params, outputs, result
 
 def _default_probe(E) -> np.ndarray:
     """Deterministic exterior probe at distance 1 from E along +e1."""
-    c = E.enclosing_center
-    far = np.array(c, dtype=float)
+    far = np.array(E.enclosing_center, dtype=float)
     far[0] += E.enclosing_radius + 10.0
-    base = project_to_set(E, far)
-    out = far - base
-    out /= np.linalg.norm(out)
-    return base + out
+    return points_at_offset(E, far, 1.0)[0]
 
 
 def _generate_config(E, spec, method, n, seed, args):

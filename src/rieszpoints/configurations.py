@@ -24,7 +24,8 @@ import numpy as np
 from .errors import CoincidentPointsError, InfeasiblePointError
 from .kernel import KernelSpec, pair_energy_forces, potential_sums, probe_potential_gradient, require_newtonian
 from .measures import PointConfig, discrete_energy
-from .sets import MEMBERSHIP_TOL, CompactSetModel, distance_to_set, project_to_set, sample_candidates, sample_uniform
+from .sets import (MEMBERSHIP_TOL, CompactSetModel, _nearest_ball, distance_to_set, project_to_set,
+                   sample_candidates, sample_uniform)
 from .seeding import child_seed, substream
 
 
@@ -101,10 +102,7 @@ def _active_face(E, X, F):
         held = ((X <= E.low) & (F < 0.0)) | ((X >= E.high) & (F > 0.0))
         return held, lambda V: np.where(held, 0.0, V)
     if E.kind == "union":
-        centers = np.array([c for c, _ in E.balls])
-        radii = np.array([r for _, r in E.balls])
-        gaps = np.linalg.norm(X[:, None, :] - centers[None, :, :], axis=2) - radii
-        j = np.argmin(gaps, axis=1)  # lowest index wins ties, as in project_to_set
+        centers, radii, j = _nearest_ball(E, X)
         center, radius = centers[j], radii[j]
     else:
         center, radius = E.center, E.radius

@@ -127,16 +127,11 @@ def max_green_on_shell(
     seed: int = 0,
     ascent_iters: int = 40,
 ) -> float:
-    """Max of the Green function over the shell {x : d_E(x) = offset}.
-
-    The slab max {d_E <= offset} is attained on this shell for the
-    shipped regular sets, so sampling the shell plus a shrinking local
-    search suffices.
-    """
+    """Max of the Green function over the shell {x : d_E(x) = offset}: the
+    slab max {d_E <= offset} is attained there for the shipped regular
+    sets, so ``count`` shell points and a shrinking local search suffice."""
     rng = substream(seed, "green-shell")
     shell = sample_shell(E, count, offset, rng)
-    if len(shell) == 0:
-        raise ValueError(f"no shell point at distance {offset:.3g} from the set could be constructed")
     g = np.atleast_1d(oracle.green(shell))
     best_i = int(np.argmax(g))
     x, gx = shell[best_i], float(g[best_i])
@@ -144,12 +139,11 @@ def max_green_on_shell(
     d = E.dim
     for _ in range(ascent_iters):
         props = points_at_offset(E, x + rng.normal(size=(8, d)) * scale, offset)
-        if len(props) > 0:
-            gp = np.atleast_1d(oracle.green(props))
-            j = int(np.argmax(gp))
-            if gp[j] > gx:
-                x, gx = props[j], float(gp[j])
-                continue
+        gp = np.atleast_1d(oracle.green(props))
+        j = int(np.argmax(gp))
+        if gp[j] > gx:
+            x, gx = props[j], float(gp[j])
+            continue
         scale *= 0.5
         if scale < 1e-12 * max(1.0, offset):
             break

@@ -201,6 +201,16 @@ def _project_to_ball(q, center, radius):
     return np.where(inside, q, _shell_point(v, rho, center, radius))
 
 
+def _nearest_ball(E: CompactSetModel, q):
+    """Centers and radii of E's balls (a ball or sphere is one), and each
+    row's nearest: least signed gap |x - c| - r, lowest index on ties."""
+    balls = E.balls or ((E.center, E.radius),)
+    centers = np.array([c for c, _ in balls])
+    radii = np.array([r for _, r in balls])
+    gaps = np.linalg.norm(q[:, None, :] - centers, axis=2) - radii
+    return centers, radii, np.argmin(gaps, axis=1)
+
+
 def project_to_set(E: CompactSetModel, x):
     """Nearest point of E; deterministic tie-breaks (sphere center -> +e1,
     equidistant union balls -> lowest index)."""
@@ -214,43 +224,44 @@ def project_to_set(E: CompactSetModel, x):
     elif E.kind == "box":
         out = np.clip(q, E.low, E.high)
     else:
-        ds = np.stack([np.maximum(np.linalg.norm(q - c, axis=-1) - r, 0.0) for c, r in E.balls], axis=0)
-        idx = np.argmin(ds, axis=0)  # lowest index wins ties
-        out = np.empty_like(q)
-        for i, (c, r) in enumerate(E.balls):
-            sel = idx == i
-            if np.any(sel):
-                out[sel] = _project_to_ball(q[sel], c, r)
+        centers, radii, j = _nearest_ball(E, q)
+        out = _project_to_ball(q, centers[j], radii[j, None])
     return out[0] if scalar else out
 
 
 def points_at_offset(E: CompactSetModel, seeds_xyz, offset: float):
-    """Move each seed point onto the shell {x : d_E(x) = offset}.
-
-    Fixed-point iteration of z <- proj(z) + offset * (z - proj(z))/|z - proj(z)|;
-    exact after one step for the convex shipped shapes. Points whose
-    distance misses the shell by more than 1e-9 are dropped.
-    """
-    z = np.array(_vec(seeds_xyz, E.dim), copy=True)
-    if z.ndim == 1:
-        z = z[None, :]
-    cen = E.enclosing_center
-    for _ in range(4):
-        p = project_to_set(E, z)
-        u = z - p
-        nu = np.linalg.norm(u, axis=-1, keepdims=True)
-        degenerate = nu[..., 0] < 1e-300
-        if np.any(degenerate):
-            # seed landed inside E: walk radially from the enclosing center
-            w = z[degenerate] - cen
-            nw = np.linalg.norm(w, axis=-1, keepdims=True)
-            w = np.where(nw > 0, w / np.maximum(nw, 1e-300), 0.0)
-            w[np.linalg.norm(w, axis=-1) == 0, 0] = 1.0
-            u[degenerate] = w
-            nu[degenerate] = 1.0
-        z = p + offset * u / nu
-    keep = np.abs(distance_to_set(E, z) - offset) <= 1e-9 * max(1.0, offset)
-    return z[keep]
+    """One point of the shell {x : d_E(x) = offset} per seed, exact up to
+    rounding. A box moves a seed along z - clip(z), or out through its
+    nearest face from inside. A ball, union or sphere moves it along the ray
+    from its nearest ball's center (+e1 from the center) to the farthest exit
+    from the balls dilated by offset; a seed inside a sphere of radius R >
+    offset goes to radius R - offset instead."""
+    z = _vec(seeds_xyz, E.dim).reshape(-1, E.dim)
+    if E.kind == "box":
+        p = np.clip(z, E.low, E.high)
+        v = z - p
+        nv = np.linalg.norm(v, axis=1, keepdims=True)
+        out = p + offset * np.divide(v, nv, out=np.zeros_like(v), where=nv > 0)
+        inside = np.flatnonzero(nv[:, 0] == 0)
+        face = np.argmin(np.concatenate([z - E.low, E.high - z], axis=1)[inside], axis=1)
+        axis = face % E.dim
+        out[inside, axis] = np.where(face < E.dim, E.low[axis] - offset, E.high[axis] + offset)
+        return out
+    centers, radii, j = _nearest_ball(E, z)
+    v = z - centers[j]
+    rho = np.linalg.norm(v, axis=1, keepdims=True)
+    u = _shell_point(v, rho, 0.0, 1.0)
+    # the larger root t of |w + t u| = r_k + offset, w = c_j - c_k, taken
+    # without squaring r_k + offset; a ray that misses dilated ball k has none
+    w = centers[j][:, None, :] - centers
+    b = np.sum(w * u[:, None, :], axis=2)
+    reach = radii + offset
+    miss = np.linalg.norm(w - b[..., None] * u[:, None, :], axis=2) / reach
+    root = reach * np.sqrt(np.maximum((1.0 - miss) * (1.0 + miss), 0.0)) - b
+    t = np.max(np.where(miss <= 1.0, root, -np.inf), axis=1, keepdims=True)
+    if E.kind == "sphere":
+        t = np.where((rho < E.radius) & (offset < E.radius), E.radius - offset, t)
+    return centers[j] + t * u
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +400,9 @@ def sample_uniform(E: CompactSetModel, count: int, rng: np.random.Generator) -> 
 
 
 def sample_shell(E: CompactSetModel, count: int, offset: float, rng: np.random.Generator) -> np.ndarray:
-    """Points on the shell {x : d_E(x) = offset}: ``count`` uniform draws on
-    E, each pushed ``offset`` along a random direction and snapped to the
-    shell by points_at_offset (which drops any seed that misses it)."""
+    """Exactly ``count`` points on the shell {x : d_E(x) = offset}: uniform
+    draws on E, each pushed ``offset`` along a random direction and moved
+    onto the shell by points_at_offset."""
     base = sample_uniform(E, count, rng)
     return points_at_offset(E, base + random_directions(rng, count, E.dim) * offset, offset)
 

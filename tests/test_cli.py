@@ -197,6 +197,19 @@ def test_study_union_uses_approximate_oracle(tmp_path):
     assert np.isfinite(float(rows[0]["rhs"]))
 
 
+def test_study_small_smoothing_radius_reaches_the_shell(tmp_path):
+    # the green term reads a shell at offset 2 r_n, here below 1e-6
+    ball_file = tmp_path / "ball.txt"
+    ball_file.write_text("shape = ball\ncenter = 0 0 0\nradius = 1\n")
+    out = tmp_path / "study.csv"
+    code = main(["study", "--set", str(ball_file), "--method", "random", "--schedule", "10",
+                 "--r-c", "1e-6", "--seed", "1", "--out", str(out)])
+    assert code == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and np.isfinite(float(rows[0]["rhs"]))
+
+
 def test_study_refuses_nonnewtonian_exit_4(sphere_file, tmp_path):
     code = main([
         "study", "--set", str(sphere_file), "--method", "random", "--schedule", "10",

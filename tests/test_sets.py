@@ -19,7 +19,7 @@ from rieszpoints import (
     union_of_balls,
 )
 from rieszpoints.oracles import sphere_potential_quadrature
-from rieszpoints.sets import _halton, _primes, points_at_offset, sample_shell, sample_uniform
+from rieszpoints.sets import _halton, _primes, points_at_offset, sample_shell
 from rieszpoints.seeding import substream
 
 SPEC = KernelSpec(2.0, 3)
@@ -93,6 +93,11 @@ def test_union_tie_break_lowest_index():
     two = union_of_balls([([1.0, 0, 0], 0.5), ([-1.0, 0, 0], 0.5)])
     # origin is equidistant; the first ball wins
     np.testing.assert_allclose(project_to_set(two, [0.0, 0, 0]), [0.5, 0, 0])
+    # the least signed gap picks the second ball, the least clamped gap the
+    # first: a point inside both balls, and one on the first ball's sphere
+    lapped = union_of_balls([([0.0, 0, 0], 1.0), ([1.5, 0, 0], 1.0)])
+    for x in ([0.9, 0.1, 0], [1.0, 0, 0]):
+        np.testing.assert_array_equal(project_to_set(lapped, x), x)
 
 
 @pytest.mark.parametrize("make", [
@@ -283,17 +288,24 @@ def test_dimension_four_sphere_candidates_and_oracle():
 
 
 def test_points_at_offset():
-    shell = points_at_offset(UNIT_SPHERE, sample_uniform(UNIT_SPHERE, 64, np.random.default_rng(2)) * 1.7, 0.5)
-    assert len(shell) > 0
-    np.testing.assert_allclose(distance_to_set(UNIT_SPHERE, shell), 0.5, atol=1e-9)
-    shapes = [UNIT_BALL, UNIT_SPHERE, box([0.0, 0, 0], [1.0, 2, 1]),
-              union_of_balls([([0.0, 0, 0], 1.0), ([4.0, 0, 0], 2.0)]),
-              sphere_surface([0.0, 0, 0, 0], 1.0)]
+    shapes = [
+        UNIT_BALL,
+        UNIT_SPHERE,
+        sphere_surface([0.0, 0, 0, 0], 1.0),
+        box([0.0, 0, 0], [1.0, 2, 1]),
+        union_of_balls([([-1.0, 0, 0], 1.0), ([1.0, 0, 0], 1.0)]),
+        union_of_balls([([0.0, 0, 0], 1.0), ([1.5, 0, 0], 1.0), ([0.7, 1.2, 0], 0.8)]),
+    ]
     for E in shapes:
-        for offset in (0.05, 0.3, 2.0):
-            shell = sample_shell(E, 64, offset, np.random.default_rng(3))
-            assert len(shell) > 0 and shell.shape[1] == E.dim
-            np.testing.assert_allclose(distance_to_set(E, shell), offset, atol=1e-9)
+        for rel in (1e-9, 1e-5, 1e-3, 1e-2, 0.1, 1.0, 10.0):
+            offset = rel * E.enclosing_radius
+            shell = sample_shell(E, 512, offset, np.random.default_rng(3))
+            assert shell.shape == (512, E.dim), (E.kind, offset)
+            assert np.all(np.abs(distance_to_set(E, shell) - offset) <= 1e-12 * max(1.0, offset)), (E.kind, offset)
+        # a seed at a center, or on a face of the box
+        seeds = np.array([[0.5, 1.0, 0.0], [0.5, 1.0, 0.5]]) if E.kind == "box" else np.zeros((1, E.dim))
+        for offset in (0.25, 3.0):
+            np.testing.assert_allclose(distance_to_set(E, points_at_offset(E, seeds, offset)), offset, rtol=1e-15)
 
 
 def test_parse_set_definition_ball():
