@@ -8,8 +8,9 @@ Algorithms on Matrix Manifolds, 2008); on balls, boxes and unions it
 holds the active boundary each iteration, as L-BFGS-B does. A run
 converges when the largest per-point projected force is at most sqrt(tol)
 times the mean force magnitude. Greedy (Leja) points come from an argmin
-over a seeded candidate grid followed by a local projected-descent polish
-of the new point. A seeded uniform baseline rounds out the benchmark trio.
+over a seeded candidate grid; the same projected L-BFGS then polishes the
+new point as a one-point configuration in the prefix's potential. A seeded
+uniform baseline rounds out the benchmark trio.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ _ARMIJO = 1e-4
 _BACKTRACKS = 40
 # a ball point within this fraction of the radius of its sphere is on it
 _ON_SPHERE = 1e-12
+# relative accuracy and iteration cap of the greedy polish
+_POLISH_TOL = 1e-13
+_POLISH_STEPS = 60
 
 
 def _rowdot(A, B):
@@ -141,15 +145,16 @@ def _lbfgs_direction(P, pairs, gamma):
     return q
 
 
-def _projected_lbfgs(E, spec, X0, max_iters, step0, tol, work):
-    """Monotone projected L-BFGS from X0; returns (X, raw, iters, converged, grad_norm).
+def _projected_lbfgs(E, energy_forces, X0, max_iters, step0, tol):
+    """Monotone projected L-BFGS from X0; returns (X, energy, iters, converged, grad_norm).
 
-    Each trial point is the projection of X + t * d onto E, accepted when
-    the energy strictly decreases by at least the Armijo fraction of the
-    full force along the actual move. ``work`` is the restart's own
-    pair_energy_forces workspace."""
+    ``energy_forces(X)`` gives the objective at an (n, dim) configuration
+    and its forces, minus its gradient. Each trial point is the
+    projection of X + t * d onto E, accepted when the energy strictly
+    decreases by at least the Armijo fraction of the full force along
+    the actual move."""
     X = project_to_set(E, X0)
-    energy, F = pair_energy_forces(spec, X, work)
+    energy, F = energy_forces(X)
     held, restrict = _active_face(E, X, F)
     P = restrict(F)
     pairs = deque(maxlen=_MEMORY)
@@ -182,7 +187,7 @@ def _projected_lbfgs(E, spec, X0, max_iters, step0, tol, work):
             Xt = project_to_set(E, X + t * d)
             # each trial's forces come with its energy; the accepted
             # trial's forces drive the next iteration
-            Et, Ft = pair_energy_forces(spec, Xt, work)
+            Et, Ft = energy_forces(Xt)
             if Et < energy and Et <= energy - _ARMIJO * np.vdot(F, Xt - X):
                 break
             t *= 0.5
@@ -217,7 +222,8 @@ def _one_restart(E, spec, params, step0, r):
         X0 = project_to_set(E, X0 + rng.normal(size=X0.shape) * 1e-6 * radius)
         raw0, _ = pair_energy_forces(spec, X0, work)
     initial = 2.0 / (params.n * (params.n - 1)) * raw0
-    return (initial,) + _projected_lbfgs(E, spec, X0, params.max_iters, step0, params.tol, work)
+    return (initial,) + _projected_lbfgs(E, lambda X: pair_energy_forces(spec, X, work), X0,
+                                         params.max_iters, step0, params.tol)
 
 
 def fekete_search_run(
@@ -266,32 +272,12 @@ class LejaState:
     set_model: CompactSetModel
 
 
-def _polish_new_point(E, prefix_pts, spec, x0, value0, step0, iters=60):
-    x, val = x0, value0
-    _, grad = probe_potential_gradient(spec, x, prefix_pts)
-    t = step0
-    for _ in range(iters):
-        gn = float(np.linalg.norm(grad))
-        if gn == 0.0:
-            break
-        xt = project_to_set(E, x - t * grad)
-        # each trial's gradient comes with its value; a rejected trial
-        # leaves x, so its gradient stays valid
-        vt, gt = probe_potential_gradient(spec, xt, prefix_pts)
-        if vt < val:
-            x, val, grad = xt, vt, gt
-            t *= 1.3
-        else:
-            t *= 0.5
-            if t < 1e-15:
-                break
-    return x, val
-
-
 def leja_next(state: LejaState, spec: KernelSpec) -> np.ndarray:
     """Next greedy point: candidate minimizing the potential sum against
-    the prefix (exponent 2-d), then a local projected polish that can
-    only improve the objective. Ties break to the lowest candidate index.
+    the prefix (exponent 2-d), polished by the projected L-BFGS as a
+    one-point configuration, with a first step of 0.05 * (set radius)
+    and at most 60 steps. The polish can only improve the objective.
+    Ties break to the lowest candidate index.
     """
     require_newtonian(spec, "greedy (Leja) selection")
     if state.prefix.n < 1:
@@ -305,9 +291,15 @@ def leja_next(state: LejaState, spec: KernelSpec) -> np.ndarray:
         raise CoincidentPointsError("every candidate coincides with a prefix point")
     i0 = int(np.argmin(u))
     x0, u0 = cands[i0], float(u[i0])
-    step0 = 0.05 * state.set_model.enclosing_radius
-    x, val = _polish_new_point(state.set_model, prefix_pts, spec, x0, u0, step0)
-    return x if val <= u0 else x0
+
+    def value_forces(X):
+        value, gradient = probe_potential_gradient(spec, X[0], prefix_pts)
+        return value, -gradient[None, :]
+
+    E = state.set_model
+    X, val, *_ = _projected_lbfgs(E, value_forces, x0[None, :], _POLISH_STEPS,
+                                  0.05 * E.enclosing_radius, _POLISH_TOL)
+    return X[0] if val <= u0 else x0
 
 
 def leja_sequence(

@@ -5,7 +5,6 @@ equilibrium measure."""
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +14,7 @@ from .kernel import KernelSpec, pair_terms, potential_sums
 from .sets import MEMBERSHIP_TOL, CompactSetModel, EquilibriumOracle, distance_to_set
 
 # Fixed chunk size of the deterministic pairwise reduction. Partial sums
-# are always taken over these exact slices, in slice order, so results
-# are bitwise identical for any worker count.
+# are always taken over these exact slices and added in slice order.
 _REDUCTION_CHUNK = 4096
 
 
@@ -74,26 +72,19 @@ def read_points_csv(path) -> PointConfig:
     return PointConfig(np.array(rows, dtype=float))
 
 
-def _deterministic_sum(values: np.ndarray, workers: int = 1) -> float:
-    """Chunked tree reduction with a layout independent of worker count."""
-    m = len(values)
-    bounds = range(0, m, _REDUCTION_CHUNK)
-    if workers <= 1 or m <= _REDUCTION_CHUNK:
-        partials = [float(np.add.reduce(values[a:a + _REDUCTION_CHUNK])) for a in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda a: float(np.add.reduce(values[a:a + _REDUCTION_CHUNK])), bounds))
+def _deterministic_sum(values: np.ndarray) -> float:
+    """Chunked reduction: each chunk's sum, added in chunk order."""
     total = 0.0
-    for p in partials:  # fixed order regardless of scheduling
-        total += p
+    for a in range(0, len(values), _REDUCTION_CHUNK):
+        total += float(np.add.reduce(values[a:a + _REDUCTION_CHUNK]))
     return total
 
 
-def discrete_energy(X: PointConfig, spec: KernelSpec, workers: int = 1) -> float:
+def discrete_energy(X: PointConfig, spec: KernelSpec) -> float:
     """Normalized pair energy 2/(n(n-1)) * sum over j<k of k(x_j - x_k)."""
     if X.n < 2:
         raise ValueError("discrete energy needs n >= 2")
-    s = _deterministic_sum(pair_terms(spec, X.points), workers=workers)
+    s = _deterministic_sum(pair_terms(spec, X.points))
     return 2.0 * s / (X.n * (X.n - 1))
 
 

@@ -73,15 +73,6 @@ def test_permutation_then_sort_bitwise():
         assert discrete_energy(PointConfig(shuffled), SPEC) == pytest.approx(e0, rel=1e-13)
 
 
-def test_parallel_workers_bitwise_equal():
-    rng = np.random.default_rng(5)
-    X = PointConfig(rng.normal(size=(300, 4)))
-    spec = KernelSpec(1.7, 4)
-    e1 = discrete_energy(X, spec, workers=1)
-    for w in (2, 4, 8):
-        assert discrete_energy(X, spec, workers=w) == e1
-
-
 @settings(deadline=None, max_examples=30)
 @given(c=st.floats(min_value=1e-2, max_value=1e2))
 def test_energy_scaling_law(c):
