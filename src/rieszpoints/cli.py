@@ -121,6 +121,21 @@ def _default_probe(E) -> np.ndarray:
     return points_at_offset(E, far, 1.0)[0]
 
 
+def _leja_config(E, spec, n, seed, args):
+    if args.candidates < 1:
+        raise SetDefinitionError("--candidates must be >= 1")
+    if args.xi0 is not None:
+        xi0 = _parse_vector(args.xi0)
+    else:
+        xi0 = project_to_set(E, E.enclosing_center + np.eye(E.dim)[0] * (E.enclosing_radius + 1.0))
+    return leja_sequence(E, spec, n, xi0, candidate_count=args.candidates, seed=seed)
+
+
+def _with_energy(config, spec):
+    energy = discrete_energy(config, spec) if config.n >= 2 else None
+    return config, {"final_energy": energy, "iterations": None, "converged": None, "grad_norm": None}
+
+
 def _generate_config(E, spec, method, n, seed, args):
     if method == "fekete":
         params = FeketeSearchParams(
@@ -131,15 +146,8 @@ def _generate_config(E, spec, method, n, seed, args):
         return run.config, {"final_energy": run.energy, "iterations": run.iterations,
                             "converged": run.converged, "grad_norm": run.grad_norm}
     if method == "leja":
-        if args.xi0 is not None:
-            xi0 = _parse_vector(args.xi0)
-        else:
-            xi0 = project_to_set(E, E.enclosing_center + np.eye(E.dim)[0] * (E.enclosing_radius + 1.0))
-        config = leja_sequence(E, spec, n, xi0, candidate_count=args.candidates, seed=seed)
-    else:
-        config = random_config(E, n, seed)
-    energy = discrete_energy(config, spec) if config.n >= 2 else None
-    return config, {"final_energy": energy, "iterations": None, "converged": None, "grad_norm": None}
+        return _with_energy(_leja_config(E, spec, n, seed, args), spec)
+    return _with_energy(random_config(E, n, seed), spec)
 
 
 def cmd_generate(args) -> int:
@@ -182,10 +190,18 @@ def cmd_study(args) -> int:
     W = oracle.robin_constant
     phi = phi_for_potential(E, probe, spec)
 
+    # Leja rows are the n-point prefixes of one greedy sequence: leja_sequence
+    # guarantees a prefix equals the shorter run, and the seed names no n, so
+    # a row depends on (seed, n) alone and the greedy steps are shared
+    longest = None
+    if args.method == "leja":
+        longest = _leja_config(E, spec, max(schedule), child_seed(args.seed, "study", "leja"), args)
     rows, runs = [], []
     for n in schedule:
-        seed_n = child_seed(args.seed, "study", n)
-        config, result = _generate_config(E, spec, args.method, n, seed_n, args)
+        if longest is not None:
+            config, result = _with_energy(longest.prefix(n), spec)
+        else:
+            config, result = _generate_config(E, spec, args.method, n, child_seed(args.seed, "study", n), args)
         runs.append({"n": n, "iterations": result["iterations"], "converged": result["converged"],
                      "grad_norm": result["grad_norm"]})
         energy = result["final_energy"]

@@ -9,8 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rieszpoints import configurations
 from rieszpoints.cli import STUDY_COLUMNS, main
-from rieszpoints.measures import read_points_csv
+from rieszpoints.configurations import leja_sequence
+from rieszpoints.kernel import KernelSpec
+from rieszpoints.measures import discrete_energy, read_points_csv
+from rieszpoints.seeding import child_seed
+from rieszpoints.sets import ball, project_to_set
 
 SPHERE_DEF = """\
 shape = sphere
@@ -127,6 +132,16 @@ def test_generate_infeasible_xi0_exits_3(sphere_file, tmp_path):
     assert code == 3
 
 
+def test_study_infeasible_xi0_exits_3_without_a_csv(sphere_file, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = main(["study", "--set", str(sphere_file), "--method", "leja", "--schedule", "5",
+                 "--xi0", "5,0,0", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_generate_on_box_and_union_sets(tmp_path):
     box_file = tmp_path / "box.txt"
     box_file.write_text("shape = box\nlow = 0 0 0\nhigh = 1 2 1\n")
@@ -162,6 +177,46 @@ def test_study_columns_and_inequality(sphere_file, tmp_path):
     # the energy gap shrinks toward zero along the schedule
     gaps = [float(r["energy_gap"]) for r in rows]
     assert gaps[-1] > gaps[0]
+
+
+def _leja_study_on_ball(tmp_path, monkeypatch, schedule):
+    """Rows of a unit-ball ``study --method leja`` at seed 5, keyed by
+    their n in schedule order, as raw CSV lines; and its leja_next calls."""
+    ball_file = tmp_path / "ball.txt"
+    ball_file.write_text("shape = ball\ncenter = 0 0 0\nradius = 1\n")
+    calls = []
+    step = configurations.leja_next
+
+    def counted_step(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(configurations, "leja_next", counted_step)
+    out = tmp_path / f"study_{schedule.replace(',', '_')}.csv"
+    assert main(["study", "--set", str(ball_file), "--method", "leja", "--schedule", schedule,
+                 "--seed", "5", "--candidates", "512", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    return [(int(line.split(",")[0]), line) for line in lines], len(calls)
+
+
+def test_study_leja_rows_are_prefixes_of_one_sequence(tmp_path, monkeypatch):
+    rows, _ = _leja_study_on_ball(tmp_path, monkeypatch, "10,20,40")
+    reordered, _ = _leja_study_on_ball(tmp_path, monkeypatch, "40,10")
+    assert dict(reordered) == {n: line for n, line in rows if n in (10, 40)}
+    E, spec = ball(np.zeros(3), 1.0), KernelSpec(alpha=2.0, dim=3)
+    xi0 = project_to_set(E, np.array([2.0, 0.0, 0.0]))  # the default start
+    longest = leja_sequence(E, spec, 40, xi0, candidate_count=512, seed=child_seed(5, "study", "leja"))
+    for n, line in rows:
+        assert float(line.split(",")[1]) == discrete_energy(longest.prefix(n), spec)
+
+
+def test_study_leja_runs_the_greedy_steps_once(tmp_path, monkeypatch):
+    _, calls = _leja_study_on_ball(tmp_path, monkeypatch, "10,20,40")
+    assert calls == 39  # one 40-point sequence, not 9 + 19 + 39 steps
+    rows, calls = _leja_study_on_ball(tmp_path, monkeypatch, "40,10,40")
+    assert [n for n, _ in rows] == [40, 10, 40]
+    assert rows[0] == rows[2]
+    assert calls == 39
 
 
 def test_study_fekete_gap_shrinks(sphere_file, tmp_path):
@@ -286,11 +341,14 @@ def test_potential_inside_probe_exits_3(tmp_path, capsys):
     ["study", "--set", "{set}", "--method", "random", "--schedule", "20", "--r-a=-inf", "--out", "{tmp}/s.csv"],
     ["potential", "--set", "{set}", "--points", "{tmp}/huge.csv", "--y", "2,0,0"],
     ["generate", "--set", "{tmp}/holder_a.txt", "--method", "random", "--n", "5", "--out", "{tmp}/g.csv"],
+    ["study", "--set", "{set}", "--method", "leja", "--schedule", "20", "--candidates", "0", "--out", "{tmp}/s.csv"],
+    ["generate", "--set", "{set}", "--method", "leja", "--n", "5", "--candidates", "-3", "--out", "{tmp}/g.csv"],
 ], ids=["restarts-0", "negative-r-c", "points-of-wrong-dimension", "missing-points-file",
         "empty-points-file", "unwritable-out", "probe-on-a-point", "nan-ball-radius",
         "infinite-sphere-center", "infinite-union-radius", "infinite-box-corner", "nan-tol",
         "infinite-tol", "negative-max-iters", "empty-schedule", "nan-r-c", "infinite-r-c",
-        "nan-r-a", "negative-infinite-r-a", "point-beyond-float-range", "holder-A"])
+        "nan-r-a", "negative-infinite-r-a", "point-beyond-float-range", "holder-A",
+        "study-zero-candidates", "generate-negative-candidates"])
 def test_invalid_value_exits_2_with_one_line(argv, sphere_file, tmp_path, capsys):
     (tmp_path / "two_column.csv").write_text("x1,x2\n1.0,0.0\n0.0,1.0\n")
     (tmp_path / "empty.csv").write_text("")
@@ -309,6 +367,8 @@ def test_invalid_value_exits_2_with_one_line(argv, sphere_file, tmp_path, capsys
     assert "Traceback" not in err
     if "--r-c" in argv or any(a.startswith("--r-a") for a in argv):
         assert err == "error: r must be positive and finite\n"
+    if "--candidates" in argv:
+        assert err == "error: --candidates must be >= 1\n"
     if "holder_a.txt" in argv[2]:
         assert err == "error: unknown key 'holder_a'\n"
     assert not (tmp_path / "s.csv").exists()
