@@ -207,8 +207,7 @@ def criterion_test_function_bound_matrix(seed: int, ctx: dict) -> CriterionResul
             phi = radial_hat([0.5, 0.0, 0.0], radius=2.0)
         else:
             phi = phi_for_potential(E, np.array([probe_dist, 0.0, 0.0]), _SPEC3)
-        rep = discrepancy_bound(E, oracles[set_key], X, phi, r, _SPEC3,
-                              seed=child_seed(seed, "acc-matrix-trial", t))
+        rep = discrepancy_bound(E, oracles[set_key], X, phi, r, _SPEC3, seed=child_seed(seed, "acc-matrix-trial", t))
         lhs = rep.lhs
         if method == "fekete":
             # rotating X by Q^T about the centre is rotating phi by Q
@@ -277,14 +276,13 @@ def criterion_weak_star_diagnostics(seed: int, ctx: dict) -> CriterionResult:
     for name in ("fekete", "leja"):
         X = (_fekete_cached(ctx, seed, "sphere", _SPHERE, 200).config
              if name == "fekete" else _leja_cached(ctx, seed, "sphere", _SPHERE, 200))
-        md = moment_distance(X, oracle, degree=2, samples=100_000, seed=child_seed(seed, "acc-ws", name))
+        md = moment_distance(X, oracle, seed=child_seed(seed, "acc-ws", name))
         me = closeness_m_E(X, _SPHERE, oracle)
         out[name] = {"moment_distance": md, "m_E": me}
         ok = ok and md < 0.05 and me == 0.0
     control = oracle.sampler(200, child_seed(seed, "acc-ws-control"))
     control = np.column_stack([control[:, 0], control[:, 1], np.abs(control[:, 2])])
-    md_control = moment_distance(PointConfig(control), oracle, degree=2, samples=100_000,
-                                 seed=child_seed(seed, "acc-ws", "control"))
+    md_control = moment_distance(PointConfig(control), oracle, seed=child_seed(seed, "acc-ws", "control"))
     out["hemisphere_control"] = {"moment_distance": md_control}
     ok = ok and md_control > 0.1
     return _result("weak_star_diagnostics", ok, **out)

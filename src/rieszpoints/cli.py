@@ -77,6 +77,7 @@ _EXIT_CODES = {
     SingularityError: EXIT_PARSE_ERROR,
     CoincidentPointsError: EXIT_PARSE_ERROR,
     FloatingPointError: EXIT_PARSE_ERROR,
+    OverflowError: EXIT_PARSE_ERROR,
     InfeasiblePointError: EXIT_INFEASIBLE,
     UnsupportedOracleError: EXIT_UNSUPPORTED,
     MissingHolderDataError: EXIT_UNSUPPORTED,
@@ -213,11 +214,9 @@ def cmd_study(args) -> int:
             "energy": energy,
             "energy_gap": energy - W,
             "m_E": closeness_m_E(config, E, oracle),
-            "moment_distance": moment_distance(config, oracle, degree=2, samples=100_000,
-                                               seed=child_seed(args.seed, "study-moments", n)),
+            "moment_distance": moment_distance(config, oracle, seed=child_seed(args.seed, "study-moments", n)),
             "deficit_at_probe": deficit,
-            "sup_deficit": sup_potential_deficit(oracle, config, E, spec, grid=512,
-                                                 seed=child_seed(args.seed, "study-sup", n)),
+            "sup_deficit": sup_potential_deficit(oracle, config, E, spec, seed=child_seed(args.seed, "study-sup", n)),
             "lhs": rep.lhs,
             "rhs": rep.rhs,
             "r": r_n,

@@ -72,7 +72,6 @@ class FeketeRun:
     iterations: int
     converged: bool
     grad_norm: float
-    initial_energies: tuple
 
 
 # a mean force at or below this counts as a stationary configuration
@@ -221,9 +220,7 @@ def _one_restart(E, spec, params, step0, r):
     while raw0 == np.inf:
         X0 = project_to_set(E, X0 + rng.normal(size=X0.shape) * 1e-6 * radius)
         raw0, _ = pair_energy_forces(spec, X0, work)
-    initial = 2.0 / (params.n * (params.n - 1)) * raw0
-    return (initial,) + _projected_lbfgs(E, lambda X: pair_energy_forces(spec, X, work), X0,
-                                         params.max_iters, step0, params.tol)
+    return _projected_lbfgs(E, lambda X: pair_energy_forces(spec, X, work), X0, params.max_iters, step0, params.tol)
 
 
 def fekete_search_run(
@@ -241,7 +238,7 @@ def fekete_search_run(
                                      range(params.restarts)))
     else:
         outcomes = [_one_restart(E, spec, params, step0, r) for r in range(params.restarts)]
-    _, X, _, iters, converged, grad_norm = min(outcomes, key=lambda o: o[2])
+    X, _, iters, converged, grad_norm = min(outcomes, key=lambda o: o[1])
     config = PointConfig(X)
     if not converged:
         # iterations counts accepted steps, so fewer than max_iters means
@@ -258,7 +255,6 @@ def fekete_search_run(
         iterations=iters,
         converged=converged,
         grad_norm=grad_norm,
-        initial_energies=tuple(o[0] for o in outcomes),
     )
 
 

@@ -30,6 +30,15 @@ from .sets import (
 )
 from .seeding import child_seed, substream
 
+# equilibrium draws behind the Monte Carlo integral of a test function
+_MC_SAMPLES = 100_000
+# shell points the Green-function scan starts from
+_SHELL_COUNT = 512
+# proposal rounds of the scan's shrinking local search
+_ASCENT_STEPS = 40
+# probes of sup_potential_deficit on E; each of its three shells gets a quarter
+_SUP_GRID = 512
+
 
 def unit_sphere_area(d: int) -> float:
     """Surface area of the unit (d-1)-sphere: 2 pi^{d/2} / Gamma(d/2)."""
@@ -123,21 +132,20 @@ def max_green_on_shell(
     E: CompactSetModel,
     oracle: EquilibriumOracle,
     offset: float,
-    count: int = 512,
     seed: int = 0,
-    ascent_iters: int = 40,
 ) -> float:
     """Max of the Green function over the shell {x : d_E(x) = offset}: the
     slab max {d_E <= offset} is attained there for the shipped regular
-    sets, so ``count`` shell points and a shrinking local search suffice."""
+    sets, so ``_SHELL_COUNT`` (512) shell points and ``_ASCENT_STEPS`` (40)
+    rounds of a shrinking local search suffice."""
     rng = substream(seed, "green-shell")
-    shell = sample_shell(E, count, offset, rng)
+    shell = sample_shell(E, _SHELL_COUNT, offset, rng)
     g = np.atleast_1d(oracle.green(shell))
     best_i = int(np.argmax(g))
     x, gx = shell[best_i], float(g[best_i])
     scale = offset
     d = E.dim
-    for _ in range(ascent_iters):
+    for _ in range(_ASCENT_STEPS):
         props = points_at_offset(E, x + rng.normal(size=(8, d)) * scale, offset)
         gp = np.atleast_1d(oracle.green(props))
         j = int(np.argmax(gp))
@@ -184,15 +192,14 @@ def discrepancy_bound(
     phi: TestFunction,
     r: float,
     spec: KernelSpec,
-    mc_samples: int = 100_000,
-    shell_count: int = 512,
     seed: int = 0,
 ) -> DiscrepancyReport:
     """Assemble the test-function discrepancy bound for one configuration.
 
     lhs = |mean of phi over X - integral of phi d(mu_E)| with the integral
-    taken by seeded Monte Carlo (standard error reported); rhs combines
-    the modulus term with the square root of the composite energy term
+    taken by seeded Monte Carlo over ``_MC_SAMPLES`` (100 000) equilibrium
+    draws (standard error reported); rhs combines the modulus term with
+    the square root of the composite energy term
 
         I = 2 m_E(X) + (n-1)/n * energy - W(E) + r**(2-d)/n
             + 2 max over {d_E <= 2r} of g_E.
@@ -209,16 +216,16 @@ def discrepancy_bound(
     m_term = 2.0 * closeness_m_E(X, E, oracle)
     energy_gap = (n - 1) / n * discrete_energy(X, spec) - W
     smoothing_term = r ** (2.0 - d) / n
-    green_term = 2.0 * max_green_on_shell(E, oracle, 2.0 * r, count=shell_count, seed=child_seed(seed, "shell"))
+    green_term = 2.0 * max_green_on_shell(E, oracle, 2.0 * r, seed=child_seed(seed, "shell"))
     I_value = m_term + energy_gap + smoothing_term + green_term
 
     omega_term = float(phi.modulus_model(r))
     D = float(phi.dirichlet)
 
-    mc = oracle.sampler(mc_samples, child_seed(seed, "phi-integral"))
+    mc = oracle.sampler(_MC_SAMPLES, child_seed(seed, "phi-integral"))
     vals = np.atleast_1d(phi.evaluator(mc))
     integral = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(mc_samples))
+    stderr = float(vals.std(ddof=1) / math.sqrt(_MC_SAMPLES))
     lhs = abs(float(np.mean(phi.evaluator(X.points))) - integral)
 
     rhs = omega_term + math.sqrt(D / ((d - 2) * unit_sphere_area(d))) * math.sqrt(max(I_value, 0.0))
@@ -310,11 +317,11 @@ def sup_potential_deficit(
     X: PointConfig,
     E: CompactSetModel,
     spec: KernelSpec,
-    grid: int = 512,
     seed: int = 0,
 ) -> float:
-    """Max over a seeded grid on E and a surrounding shell of
-    U^{mu_E}(y) - U^{tau(X)}(y).
+    """Max over seeded probes of U^{mu_E}(y) - U^{tau(X)}(y): ``_SUP_GRID``
+    (512) points of E and ``_SUP_GRID // 4`` (128) on each of three
+    shells at 0.05, 0.15 and 0.4 times the enclosing radius.
 
     The global sup is governed by values near E (the discrete potential
     is superharmonic and attains its minimum over the complement of a
@@ -322,11 +329,11 @@ def sup_potential_deficit(
     offset shells suffices.
     """
     require_newtonian(spec, "potential deficit")
-    pts = [sample_candidates(E, grid, child_seed(seed, "sup-grid"))]
+    pts = [sample_candidates(E, _SUP_GRID, child_seed(seed, "sup-grid"))]
     rng = substream(seed, "sup-shell")
     radius = E.enclosing_radius
     for rel in (0.05, 0.15, 0.4):
-        pts.append(sample_shell(E, max(grid // 4, 8), rel * radius, rng))
+        pts.append(sample_shell(E, _SUP_GRID // 4, rel * radius, rng))
     probes = np.concatenate(pts)
     u = potential_sums(spec, probes, X.points)
     # exclude probes sitting exactly on configuration atoms

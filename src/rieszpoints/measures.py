@@ -119,30 +119,25 @@ def closeness_m_E(X: PointConfig, E: CompactSetModel, oracle: EquilibriumOracle)
     return float(np.sum(g) / X.n)
 
 
-def _monomial_means(points: np.ndarray, degree: int) -> np.ndarray:
-    cols = [points]
-    if degree == 2:
-        d = points.shape[1]
-        quad = [points[:, i] * points[:, j] for i in range(d) for j in range(i, d)]
-        cols.append(np.column_stack(quad))
-    feats = np.column_stack(cols)
-    return feats.mean(axis=0)
+# equilibrium draws behind the moment means of moment_distance
+_MOMENT_SAMPLES = 100_000
 
 
-def moment_distance(
-    X: PointConfig,
-    oracle: EquilibriumOracle,
-    degree: int = 2,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Max deviation of coordinate-monomial means (total degree <= degree)
-    between the counting measure and a Monte Carlo draw of the
-    equilibrium measure. Quantifies weak-star closeness through a fixed
-    finite test family."""
-    if degree not in (1, 2):
-        raise ValueError("degree must be 1 or 2")
-    mc = oracle.sampler(samples, seed)
-    mx = _monomial_means(X.points, degree)
-    mm = _monomial_means(mc, degree)
-    return float(np.max(np.abs(mx - mm)))
+def _monomial_means(points: np.ndarray) -> np.ndarray:
+    d = points.shape[1]
+    quad = [points[:, i] * points[:, j] for i in range(d) for j in range(i, d)]
+    return np.column_stack([points] + quad).mean(axis=0)
+
+
+def moment_distance(X: PointConfig, oracle: EquilibriumOracle, seed: int = 0) -> float:
+    """Max deviation of the coordinate-monomial means of total degree 1
+    and 2 between the counting measure and ``_MOMENT_SAMPLES`` (100 000)
+    seeded draws of the equilibrium measure. Quantifies weak-star
+    closeness through a fixed finite test family.
+
+    The draws set a Monte Carlo noise floor: on the unit sphere the
+    octahedron, whose moments of degree <= 2 equal the equilibrium
+    measure's exactly, reads 1.2e-3 to 5.8e-3 over seeds 0-39, so values
+    below about 5e-3 do not tell configurations apart."""
+    mc = oracle.sampler(_MOMENT_SAMPLES, seed)
+    return float(np.max(np.abs(_monomial_means(X.points) - _monomial_means(mc))))

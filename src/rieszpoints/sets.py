@@ -488,14 +488,14 @@ def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOr
     )
 
 
-def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec, support_n: int = 400) -> EquilibriumOracle:
+def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
     # The equilibrium measure is approximated by a dense low-energy
     # configuration on E and its discrete potential; documented as
     # approximate, never used by the acceptance bounds.
     from .configurations import FeketeSearchParams, fekete_search_run
     from .measures import discrete_potential
 
-    run = fekete_search_run(E, spec, FeketeSearchParams(n=support_n, restarts=1, tol=1e-10, seed=20406))
+    run = fekete_search_run(E, spec, FeketeSearchParams(n=400, restarts=1, tol=1e-10, seed=20406))
     support, W_hat = run.config, run.energy
 
     def potential(x):

@@ -374,6 +374,21 @@ def test_invalid_value_exits_2_with_one_line(argv, sphere_file, tmp_path, capsys
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("extra", [
+    ["--schedule", "10", "--r-a", "-400"],
+    ["--schedule", "2", "--r-c", "1e-310", "--r-a", "0"],
+], ids=["r-n-beyond-float-range", "smoothing-term-beyond-float-range"])
+def test_study_float_overflow_exits_2_with_one_line(extra, sphere_file, tmp_path, capsys):
+    # Python float ** raises OverflowError rather than returning inf
+    out = tmp_path / "s.csv"
+    code = main(["study", "--set", str(sphere_file), "--method", "random", "--out", str(out)] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_only_filter_and_reproducibility(tmp_path, capsys):
     va, vb = tmp_path / "a.json", tmp_path / "b.json"
     code_a = main(["verify", "--only", "energy_correctness,robin", "--out", str(va)])

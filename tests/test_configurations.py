@@ -24,7 +24,8 @@ from rieszpoints import (
 )
 from rieszpoints.discrepancy import potential_error, sphere_probe_rule
 from rieszpoints.oracles import reference_energy
-from rieszpoints.sets import MEMBERSHIP_TOL, equilibrium_oracle, random_rotation, sample_uniform
+from rieszpoints.seeding import substream
+from rieszpoints.sets import MEMBERSHIP_TOL, equilibrium_oracle, project_to_set, random_rotation, sample_uniform
 
 SPEC = KernelSpec(2.0, 3)
 UNIT_SPHERE = sphere_surface([0.0, 0.0, 0.0], 1.0)
@@ -91,7 +92,10 @@ def test_fekete_feasible_and_deterministic():
 
 def test_fekete_beats_every_initial_config():
     run = fekete_search_run(UNIT_SPHERE, SPEC, FeketeSearchParams(n=15, restarts=5, seed=3))
-    assert run.energy <= min(run.initial_energies)
+    # restart r starts from the projected uniform draw of its own substream
+    starts = [project_to_set(UNIT_SPHERE, sample_uniform(UNIT_SPHERE, 15, substream(3, "fekete-init", r)))
+              for r in range(5)]
+    assert run.energy <= min(discrete_energy(PointConfig(X0), SPEC) for X0 in starts)
     assert run.energy == discrete_energy(run.config, SPEC)
 
 

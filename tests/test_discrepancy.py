@@ -105,10 +105,14 @@ def test_dirichlet_mc_self_consistency_for_potential_phi():
     assert phi.dirichlet >= fine
 
 
-def test_max_green_on_shell_sphere():
-    oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
-    g = max_green_on_shell(UNIT_SPHERE, oracle, offset=2.0, count=256, seed=0)
-    assert g == pytest.approx(1 - 1 / 3, abs=1e-9)
+@pytest.mark.parametrize("E", [UNIT_SPHERE, UNIT_BALL], ids=["sphere", "ball"])
+@pytest.mark.parametrize("offset", [1e-6, 0.1, 2.0])
+def test_max_green_on_shell_exact(E, offset):
+    # the Green function is constant on each shell about a ball or sphere:
+    # g = W - (R + offset)**(2-d) with W = R**(2-d) = 1
+    oracle = equilibrium_oracle(E, SPEC)
+    g = max_green_on_shell(E, oracle, offset=offset, seed=0)
+    assert abs(g - (1.0 - 1.0 / (1.0 + offset))) <= 1e-15
 
 
 def test_discrepancy_bound_composite_term_antipodal_pair():
@@ -116,7 +120,7 @@ def test_discrepancy_bound_composite_term_antipodal_pair():
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     phi = radial_hat([0.5, 0, 0], radius=2.0)
-    rep = discrepancy_bound(UNIT_SPHERE, oracle, X, phi, r=1.0, spec=SPEC, mc_samples=10_000, seed=1)
+    rep = discrepancy_bound(UNIT_SPHERE, oracle, X, phi, r=1.0, spec=SPEC, seed=1)
     assert rep.I_value == pytest.approx(13.0 / 12.0, abs=1e-9)
     assert rep.m_term == 0.0
     assert rep.smoothing_term == pytest.approx(0.5)
@@ -135,7 +139,7 @@ def test_discrepancy_bound_zero_phi():
     )
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
-    rep = discrepancy_bound(UNIT_SPHERE, oracle, X, zero, r=0.5, spec=SPEC, mc_samples=1000, seed=2)
+    rep = discrepancy_bound(UNIT_SPHERE, oracle, X, zero, r=0.5, spec=SPEC, seed=2)
     assert rep.lhs == 0.0
     assert rep.lhs <= rep.rhs
 
@@ -155,7 +159,7 @@ def test_discrepancy_bound_vacuous_flag():
     )
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     phi = radial_hat([0.5, 0, 0], radius=2.0)
-    rep = discrepancy_bound(UNIT_SPHERE, inflated, X, phi, r=0.1, spec=SPEC, mc_samples=1000, seed=3)
+    rep = discrepancy_bound(UNIT_SPHERE, inflated, X, phi, r=0.1, spec=SPEC, seed=3)
     assert rep.I_value < 0
     assert rep.vacuous
     assert rep.bound_satisfied is None
@@ -165,7 +169,7 @@ def test_report_json_keys():
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     phi = radial_hat([0.5, 0, 0], radius=2.0)
-    rep = discrepancy_bound(UNIT_SPHERE, oracle, X, phi, r=0.5, spec=SPEC, mc_samples=1000, seed=4)
+    rep = discrepancy_bound(UNIT_SPHERE, oracle, X, phi, r=0.5, spec=SPEC, seed=4)
     payload = json.loads(json.dumps(dataclasses.asdict(rep)))
     assert set(payload) == {f.name for f in dataclasses.fields(DiscrepancyReport)}
     # the stored rhs reproduces its defining combination
@@ -183,7 +187,7 @@ def test_bound_energy_term_examples():
     pair = PointConfig([[-0.5, 0, 0], [0.5, 0, 0]])  # distance 1
     tetra = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / (2.0 * math.sqrt(2.0))  # edge 1
     for X, r, expected in [(pair, 1.0, 1.0), (pair, 0.5, 1.5), (PointConfig(tetra), 1.0, 1.0)]:
-        rep = discrepancy_bound(UNIT_BALL, oracle, X, phi, r, SPEC, mc_samples=1000, shell_count=64)
+        rep = discrepancy_bound(UNIT_BALL, oracle, X, phi, r, SPEC)
         got = rep.energy_gap + oracle.robin_constant + rep.smoothing_term
         assert got == pytest.approx(expected, rel=1e-14)
 
@@ -225,10 +229,10 @@ def test_potential_error_requires_holder_and_inside_config():
 def test_sup_deficit_directions():
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     far = PointConfig([[50.0, 0, 0]])
-    big = sup_potential_deficit(oracle, far, UNIT_SPHERE, SPEC, grid=256, seed=1)
+    big = sup_potential_deficit(oracle, far, UNIT_SPHERE, SPEC, seed=1)
     assert big > 0.9  # a distant charge contributes almost nothing on E
     mc = PointConfig(oracle.sampler(10_000, 11))
-    small = sup_potential_deficit(oracle, mc, UNIT_SPHERE, SPEC, grid=256, seed=1)
+    small = sup_potential_deficit(oracle, mc, UNIT_SPHERE, SPEC, seed=1)
     assert small < 0.05
 
 
@@ -237,6 +241,6 @@ def test_sup_deficit_decreases_with_n():
     small_n = fekete_search_run(UNIT_SPHERE, SPEC, FeketeSearchParams(n=20, restarts=2, seed=8)).config
     large_n = fekete_search_run(UNIT_SPHERE, SPEC,
                                 FeketeSearchParams(n=200, restarts=1, max_iters=1200, seed=8)).config
-    d_small = sup_potential_deficit(oracle, small_n, UNIT_SPHERE, SPEC, grid=256, seed=2)
-    d_large = sup_potential_deficit(oracle, large_n, UNIT_SPHERE, SPEC, grid=256, seed=2)
+    d_small = sup_potential_deficit(oracle, small_n, UNIT_SPHERE, SPEC, seed=2)
+    d_large = sup_potential_deficit(oracle, large_n, UNIT_SPHERE, SPEC, seed=2)
     assert d_large < d_small

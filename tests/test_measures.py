@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,15 +148,17 @@ def test_csv_round_trip_preserves_order_and_values(tmp_path):
 
 def test_moment_distance_mirror_is_zero():
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
-    draw = oracle.sampler(500, 77)
-    X = PointConfig(draw)
-    assert moment_distance(X, oracle, degree=1, samples=500, seed=77) == 0.0
+    X = PointConfig(oracle.sampler(100_000, 77))
+    assert moment_distance(X, oracle, seed=77) == 0.0
 
 
-def test_moment_distance_poles_first_moment():
+def test_moment_distance_octahedron_and_poles():
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
-    X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
-    # first moments of the pole pair vanish by symmetry; the MC mean of the
-    # equilibrium measure deviates only by its own sampling error
-    md = moment_distance(X, oracle, degree=1, samples=200_000, seed=5)
-    assert md < 5e-3
+    # the octahedron +-e_i matches every equilibrium moment of degree <= 2
+    # (means 0, x_i^2 means 1/3), so it reads only the Monte Carlo error:
+    # 5 standard errors of a first moment, 5 sqrt(1/3) / sqrt(100 000)
+    octahedron = PointConfig(np.vstack([np.eye(3), -np.eye(3)]))
+    assert moment_distance(octahedron, oracle, seed=5) < 5.0 * math.sqrt(1.0 / 3.0) / math.sqrt(100_000)
+    # the pole pair's z^2 mean is 1, not 1/3
+    poles = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
+    assert moment_distance(poles, oracle, seed=5) > 0.5
