@@ -84,7 +84,7 @@ _EXIT_CODES = {
 }
 
 STUDY_COLUMNS = ["n", "energy", "energy_gap", "m_E", "moment_distance",
-                 "deficit_at_probe", "sup_deficit", "lhs", "rhs", "r"]
+                 "sup_deficit", "lhs", "rhs", "r"]
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -208,14 +208,12 @@ def cmd_study(args) -> int:
         energy = result["final_energy"]
         r_n = args.r_c * n ** (-r_a)
         rep = discrepancy_bound(E, oracle, config, phi, r_n, spec, seed=child_seed(args.seed, "study-bound", n))
-        deficit = abs(float(oracle.potential(probe)) - discrete_potential(config, spec, probe))
         rows.append({
             "n": n,
             "energy": energy,
             "energy_gap": energy - W,
             "m_E": closeness_m_E(config, E, oracle),
-            "moment_distance": moment_distance(config, oracle, seed=child_seed(args.seed, "study-moments", n)),
-            "deficit_at_probe": deficit,
+            "moment_distance": moment_distance(config, oracle),
             "sup_deficit": sup_potential_deficit(oracle, config, E, spec, seed=child_seed(args.seed, "study-sup", n)),
             "lhs": rep.lhs,
             "rhs": rep.rhs,

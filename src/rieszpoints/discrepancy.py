@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import MissingHolderDataError
+from .errors import MissingHolderDataError, UnsupportedOracleError
 from .kernel import KernelSpec, potential_sums, require_newtonian
 from .measures import PointConfig, closeness_m_E, discrete_energy, discrete_potential
 from .sets import (
@@ -30,8 +30,6 @@ from .sets import (
 )
 from .seeding import child_seed, substream
 
-# equilibrium draws behind the Monte Carlo integral of a test function
-_MC_SAMPLES = 100_000
 # shell points the Green-function scan starts from
 _SHELL_COUNT = 512
 # proposal rounds of the scan's shrinking local search
@@ -53,7 +51,8 @@ class TestFunction:
     the ball of ``support_radius`` about ``support_center``.
     ``modulus_model`` dominates the true modulus of continuity and
     ``dirichlet`` dominates the true Dirichlet integral, so bounds
-    assembled from them stay valid.
+    assembled from them stay valid. ``equilibrium_mean(E, oracle)`` is
+    the exact integral of the function against mu_E.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -61,6 +60,7 @@ class TestFunction:
     support_radius: float
     modulus_model: Callable[[float], float]
     dirichlet: float
+    equilibrium_mean: Callable[[CompactSetModel, EquilibriumOracle], float]
 
     __test__ = False  # not a pytest class despite the name
 
@@ -71,7 +71,8 @@ def phi_for_potential(E: CompactSetModel, y, spec: KernelSpec) -> TestFunction:
     phi(x) = max((|y-x| + d_E(x))**(2-d) - R**(2-d), 0) with
     R = diam(E) + d_E(y) + 1. On E it reduces to |y-x|**(2-d) - R**(2-d),
     so its mean against a configuration in E recovers the discrete
-    potential at y up to the constant truncation.
+    potential at y up to the constant truncation, and its mean against
+    mu_E, which lives on E, is exactly U^{mu_E}(y) - R**(2-d).
     """
     require_newtonian(spec, "potential test function")
     d = spec.dim
@@ -102,12 +103,20 @@ def phi_for_potential(E: CompactSetModel, y, spec: KernelSpec) -> TestFunction:
         support_radius=R,
         modulus_model=lambda r: lip * r,
         dirichlet=dirichlet_bound,
+        equilibrium_mean=lambda E, oracle: float(oracle.potential(yv)) - tail,
     )
 
 
 def radial_hat(center, radius: float = 1.0) -> TestFunction:
     """Hat bump max(1 - |x-c|/a, 0): exact modulus min(r/a, 1) and exact
-    Dirichlet integral a**(d-2) * vol(unit ball)."""
+    Dirichlet integral a**(d-2) * vol(unit ball).
+
+    Its equilibrium mean is closed-form on a ball or sphere in d = 3,
+    where mu_E is uniform on the sphere of radius R about E's center
+    (Archimedes): at distance s from the hat's center, rho = |x - c| has
+    density rho/(2Rs) on [|R-s|, R+s]. Elsewhere it raises
+    UnsupportedOracleError.
+    """
     c = np.asarray(center, dtype=float)
     d = c.size
     a = float(radius)
@@ -119,12 +128,30 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
         out = np.maximum(1.0 - np.linalg.norm(p - c, axis=-1) / a, 0.0)
         return float(out[0]) if scalar else out
 
+    def antiderivative(rho):
+        return rho * rho / 2.0 - rho ** 3 / (3.0 * a)
+
+    def equilibrium_mean(E, oracle):
+        if E.kind not in ("ball", "sphere") or E.dim != 3:
+            raise UnsupportedOracleError(
+                f"the radial hat's equilibrium mean needs a ball or sphere in d = 3, got a {E.kind} in d = {E.dim}"
+            )
+        R = E.radius
+        s = float(np.linalg.norm(c - E.center))
+        if s == 0.0:
+            return max(1.0 - R / a, 0.0)
+        lo, hi = abs(R - s), min(R + s, a)
+        if hi <= lo:
+            return 0.0
+        return (antiderivative(hi) - antiderivative(lo)) / (2.0 * R * s)
+
     return TestFunction(
         evaluator=evaluator,
         support_center=c,
         support_radius=a,
         modulus_model=lambda r: min(r / a, 1.0),
         dirichlet=a ** (d - 2) * unit_sphere_area(d) / d,
+        equilibrium_mean=equilibrium_mean,
     )
 
 
@@ -162,8 +189,8 @@ def max_green_on_shell(
 class DiscrepancyReport:
     """All terms of the smoothing-based discrepancy bound for one trial.
 
-    ``lhs`` is |mean of phi over X - phi_integral|, the integral of phi
-    against mu_E by seeded Monte Carlo;
+    ``lhs`` is |mean of phi over X - phi_integral|, with ``phi_integral``
+    the exact integral of phi against mu_E (``phi.equilibrium_mean``);
     ``rhs`` is omega_term + sqrt(D[phi]/((d-2) omega_d)) * sqrt(max(I_value, 0));
     ``vacuous`` flags a negative I_value (possible under numerical noise),
     in which case the inequality is not asserted.
@@ -179,7 +206,6 @@ class DiscrepancyReport:
     I_value: float
     rhs: float
     r: float
-    lhs_stderr: float
     vacuous: bool
     bound_satisfied: Optional[bool]
     n: int
@@ -196,10 +222,10 @@ def discrepancy_bound(
 ) -> DiscrepancyReport:
     """Assemble the test-function discrepancy bound for one configuration.
 
-    lhs = |mean of phi over X - integral of phi d(mu_E)| with the integral
-    taken by seeded Monte Carlo over ``_MC_SAMPLES`` (100 000) equilibrium
-    draws (standard error reported); rhs combines the modulus term with
-    the square root of the composite energy term
+    lhs = |mean of phi over X - integral of phi d(mu_E)| with the exact
+    integral ``phi.equilibrium_mean(E, oracle)``, which raises
+    UnsupportedOracleError where phi has none; rhs combines the modulus
+    term with the square root of the composite energy term
 
         I = 2 m_E(X) + (n-1)/n * energy - W(E) + r**(2-d)/n
             + 2 max over {d_E <= 2r} of g_E.
@@ -212,6 +238,8 @@ def discrepancy_bound(
     d = spec.dim
     n = X.n
     W = oracle.robin_constant
+    integral = float(phi.equilibrium_mean(E, oracle))
+    lhs = abs(float(np.mean(phi.evaluator(X.points))) - integral)
 
     m_term = 2.0 * closeness_m_E(X, E, oracle)
     energy_gap = (n - 1) / n * discrete_energy(X, spec) - W
@@ -221,19 +249,12 @@ def discrepancy_bound(
 
     omega_term = float(phi.modulus_model(r))
     D = float(phi.dirichlet)
-
-    mc = oracle.sampler(_MC_SAMPLES, child_seed(seed, "phi-integral"))
-    vals = np.atleast_1d(phi.evaluator(mc))
-    integral = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(_MC_SAMPLES))
-    lhs = abs(float(np.mean(phi.evaluator(X.points))) - integral)
-
     rhs = omega_term + math.sqrt(D / ((d - 2) * unit_sphere_area(d))) * math.sqrt(max(I_value, 0.0))
     vacuous = I_value < 0.0
-    bound_satisfied = None if vacuous else bool(lhs <= rhs + 3.0 * stderr)
+    bound_satisfied = None if vacuous else bool(lhs <= rhs)
     if bound_satisfied is False:
         warnings.warn(
-            f"discrepancy bound violated beyond Monte Carlo error (lhs={lhs:.6g}, rhs={rhs:.6g}); "
+            f"discrepancy bound violated (lhs={lhs:.6g}, rhs={rhs:.6g}); "
             "this indicates a bug somewhere in the inputs",
             RuntimeWarning,
         )
@@ -248,7 +269,6 @@ def discrepancy_bound(
         I_value=I_value,
         rhs=rhs,
         r=r,
-        lhs_stderr=stderr,
         vacuous=vacuous,
         bound_satisfied=bound_satisfied,
         n=n,

@@ -119,25 +119,19 @@ def closeness_m_E(X: PointConfig, E: CompactSetModel, oracle: EquilibriumOracle)
     return float(np.sum(g) / X.n)
 
 
-# equilibrium draws behind the moment means of moment_distance
-_MOMENT_SAMPLES = 100_000
-
-
-def _monomial_means(points: np.ndarray) -> np.ndarray:
+def _monomials(points: np.ndarray) -> np.ndarray:
+    """The monomials of degree 1 and 2 at each point: the d coordinates,
+    then x_i x_j for i <= j in row-major order, one row per point."""
     d = points.shape[1]
     quad = [points[:, i] * points[:, j] for i in range(d) for j in range(i, d)]
-    return np.column_stack([points] + quad).mean(axis=0)
+    return np.column_stack([points] + quad)
 
 
-def moment_distance(X: PointConfig, oracle: EquilibriumOracle, seed: int = 0) -> float:
+def moment_distance(X: PointConfig, oracle: EquilibriumOracle) -> float:
     """Max deviation of the coordinate-monomial means of total degree 1
-    and 2 between the counting measure and ``_MOMENT_SAMPLES`` (100 000)
-    seeded draws of the equilibrium measure. Quantifies weak-star
-    closeness through a fixed finite test family.
-
-    The draws set a Monte Carlo noise floor: on the unit sphere the
-    octahedron, whose moments of degree <= 2 equal the equilibrium
-    measure's exactly, reads 1.2e-3 to 5.8e-3 over seeds 0-39, so values
-    below about 5e-3 do not tell configurations apart."""
-    mc = oracle.sampler(_MOMENT_SAMPLES, seed)
-    return float(np.max(np.abs(_monomial_means(X.points) - _monomial_means(mc))))
+    and 2 between the counting measure and the equilibrium measure, whose
+    means are the oracle's exact ``moments``. Quantifies weak-star
+    closeness through a fixed finite test family; the unit sphere's
+    octahedron, which matches every equilibrium moment of degree <= 2,
+    reads 0."""
+    return float(np.max(np.abs(_monomials(X.points).mean(axis=0) - oracle.moments)))

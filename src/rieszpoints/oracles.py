@@ -3,9 +3,9 @@
 Everything here exists to anchor derived test values against a second
 computation path that shares no code with the library's kernel: an
 exact-rounded energy sum, an exhaustive grid search for tiny optimal
-configurations, a spherical quadrature for equilibrium potentials, and a
-Monte Carlo Dirichlet integral that checks the test functions' closed
-forms.
+configurations, a spherical quadrature for equilibrium potentials, and
+Monte Carlo Dirichlet integrals and equilibrium means that check the
+closed forms of the test functions and oracles.
 These functions back the test harness and the provenance ledger; they
 are not part of the library's top-level API.
 
@@ -334,7 +334,7 @@ def sphere_potential_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo Dirichlet integrals
+# Monte Carlo Dirichlet integrals and equilibrium means
 # ---------------------------------------------------------------------------
 
 def dirichlet_integral_mc(phi, samples: int = 200_000, seed: int = 0) -> float:
@@ -358,6 +358,17 @@ def dirichlet_integral_mc(phi, samples: int = 200_000, seed: int = 0) -> float:
         grad_sq += gi * gi
     vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius ** d
     return vol * float(grad_sq.mean())
+
+
+def equilibrium_mean_mc(oracle, f, samples: int = 100_000, seed: int = 0) -> tuple:
+    """Monte Carlo mean of ``f`` against the equilibrium measure over
+    ``samples`` seeded ``oracle.sampler`` draws, with its standard error.
+    ``f`` maps an (m, d) batch to (m,) values or (m, k) columns; the
+    result is ``(mean, stderr)``, scalars or length-k arrays to match. A
+    second opinion on the closed-form equilibrium means, not the
+    library's path."""
+    vals = np.asarray(f(oracle.sampler(samples, seed)), dtype=float)
+    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(samples)
 
 
 # ---------------------------------------------------------------------------

@@ -447,14 +447,17 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
 @dataclass(frozen=True)
 class EquilibriumOracle:
     """Equilibrium data for a set: Robin constant W(E), the equilibrium
-    potential, the Green function W(E) - U(x), and an i.i.d. sampler of
-    the equilibrium measure. ``approximate`` marks quadrature-backed
+    potential, the Green function W(E) - U(x), an i.i.d. sampler of the
+    equilibrium measure, and its exact ``moments``: the means of the
+    monomials of degree 1 and 2, in the order of
+    ``measures._monomials``. ``approximate`` marks quadrature-backed
     oracles whose values carry discretization error."""
 
     robin_constant: float
     potential: Callable[[np.ndarray], np.ndarray]
     green: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[int, int], np.ndarray]  # (count, seed) -> points
+    moments: np.ndarray
     approximate: bool = False
 
 
@@ -479,11 +482,15 @@ def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOr
         rng = substream(seed, "equilibrium-sampler")
         return c + R * random_directions(rng, count, d)
 
+    # uniform measure on the sphere: E[x] = c, E[x x^T] = c c^T + (R^2/d) I
+    second = np.outer(c, c) + (R * R / d) * np.eye(d)
+
     return EquilibriumOracle(
         robin_constant=W,
         potential=potential,
         green=green,
         sampler=sampler,
+        moments=np.concatenate([c, second[np.triu_indices(d)]]),
         approximate=False,
     )
 
@@ -493,7 +500,7 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> Equilibri
     # configuration on E and its discrete potential; documented as
     # approximate, never used by the acceptance bounds.
     from .configurations import FeketeSearchParams, fekete_search_run
-    from .measures import discrete_potential
+    from .measures import _monomials, discrete_potential
 
     run = fekete_search_run(E, spec, FeketeSearchParams(n=400, restarts=1, tol=1e-10, seed=20406))
     support, W_hat = run.config, run.energy
@@ -519,6 +526,7 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> Equilibri
         potential=potential,
         green=green,
         sampler=sampler,
+        moments=_monomials(support.points).mean(axis=0),
         approximate=True,
     )
 

@@ -10,7 +10,9 @@ from rieszpoints import (
     KernelSpec,
     MissingHolderDataError,
     PointConfig,
+    UnsupportedOracleError,
     ball,
+    box,
     equilibrium_oracle,
     phi_for_potential,
     radial_hat,
@@ -22,7 +24,7 @@ from rieszpoints import (
 )
 from rieszpoints.configurations import FeketeSearchParams, fekete_search_run
 from rieszpoints.discrepancy import TestFunction, max_green_on_shell
-from rieszpoints.oracles import dirichlet_integral_mc
+from rieszpoints.oracles import dirichlet_integral_mc, equilibrium_mean_mc, sphere_potential_quadrature
 
 SPEC = KernelSpec(2.0, 3)
 UNIT_BALL = ball([0.0, 0.0, 0.0], 1.0)
@@ -136,6 +138,7 @@ def test_discrepancy_bound_zero_phi():
         support_radius=1.0,
         modulus_model=lambda r: 0.0,
         dirichlet=0.0,
+        equilibrium_mean=lambda E, oracle: 0.0,
     )
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
@@ -147,14 +150,10 @@ def test_discrepancy_bound_zero_phi():
 def test_discrepancy_bound_vacuous_flag():
     # an artificially negative composite term must flag, not crash: feed an
     # oracle whose Robin constant overstates the energy scale
-    from rieszpoints.sets import EquilibriumOracle
-
-    base = equilibrium_oracle(UNIT_SPHERE, SPEC)
-    inflated = EquilibriumOracle(
+    inflated = dataclasses.replace(
+        equilibrium_oracle(UNIT_SPHERE, SPEC),
         robin_constant=10.0,
-        potential=base.potential,
         green=lambda x: np.zeros(np.asarray(x).shape[0]) if np.asarray(x).ndim > 1 else 0.0,
-        sampler=base.sampler,
         approximate=True,
     )
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
@@ -163,6 +162,64 @@ def test_discrepancy_bound_vacuous_flag():
     assert rep.I_value < 0
     assert rep.vacuous
     assert rep.bound_satisfied is None
+
+
+def test_discrepancy_bound_reads_the_oracle_potential():
+    # phi_for_potential's equilibrium mean is U^{mu_E}(y) - R**(2-d), so an
+    # oracle whose potential is off by +10 puts the lhs near 10, above the
+    # rhs of about 5.5 for the octahedron at r = 0.5
+    base = equilibrium_oracle(UNIT_SPHERE, SPEC)
+    shifted = dataclasses.replace(base, potential=lambda x: base.potential(x) + 10.0)
+    X = PointConfig(np.vstack([np.eye(3), -np.eye(3)]))
+    phi = phi_for_potential(UNIT_SPHERE, np.array([2.0, 0, 0]), SPEC)
+    with pytest.warns(RuntimeWarning, match="discrepancy bound violated"):
+        rep = discrepancy_bound(UNIT_SPHERE, shifted, X, phi, r=0.5, spec=SPEC)
+    assert rep.lhs > rep.rhs
+    assert rep.bound_satisfied is False
+
+
+def test_discrepancy_bound_hat_off_ball_is_unsupported():
+    # the hat's closed form reads only E's shape, so the unit ball's oracle
+    # reaches the raise without the 2.5 s Fekete solve of a box oracle
+    X = PointConfig([[0.5, 0.5, 0.5], [0.25, 0.5, 0.5]])
+    with pytest.raises(UnsupportedOracleError, match="ball or sphere"):
+        discrepancy_bound(box([0.0, 0, 0], [1.0, 1, 1]), equilibrium_oracle(UNIT_BALL, SPEC), X,
+                          radial_hat([0.5, 0, 0], radius=2.0), r=0.5, spec=SPEC)
+
+
+@pytest.mark.parametrize("E", [UNIT_SPHERE, UNIT_BALL], ids=["sphere", "ball"])
+@pytest.mark.parametrize("probe", [1.5, 2.0, 3.0])
+def test_phi_for_potential_mean_matches_quadrature(E, probe):
+    y = np.array([probe, 0.0, 0.0])
+    phi = phi_for_potential(E, y, SPEC)
+    q, err = sphere_potential_quadrature(1.0, SPEC, y, return_error=True)
+    mean = phi.equilibrium_mean(E, equilibrium_oracle(E, SPEC))
+    assert abs(mean - (q - 1.0 / phi.support_radius)) <= err
+
+
+@pytest.mark.parametrize("E", [UNIT_SPHERE, UNIT_BALL, ball([0.3, -0.2, 0.1], 1.5)], ids=["sphere", "ball", "ball-off"])
+@pytest.mark.parametrize("make_phi", [
+    lambda E: phi_for_potential(E, E.center + E.radius * np.array([1.5, 0.0, 0.0]), SPEC),
+    lambda E: phi_for_potential(E, E.center + E.radius * np.array([0.0, 3.0, 2.0]), SPEC),
+    lambda E: radial_hat(E.center + E.radius * np.array([0.5, 0.0, 0.0]), radius=2.0 * E.radius),
+    lambda E: radial_hat(E.center + E.radius * np.array([0.5, 0.0, 0.0]), radius=E.radius),
+    lambda E: radial_hat(E.center + E.radius * np.array([1.2, 0.3, 0.0]), radius=0.6 * E.radius),
+], ids=["pfp-1.5", "pfp-far", "hat-matrix", "hat-cut", "hat-rim"])
+def test_equilibrium_means_match_monte_carlo(E, make_phi):
+    phi = make_phi(E)
+    oracle = equilibrium_oracle(E, SPEC)
+    mc, stderr = equilibrium_mean_mc(oracle, phi.evaluator, seed=11)
+    assert stderr > 0.0
+    assert abs(phi.equilibrium_mean(E, oracle) - mc) <= 4.0 * stderr
+
+
+def test_radial_hat_mean_closed_form_edges():
+    oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
+    # centred hat: every point of the sphere sits at rho = 1
+    assert radial_hat([0.0, 0, 0], radius=4.0).equilibrium_mean(UNIT_SPHERE, oracle) == 0.75
+    assert radial_hat([0.0, 0, 0], radius=0.5).equilibrium_mean(UNIT_SPHERE, oracle) == 0.0
+    # support ball disjoint from the sphere
+    assert radial_hat([3.0, 0, 0], radius=1.5).equilibrium_mean(UNIT_SPHERE, oracle) == 0.0
 
 
 def test_report_json_keys():

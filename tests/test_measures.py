@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +17,8 @@ from rieszpoints import (
     sphere_surface,
     write_points_csv,
 )
-from rieszpoints.oracles import reference_energy
+from rieszpoints.measures import _monomials
+from rieszpoints.oracles import equilibrium_mean_mc, reference_energy
 
 SPEC = KernelSpec(2.0, 3)
 UNIT_BALL = ball([0.0, 0.0, 0.0], 1.0)
@@ -146,19 +145,20 @@ def test_csv_round_trip_preserves_order_and_values(tmp_path):
     np.testing.assert_array_equal(X.points, Y.points)
 
 
-def test_moment_distance_mirror_is_zero():
-    oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
-    X = PointConfig(oracle.sampler(100_000, 77))
-    assert moment_distance(X, oracle, seed=77) == 0.0
-
-
 def test_moment_distance_octahedron_and_poles():
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     # the octahedron +-e_i matches every equilibrium moment of degree <= 2
-    # (means 0, x_i^2 means 1/3), so it reads only the Monte Carlo error:
-    # 5 standard errors of a first moment, 5 sqrt(1/3) / sqrt(100 000)
+    # (means 0, x_i^2 means 1/3), and the moments are exact, so it reads 0
     octahedron = PointConfig(np.vstack([np.eye(3), -np.eye(3)]))
-    assert moment_distance(octahedron, oracle, seed=5) < 5.0 * math.sqrt(1.0 / 3.0) / math.sqrt(100_000)
+    assert moment_distance(octahedron, oracle) <= 1e-15
     # the pole pair's z^2 mean is 1, not 1/3
     poles = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
-    assert moment_distance(poles, oracle, seed=5) > 0.5
+    assert moment_distance(poles, oracle) > 0.5
+
+
+@pytest.mark.parametrize("E", [ball([0.3, -0.2, 0.1], 1.5), sphere_surface([1.0, 0, 0, -2.0], 0.5)],
+                         ids=["ball-3d", "sphere-4d"])
+def test_oracle_moments_match_monte_carlo(E):
+    oracle = equilibrium_oracle(E, KernelSpec(2.0, E.dim))
+    mc, stderr = equilibrium_mean_mc(oracle, _monomials, seed=13)
+    assert np.all(np.abs(oracle.moments - mc) <= 4.0 * stderr)

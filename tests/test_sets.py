@@ -18,7 +18,8 @@ from rieszpoints import (
     sphere_surface,
     union_of_balls,
 )
-from rieszpoints.oracles import sphere_potential_quadrature
+from rieszpoints.measures import _monomials
+from rieszpoints.oracles import equilibrium_mean_mc, sphere_potential_quadrature
 from rieszpoints.sets import _halton, _primes, points_at_offset, sample_shell
 from rieszpoints.seeding import substream
 
@@ -271,6 +272,9 @@ def test_quadrature_backed_oracle_for_box():
     # Green vanishes on the set and grows away from it
     assert oracle.green(np.array([0.5, 0.5, 0.5])) == 0.0
     assert oracle.green(np.array([5.0, 5.0, 5.0])) > 0
+    # the exact moments are the support's means; its sampler draws the support
+    mc, stderr = equilibrium_mean_mc(oracle, _monomials, seed=3)
+    assert np.all(np.abs(oracle.moments - mc) <= 4.0 * stderr)
 
 
 def test_dimension_four_sphere_candidates_and_oracle():
