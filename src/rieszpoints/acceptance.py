@@ -90,8 +90,7 @@ def _leja_cached(ctx: dict, seed: int, set_key: str, E, n: int):
     if key not in ctx or ctx[key].n < n:
         target = 500 if n > 200 else 200
         north = project_to_set(E, E.enclosing_center + np.array([0.0, 0.0, E.enclosing_radius]))
-        ctx[key] = leja_sequence(E, _SPEC3, target, north, candidate_count=4096,
-                                 seed=child_seed(seed, "leja", set_key))
+        ctx[key] = leja_sequence(E, _SPEC3, target, north, seed=child_seed(seed, "leja", set_key))
     return ctx[key].prefix(n)
 
 
@@ -207,7 +206,7 @@ def criterion_test_function_bound_matrix(seed: int, ctx: dict) -> CriterionResul
             phi = radial_hat([0.5, 0.0, 0.0], radius=2.0)
         else:
             phi = phi_for_potential(E, np.array([probe_dist, 0.0, 0.0]), _SPEC3)
-        rep = discrepancy_bound(E, oracles[set_key], X, phi, r, _SPEC3, seed=child_seed(seed, "acc-matrix-trial", t))
+        rep = discrepancy_bound(oracles[set_key], X, phi, r, seed=child_seed(seed, "acc-matrix-trial", t))
         lhs = rep.lhs
         if method == "fekete":
             # rotating X by Q^T about the centre is rotating phi by Q
@@ -241,7 +240,7 @@ def criterion_potential_decay(seed: int, ctx: dict) -> CriterionResult:
     rms, measured, shapes = [], [], []
     for n in schedule:
         X = _fekete_cached(ctx, seed, "sphere", _SPHERE, n).config
-        err, shape = potential_error(_SPHERE, oracle, X, probes, _SPEC3)
+        err, shape = potential_error(oracle, X, probes)
         rms.append(float(np.sqrt(weights @ err[:-1] ** 2)))
         measured.append(float(err.max()))
         # every probe lies at distance 1 from the sphere; take (2, 0, 0)'s
@@ -277,7 +276,7 @@ def criterion_weak_star_diagnostics(seed: int, ctx: dict) -> CriterionResult:
         X = (_fekete_cached(ctx, seed, "sphere", _SPHERE, 200).config
              if name == "fekete" else _leja_cached(ctx, seed, "sphere", _SPHERE, 200))
         md = moment_distance(X, oracle)
-        me = closeness_m_E(X, _SPHERE, oracle)
+        me = closeness_m_E(X, oracle)
         out[name] = {"moment_distance": md, "m_E": me}
         ok = ok and md < 0.05 and me == 0.0
     control = oracle.sampler(200, child_seed(seed, "acc-ws-control"))
@@ -297,7 +296,7 @@ def criterion_converse_witness(seed: int, ctx: dict) -> CriterionResult:
     ok = True
     for n in (10, 100, 1000):
         pts = oracle.sampler(n, child_seed(seed, "acc-converse", n)) * (1.0 + 1.0 / n)
-        m = closeness_m_E(PointConfig(pts), _SPHERE, oracle)
+        m = closeness_m_E(PointConfig(pts), oracle)
         values.append({"n": n, "m_E": m, "bound_1_over_n": 1.0 / n})
         ok = ok and m <= 1.0 / n + 1e-15
     ok = ok and values[0]["m_E"] > values[1]["m_E"] > values[2]["m_E"]

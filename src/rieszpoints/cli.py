@@ -207,14 +207,14 @@ def cmd_study(args) -> int:
                      "grad_norm": result["grad_norm"]})
         energy = result["final_energy"]
         r_n = args.r_c * n ** (-r_a)
-        rep = discrepancy_bound(E, oracle, config, phi, r_n, spec, seed=child_seed(args.seed, "study-bound", n))
+        rep = discrepancy_bound(oracle, config, phi, r_n, seed=child_seed(args.seed, "study-bound", n))
         rows.append({
             "n": n,
             "energy": energy,
             "energy_gap": energy - W,
-            "m_E": closeness_m_E(config, E, oracle),
+            "m_E": closeness_m_E(config, oracle),
             "moment_distance": moment_distance(config, oracle),
-            "sup_deficit": sup_potential_deficit(oracle, config, E, spec, seed=child_seed(args.seed, "study-sup", n)),
+            "sup_deficit": sup_potential_deficit(oracle, config, seed=child_seed(args.seed, "study-sup", n)),
             "lhs": rep.lhs,
             "rhs": rep.rhs,
             "r": r_n,
@@ -258,8 +258,8 @@ def cmd_potential(args) -> int:
         "discrete_potential": u_X,
         "deficit": u_eq - u_X,
     }
-    if E.holder_s is not None and bool(np.all(np.atleast_1d(distance_to_set(E, X.points)) <= MEMBERSHIP_TOL)):
-        _, shape = potential_error(E, oracle, X, y, spec)
+    if E.holder_s is not None and bool(np.all(distance_to_set(E, X.points) <= MEMBERSHIP_TOL)):
+        _, shape = potential_error(oracle, X, y)
         out["bound_shape"] = shape
     print(json.dumps(out, sort_keys=True, indent=2))
     return EXIT_OK
@@ -292,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", required=True, help="set definition file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--alpha", type=float, default=2.0)
-        p.add_argument("--restarts", type=int, default=4)
-        p.add_argument("--max-iters", dest="max_iters", type=int, default=2000)
-        p.add_argument("--tol", type=float, default=1e-13)
+        p.add_argument("--restarts", type=int, default=FeketeSearchParams.restarts)
+        p.add_argument("--max-iters", dest="max_iters", type=int, default=FeketeSearchParams.max_iters)
+        p.add_argument("--tol", type=float, default=FeketeSearchParams.tol)
         p.add_argument("--candidates", type=int, default=4096)
         p.add_argument("--xi0", default=None, help="start point for leja, e.g. '1,0,0'")
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,21 +222,13 @@ def _one_restart(E, spec, params, step0, r):
     return _projected_lbfgs(E, lambda X: pair_energy_forces(spec, X, work), X0, params.max_iters, step0, params.tol)
 
 
-def fekete_search_run(
-    E: CompactSetModel, spec: KernelSpec, params: FeketeSearchParams, workers: int = 1
-) -> FeketeRun:
+def fekete_search_run(E: CompactSetModel, spec: KernelSpec, params: FeketeSearchParams) -> FeketeRun:
     """Minimize the discrete energy over n-tuples from E; best of restarts.
 
-    Restarts are independent; with workers > 1 they run on a thread pool
-    and the outcome is identical to the serial run (the best restart is
-    selected in restart order, ties to the lowest index)."""
+    Restarts are independent, run in restart order; the best restart wins,
+    ties to the lowest index."""
     step0 = 0.1 * E.enclosing_radius / np.sqrt(params.n)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda r: _one_restart(E, spec, params, step0, r),
-                                     range(params.restarts)))
-    else:
-        outcomes = [_one_restart(E, spec, params, step0, r) for r in range(params.restarts)]
+    outcomes = [_one_restart(E, spec, params, step0, r) for r in range(params.restarts)]
     X, _, iters, converged, grad_norm = min(outcomes, key=lambda o: o[1])
     config = PointConfig(X)
     if not converged:

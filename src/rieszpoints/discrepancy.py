@@ -51,8 +51,8 @@ class TestFunction:
     the ball of ``support_radius`` about ``support_center``.
     ``modulus_model`` dominates the true modulus of continuity and
     ``dirichlet`` dominates the true Dirichlet integral, so bounds
-    assembled from them stay valid. ``equilibrium_mean(E, oracle)`` is
-    the exact integral of the function against mu_E.
+    assembled from them stay valid. ``equilibrium_mean(oracle)`` is the
+    exact integral of the function against the oracle's mu_E.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -60,7 +60,7 @@ class TestFunction:
     support_radius: float
     modulus_model: Callable[[float], float]
     dirichlet: float
-    equilibrium_mean: Callable[[CompactSetModel, EquilibriumOracle], float]
+    equilibrium_mean: Callable[[EquilibriumOracle], float]
 
     __test__ = False  # not a pytest class despite the name
 
@@ -103,7 +103,7 @@ def phi_for_potential(E: CompactSetModel, y, spec: KernelSpec) -> TestFunction:
         support_radius=R,
         modulus_model=lambda r: lip * r,
         dirichlet=dirichlet_bound,
-        equilibrium_mean=lambda E, oracle: float(oracle.potential(yv)) - tail,
+        equilibrium_mean=lambda oracle: float(oracle.potential(yv)) - tail,
     )
 
 
@@ -131,7 +131,8 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
     def antiderivative(rho):
         return rho * rho / 2.0 - rho ** 3 / (3.0 * a)
 
-    def equilibrium_mean(E, oracle):
+    def equilibrium_mean(oracle):
+        E = oracle.set_model
         if E.kind not in ("ball", "sphere") or E.dim != 3:
             raise UnsupportedOracleError(
                 f"the radial hat's equilibrium mean needs a ball or sphere in d = 3, got a {E.kind} in d = {E.dim}"
@@ -155,26 +156,22 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
     )
 
 
-def max_green_on_shell(
-    E: CompactSetModel,
-    oracle: EquilibriumOracle,
-    offset: float,
-    seed: int = 0,
-) -> float:
-    """Max of the Green function over the shell {x : d_E(x) = offset}: the
-    slab max {d_E <= offset} is attained there for the shipped regular
-    sets, so ``_SHELL_COUNT`` (512) shell points and ``_ASCENT_STEPS`` (40)
-    rounds of a shrinking local search suffice."""
+def max_green_on_shell(oracle: EquilibriumOracle, offset: float, seed: int = 0) -> float:
+    """Max of the Green function over the shell {x : d_E(x) = offset} of
+    the oracle's set E: the slab max {d_E <= offset} is attained there for
+    the shipped regular sets, so ``_SHELL_COUNT`` (512) shell points and
+    ``_ASCENT_STEPS`` (40) rounds of a shrinking local search suffice."""
+    E = oracle.set_model
     rng = substream(seed, "green-shell")
     shell = sample_shell(E, _SHELL_COUNT, offset, rng)
-    g = np.atleast_1d(oracle.green(shell))
+    g = oracle.green(shell)
     best_i = int(np.argmax(g))
     x, gx = shell[best_i], float(g[best_i])
     scale = offset
     d = E.dim
     for _ in range(_ASCENT_STEPS):
         props = points_at_offset(E, x + rng.normal(size=(8, d)) * scale, offset)
-        gp = np.atleast_1d(oracle.green(props))
+        gp = oracle.green(props)
         j = int(np.argmax(gp))
         if gp[j] > gx:
             x, gx = props[j], float(gp[j])
@@ -212,24 +209,24 @@ class DiscrepancyReport:
 
 
 def discrepancy_bound(
-    E: CompactSetModel,
     oracle: EquilibriumOracle,
     X: PointConfig,
     phi: TestFunction,
     r: float,
-    spec: KernelSpec,
     seed: int = 0,
 ) -> DiscrepancyReport:
-    """Assemble the test-function discrepancy bound for one configuration.
+    """Assemble the test-function discrepancy bound for one configuration
+    against the oracle's set E and kernel.
 
     lhs = |mean of phi over X - integral of phi d(mu_E)| with the exact
-    integral ``phi.equilibrium_mean(E, oracle)``, which raises
+    integral ``phi.equilibrium_mean(oracle)``, which raises
     UnsupportedOracleError where phi has none; rhs combines the modulus
     term with the square root of the composite energy term
 
         I = 2 m_E(X) + (n-1)/n * energy - W(E) + r**(2-d)/n
             + 2 max over {d_E <= 2r} of g_E.
     """
+    spec = oracle.spec
     require_newtonian(spec, "discrepancy bound")
     if not 0 < r < np.inf:  # NaN fails too
         raise ValueError("r must be positive and finite")
@@ -238,13 +235,13 @@ def discrepancy_bound(
     d = spec.dim
     n = X.n
     W = oracle.robin_constant
-    integral = float(phi.equilibrium_mean(E, oracle))
+    integral = float(phi.equilibrium_mean(oracle))
     lhs = abs(float(np.mean(phi.evaluator(X.points))) - integral)
 
-    m_term = 2.0 * closeness_m_E(X, E, oracle)
+    m_term = 2.0 * closeness_m_E(X, oracle)
     energy_gap = (n - 1) / n * discrete_energy(X, spec) - W
     smoothing_term = r ** (2.0 - d) / n
-    green_term = 2.0 * max_green_on_shell(E, oracle, 2.0 * r, seed=child_seed(seed, "shell"))
+    green_term = 2.0 * max_green_on_shell(oracle, 2.0 * r, seed=child_seed(seed, "shell"))
     I_value = m_term + energy_gap + smoothing_term + green_term
 
     omega_term = float(phi.modulus_model(r))
@@ -297,15 +294,10 @@ def sphere_probe_rule(center, radius: float) -> tuple:
     return np.asarray(center, dtype=float) + radius * unit, weights
 
 
-def potential_error(
-    E: CompactSetModel,
-    oracle: EquilibriumOracle,
-    X: PointConfig,
-    y,
-    spec: KernelSpec,
-) -> tuple:
-    """Measured potential error at exterior probes and the predicted decay
-    shape (no constant is claimed; callers fit one empirically).
+def potential_error(oracle: EquilibriumOracle, X: PointConfig, y) -> tuple:
+    """Measured potential error at exterior probes of the oracle's set E
+    and the predicted decay shape (no constant is claimed; callers fit one
+    empirically).
 
     measured = |U^{mu_E}(y) - U^{tau(X)}(y)|
     shape    = d_E(y)**(1-d) n**(-p/s) + d_E(y)**(1-d/2) n**(-p/2),
@@ -314,6 +306,7 @@ def potential_error(
     ``y`` is one probe (dim,), giving two floats, or a batch (m, dim),
     giving two arrays of length m.
     """
+    E, spec = oracle.set_model, oracle.spec
     require_newtonian(spec, "potential error bound")
     if E.holder_s is None:
         raise MissingHolderDataError("the set declares no Holder exponent s")
@@ -321,7 +314,7 @@ def potential_error(
     dEy = distance_to_set(E, yv)
     if np.any(dEy <= 0.0):
         raise ValueError("probe point must lie strictly outside the set")
-    if np.any(np.atleast_1d(distance_to_set(E, X.points)) > MEMBERSHIP_TOL):
+    if np.any(distance_to_set(E, X.points) > MEMBERSHIP_TOL):
         raise ValueError("configuration must lie inside the set")
     d = spec.dim
     s = E.holder_s
@@ -332,22 +325,18 @@ def potential_error(
     return measured, shape
 
 
-def sup_potential_deficit(
-    oracle: EquilibriumOracle,
-    X: PointConfig,
-    E: CompactSetModel,
-    spec: KernelSpec,
-    seed: int = 0,
-) -> float:
-    """Max over seeded probes of U^{mu_E}(y) - U^{tau(X)}(y): ``_SUP_GRID``
-    (512) points of E and ``_SUP_GRID // 4`` (128) on each of three
-    shells at 0.05, 0.15 and 0.4 times the enclosing radius.
+def sup_potential_deficit(oracle: EquilibriumOracle, X: PointConfig, seed: int = 0) -> float:
+    """Max over seeded probes of U^{mu_E}(y) - U^{tau(X)}(y), for the
+    oracle's set E and kernel: ``_SUP_GRID`` (512) points of E and
+    ``_SUP_GRID // 4`` (128) on each of three shells at 0.05, 0.15 and 0.4
+    times the enclosing radius.
 
     The global sup is governed by values near E (the discrete potential
     is superharmonic and attains its minimum over the complement of a
     neighborhood on that neighborhood's boundary), so probing E and a few
     offset shells suffices.
     """
+    E, spec = oracle.set_model, oracle.spec
     require_newtonian(spec, "potential deficit")
     pts = [sample_candidates(E, _SUP_GRID, child_seed(seed, "sup-grid"))]
     rng = substream(seed, "sup-shell")
@@ -358,5 +347,5 @@ def sup_potential_deficit(
     u = potential_sums(spec, probes, X.points)
     # exclude probes sitting exactly on configuration atoms
     keep = np.isfinite(u)
-    deficit = np.atleast_1d(oracle.potential(probes[keep])) - u[keep] / X.n
+    deficit = oracle.potential(probes[keep]) - u[keep] / X.n
     return float(deficit.max())

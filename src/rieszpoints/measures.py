@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import SingularityError
 from .kernel import KernelSpec, pair_terms, potential_sums
-from .sets import MEMBERSHIP_TOL, CompactSetModel, EquilibriumOracle, distance_to_set
+from .sets import MEMBERSHIP_TOL, EquilibriumOracle, _monomials, distance_to_set
 
 # Fixed chunk size of the deterministic pairwise reduction. Partial sums
 # are always taken over these exact slices and added in slice order.
@@ -105,26 +105,17 @@ def discrete_potential(X: PointConfig, spec: KernelSpec, y):
     return float(u[0]) if scalar else u
 
 
-def closeness_m_E(X: PointConfig, E: CompactSetModel, oracle: EquilibriumOracle) -> float:
-    """Average of the Green function over configuration points outside E.
+def closeness_m_E(X: PointConfig, oracle: EquilibriumOracle) -> float:
+    """Average of the Green function over configuration points outside
+    the oracle's set E.
 
     Exactly zero when every point lies in E (membership uses the
     distance threshold 1e-9 to absorb projection rounding).
     """
-    dists = distance_to_set(E, X.points)
-    outside = np.atleast_1d(dists) > MEMBERSHIP_TOL
+    outside = distance_to_set(oracle.set_model, X.points) > MEMBERSHIP_TOL
     if not np.any(outside):
         return 0.0
-    g = np.atleast_1d(oracle.green(X.points[outside]))
-    return float(np.sum(g) / X.n)
-
-
-def _monomials(points: np.ndarray) -> np.ndarray:
-    """The monomials of degree 1 and 2 at each point: the d coordinates,
-    then x_i x_j for i <= j in row-major order, one row per point."""
-    d = points.shape[1]
-    quad = [points[:, i] * points[:, j] for i in range(d) for j in range(i, d)]
-    return np.column_stack([points] + quad)
+    return float(np.sum(oracle.green(X.points[outside])) / X.n)
 
 
 def moment_distance(X: PointConfig, oracle: EquilibriumOracle) -> float:

@@ -28,11 +28,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import CoincidentPointsError, UnsupportedOracleError
 from .kernel import KernelSpec, newtonian_flag
-from .measures import PointConfig
-from .sets import CompactSetModel
+from .measures import PointConfig, discrete_energy
+from .sets import CompactSetModel, sample_candidates, sphere_surface
 from .seeding import substream
 
 # grid_fekete at n = 4 streams the grid kernel in blocks of this many rows,
@@ -403,8 +404,6 @@ def read_ledger(path):
 
 def make_default_ledger_records() -> list:
     """Regenerate the committed ground-truth rows from scratch."""
-    from .sets import sample_candidates, sphere_surface
-
     spec = KernelSpec(alpha=2.0, dim=3)
     sphere = sphere_surface([0.0, 0.0, 0.0], 1.0)
     records = []
@@ -421,22 +420,18 @@ def make_default_ledger_records() -> list:
             value=v, error_estimate=err, seed=0,
         ))
 
-    from .measures import discrete_energy as _energy
-
     for n in (2, 3, 4):
         cfg = grid_fekete(sphere, spec, n, grid_size=48)
         records.append(OracleRecord(
             name=f"grid_fekete_sphere_n{n}",
             inputs=json.dumps({"shape": "sphere", "radius": 1.0, "n": n, "grid_size": 48}, sort_keys=True),
-            value=_energy(cfg, spec), error_estimate=0.0, seed=0,
+            value=discrete_energy(cfg, spec), error_estimate=0.0, seed=0,
         ))
 
     cands = sample_candidates(sphere, 4096, seed=11)
     rng = substream(11, "covering-probes")
     probes = rng.normal(size=(100, 3))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    from scipy.spatial.distance import cdist
-
     cover = float(cdist(probes, cands).min(axis=1).max())
     records.append(OracleRecord(
         name="covering_radius_sphere_4096",

@@ -444,15 +444,26 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
 # equilibrium oracles
 # ---------------------------------------------------------------------------
 
+def _monomials(points: np.ndarray) -> np.ndarray:
+    """The monomials of degree 1 and 2 at each point: the d coordinates,
+    then x_i x_j for i <= j in row-major order, one row per point."""
+    d = points.shape[1]
+    quad = [points[:, i] * points[:, j] for i in range(d) for j in range(i, d)]
+    return np.column_stack([points] + quad)
+
+
 @dataclass(frozen=True)
 class EquilibriumOracle:
-    """Equilibrium data for a set: Robin constant W(E), the equilibrium
+    """Equilibrium data for the set ``set_model`` under the kernel
+    ``spec``, which fix mu_E: Robin constant W(E), the equilibrium
     potential, the Green function W(E) - U(x), an i.i.d. sampler of the
     equilibrium measure, and its exact ``moments``: the means of the
-    monomials of degree 1 and 2, in the order of
-    ``measures._monomials``. ``approximate`` marks quadrature-backed
-    oracles whose values carry discretization error."""
+    monomials of degree 1 and 2, in the order of ``_monomials``.
+    ``approximate`` marks quadrature-backed oracles whose values carry
+    discretization error. Consumers read E and the kernel from here."""
 
+    set_model: CompactSetModel
+    spec: KernelSpec
     robin_constant: float
     potential: Callable[[np.ndarray], np.ndarray]
     green: Callable[[np.ndarray], np.ndarray]
@@ -486,6 +497,8 @@ def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOr
     second = np.outer(c, c) + (R * R / d) * np.eye(d)
 
     return EquilibriumOracle(
+        set_model=E,
+        spec=spec,
         robin_constant=W,
         potential=potential,
         green=green,
@@ -500,7 +513,7 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> Equilibri
     # configuration on E and its discrete potential; documented as
     # approximate, never used by the acceptance bounds.
     from .configurations import FeketeSearchParams, fekete_search_run
-    from .measures import _monomials, discrete_potential
+    from .measures import discrete_potential
 
     run = fekete_search_run(E, spec, FeketeSearchParams(n=400, restarts=1, tol=1e-10, seed=20406))
     support, W_hat = run.config, run.energy
@@ -522,6 +535,8 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> Equilibri
         return support.points[idx]
 
     return EquilibriumOracle(
+        set_model=E,
+        spec=spec,
         robin_constant=W_hat,
         potential=potential,
         green=green,
@@ -537,8 +552,9 @@ def equilibrium_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracl
     Balls and spheres get the exact Newtonian closed forms (classical:
     the equilibrium measure is the uniform surface measure, so
     W = R**(2-d) and U(x) = max(|x-c|, R)**(2-d)). Boxes and unions get
-    the approximate quadrature-backed oracle. Non-Newtonian kernels have
-    no fallback and raise.
+    the approximate quadrature-backed oracle. Either records E and the
+    kernel as ``set_model`` and ``spec``. Non-Newtonian kernels have no
+    fallback and raise.
     """
     if E.dim != spec.dim:
         raise ValueError(f"set dimension {E.dim} != kernel dimension {spec.dim}")

@@ -113,7 +113,7 @@ def test_max_green_on_shell_exact(E, offset):
     # the Green function is constant on each shell about a ball or sphere:
     # g = W - (R + offset)**(2-d) with W = R**(2-d) = 1
     oracle = equilibrium_oracle(E, SPEC)
-    g = max_green_on_shell(E, oracle, offset=offset, seed=0)
+    g = max_green_on_shell(oracle, offset=offset, seed=0)
     assert abs(g - (1.0 - 1.0 / (1.0 + offset))) <= 1e-15
 
 
@@ -122,7 +122,7 @@ def test_discrepancy_bound_composite_term_antipodal_pair():
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     phi = radial_hat([0.5, 0, 0], radius=2.0)
-    rep = discrepancy_bound(UNIT_SPHERE, oracle, X, phi, r=1.0, spec=SPEC, seed=1)
+    rep = discrepancy_bound(oracle, X, phi, r=1.0, seed=1)
     assert rep.I_value == pytest.approx(13.0 / 12.0, abs=1e-9)
     assert rep.m_term == 0.0
     assert rep.smoothing_term == pytest.approx(0.5)
@@ -138,11 +138,11 @@ def test_discrepancy_bound_zero_phi():
         support_radius=1.0,
         modulus_model=lambda r: 0.0,
         dirichlet=0.0,
-        equilibrium_mean=lambda E, oracle: 0.0,
+        equilibrium_mean=lambda oracle: 0.0,
     )
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
-    rep = discrepancy_bound(UNIT_SPHERE, oracle, X, zero, r=0.5, spec=SPEC, seed=2)
+    rep = discrepancy_bound(oracle, X, zero, r=0.5, seed=2)
     assert rep.lhs == 0.0
     assert rep.lhs <= rep.rhs
 
@@ -158,7 +158,7 @@ def test_discrepancy_bound_vacuous_flag():
     )
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     phi = radial_hat([0.5, 0, 0], radius=2.0)
-    rep = discrepancy_bound(UNIT_SPHERE, inflated, X, phi, r=0.1, spec=SPEC, seed=3)
+    rep = discrepancy_bound(inflated, X, phi, r=0.1, seed=3)
     assert rep.I_value < 0
     assert rep.vacuous
     assert rep.bound_satisfied is None
@@ -173,18 +173,19 @@ def test_discrepancy_bound_reads_the_oracle_potential():
     X = PointConfig(np.vstack([np.eye(3), -np.eye(3)]))
     phi = phi_for_potential(UNIT_SPHERE, np.array([2.0, 0, 0]), SPEC)
     with pytest.warns(RuntimeWarning, match="discrepancy bound violated"):
-        rep = discrepancy_bound(UNIT_SPHERE, shifted, X, phi, r=0.5, spec=SPEC)
+        rep = discrepancy_bound(shifted, X, phi, r=0.5)
     assert rep.lhs > rep.rhs
     assert rep.bound_satisfied is False
 
 
 def test_discrepancy_bound_hat_off_ball_is_unsupported():
-    # the hat's closed form reads only E's shape, so the unit ball's oracle
-    # reaches the raise without the 2.5 s Fekete solve of a box oracle
+    # the hat's closed form reads only the oracle's set, so the unit ball's
+    # oracle relabelled as the unit cube reaches the raise without the 2.5 s
+    # Fekete solve of a box oracle
+    cube = dataclasses.replace(equilibrium_oracle(UNIT_BALL, SPEC), set_model=box([0.0, 0, 0], [1.0, 1, 1]))
     X = PointConfig([[0.5, 0.5, 0.5], [0.25, 0.5, 0.5]])
     with pytest.raises(UnsupportedOracleError, match="ball or sphere"):
-        discrepancy_bound(box([0.0, 0, 0], [1.0, 1, 1]), equilibrium_oracle(UNIT_BALL, SPEC), X,
-                          radial_hat([0.5, 0, 0], radius=2.0), r=0.5, spec=SPEC)
+        discrepancy_bound(cube, X, radial_hat([0.5, 0, 0], radius=2.0), r=0.5)
 
 
 @pytest.mark.parametrize("E", [UNIT_SPHERE, UNIT_BALL], ids=["sphere", "ball"])
@@ -193,7 +194,7 @@ def test_phi_for_potential_mean_matches_quadrature(E, probe):
     y = np.array([probe, 0.0, 0.0])
     phi = phi_for_potential(E, y, SPEC)
     q, err = sphere_potential_quadrature(1.0, SPEC, y, return_error=True)
-    mean = phi.equilibrium_mean(E, equilibrium_oracle(E, SPEC))
+    mean = phi.equilibrium_mean(equilibrium_oracle(E, SPEC))
     assert abs(mean - (q - 1.0 / phi.support_radius)) <= err
 
 
@@ -210,23 +211,23 @@ def test_equilibrium_means_match_monte_carlo(E, make_phi):
     oracle = equilibrium_oracle(E, SPEC)
     mc, stderr = equilibrium_mean_mc(oracle, phi.evaluator, seed=11)
     assert stderr > 0.0
-    assert abs(phi.equilibrium_mean(E, oracle) - mc) <= 4.0 * stderr
+    assert abs(phi.equilibrium_mean(oracle) - mc) <= 4.0 * stderr
 
 
 def test_radial_hat_mean_closed_form_edges():
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     # centred hat: every point of the sphere sits at rho = 1
-    assert radial_hat([0.0, 0, 0], radius=4.0).equilibrium_mean(UNIT_SPHERE, oracle) == 0.75
-    assert radial_hat([0.0, 0, 0], radius=0.5).equilibrium_mean(UNIT_SPHERE, oracle) == 0.0
+    assert radial_hat([0.0, 0, 0], radius=4.0).equilibrium_mean(oracle) == 0.75
+    assert radial_hat([0.0, 0, 0], radius=0.5).equilibrium_mean(oracle) == 0.0
     # support ball disjoint from the sphere
-    assert radial_hat([3.0, 0, 0], radius=1.5).equilibrium_mean(UNIT_SPHERE, oracle) == 0.0
+    assert radial_hat([3.0, 0, 0], radius=1.5).equilibrium_mean(oracle) == 0.0
 
 
 def test_report_json_keys():
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     phi = radial_hat([0.5, 0, 0], radius=2.0)
-    rep = discrepancy_bound(UNIT_SPHERE, oracle, X, phi, r=0.5, spec=SPEC, seed=4)
+    rep = discrepancy_bound(oracle, X, phi, r=0.5, seed=4)
     payload = json.loads(json.dumps(dataclasses.asdict(rep)))
     assert set(payload) == {f.name for f in dataclasses.fields(DiscrepancyReport)}
     # the stored rhs reproduces its defining combination
@@ -244,7 +245,7 @@ def test_bound_energy_term_examples():
     pair = PointConfig([[-0.5, 0, 0], [0.5, 0, 0]])  # distance 1
     tetra = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / (2.0 * math.sqrt(2.0))  # edge 1
     for X, r, expected in [(pair, 1.0, 1.0), (pair, 0.5, 1.5), (PointConfig(tetra), 1.0, 1.0)]:
-        rep = discrepancy_bound(UNIT_BALL, oracle, X, phi, r, SPEC)
+        rep = discrepancy_bound(oracle, X, phi, r)
         got = rep.energy_gap + oracle.robin_constant + rep.smoothing_term
         assert got == pytest.approx(expected, rel=1e-14)
 
@@ -254,7 +255,7 @@ def test_potential_error_shapes():
     # 100**-0.5 + 100**-0.25
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     X = PointConfig(oracle.sampler(100, 9))
-    measured, shape = potential_error(UNIT_SPHERE, oracle, X, np.array([2.0, 0, 0]), SPEC)
+    measured, shape = potential_error(oracle, X, np.array([2.0, 0, 0]))
     assert shape == pytest.approx(100 ** -0.5 + 100 ** -0.25, rel=1e-12)
     assert measured >= 0
 
@@ -262,7 +263,7 @@ def test_potential_error_shapes():
 def test_potential_error_mc_configs_converge():
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     X = PointConfig(oracle.sampler(10_000, 10))
-    measured, _ = potential_error(UNIT_SPHERE, oracle, X, np.array([2.0, 0, 0]), SPEC)
+    measured, _ = potential_error(oracle, X, np.array([2.0, 0, 0]))
     assert measured < 0.02
 
 
@@ -271,25 +272,24 @@ def test_potential_error_requires_holder_and_inside_config():
     oracle = equilibrium_oracle(no_holder, SPEC)
     X = PointConfig(oracle.sampler(10, 1))
     with pytest.raises(MissingHolderDataError):
-        potential_error(no_holder, oracle, X, np.array([2.0, 0, 0]), SPEC)
+        potential_error(oracle, X, np.array([2.0, 0, 0]))
     oracle2 = equilibrium_oracle(UNIT_SPHERE, SPEC)
     outside = PointConfig([[3.0, 0, 0], [0.0, 0, 1.0]])
     with pytest.raises(ValueError):
-        potential_error(UNIT_SPHERE, oracle2, outside, np.array([2.0, 0, 0]), SPEC)
+        potential_error(oracle2, outside, np.array([2.0, 0, 0]))
     # a probe inside the solid ball sits in E, not in its complement
     oracle3 = equilibrium_oracle(UNIT_BALL, SPEC)
     with pytest.raises(ValueError):
-        potential_error(UNIT_BALL, oracle3, PointConfig(oracle3.sampler(5, 2)),
-                        np.array([0.2, 0, 0]), SPEC)
+        potential_error(oracle3, PointConfig(oracle3.sampler(5, 2)), np.array([0.2, 0, 0]))
 
 
 def test_sup_deficit_directions():
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     far = PointConfig([[50.0, 0, 0]])
-    big = sup_potential_deficit(oracle, far, UNIT_SPHERE, SPEC, seed=1)
+    big = sup_potential_deficit(oracle, far, seed=1)
     assert big > 0.9  # a distant charge contributes almost nothing on E
     mc = PointConfig(oracle.sampler(10_000, 11))
-    small = sup_potential_deficit(oracle, mc, UNIT_SPHERE, SPEC, seed=1)
+    small = sup_potential_deficit(oracle, mc, seed=1)
     assert small < 0.05
 
 
@@ -298,6 +298,6 @@ def test_sup_deficit_decreases_with_n():
     small_n = fekete_search_run(UNIT_SPHERE, SPEC, FeketeSearchParams(n=20, restarts=2, seed=8)).config
     large_n = fekete_search_run(UNIT_SPHERE, SPEC,
                                 FeketeSearchParams(n=200, restarts=1, max_iters=1200, seed=8)).config
-    d_small = sup_potential_deficit(oracle, small_n, UNIT_SPHERE, SPEC, seed=2)
-    d_large = sup_potential_deficit(oracle, large_n, UNIT_SPHERE, SPEC, seed=2)
+    d_small = sup_potential_deficit(oracle, small_n, seed=2)
+    d_large = sup_potential_deficit(oracle, large_n, seed=2)
     assert d_large < d_small

@@ -17,7 +17,7 @@ from rieszpoints import (
     sphere_surface,
     write_points_csv,
 )
-from rieszpoints.measures import _monomials
+from rieszpoints.sets import _monomials
 from rieszpoints.oracles import equilibrium_mean_mc, reference_energy
 
 SPEC = KernelSpec(2.0, 3)
@@ -110,19 +110,19 @@ def test_potential_singular_at_config_point():
 def test_m_E_zero_inside():
     oracle = equilibrium_oracle(UNIT_BALL, SPEC)
     X = PointConfig([[0.1, 0, 0], [0.0, 0.99, 0], [0.0, 0, -1.0]])
-    assert closeness_m_E(X, UNIT_BALL, oracle) == 0.0
+    assert closeness_m_E(X, oracle) == 0.0
 
 
 def test_m_E_single_outside_point():
     oracle = equilibrium_oracle(UNIT_BALL, SPEC)
     X = PointConfig([[2.0, 0, 0]])
-    assert closeness_m_E(X, UNIT_BALL, oracle) == pytest.approx(0.5, abs=1e-12)
+    assert closeness_m_E(X, oracle) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_m_E_mixed():
     oracle = equilibrium_oracle(UNIT_BALL, SPEC)
     X = PointConfig([[0.5, 0, 0], [2.0, 0, 0]])
-    assert closeness_m_E(X, UNIT_BALL, oracle) == pytest.approx(0.25, abs=1e-12)
+    assert closeness_m_E(X, oracle) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_m_E_bounded_by_robin_constant():
@@ -130,7 +130,7 @@ def test_m_E_bounded_by_robin_constant():
     rng = np.random.default_rng(4)
     for _ in range(20):
         X = PointConfig(rng.normal(scale=5.0, size=(int(rng.integers(1, 30)), 3)))
-        m = closeness_m_E(X, UNIT_BALL, oracle)
+        m = closeness_m_E(X, oracle)
         assert 0.0 <= m <= oracle.robin_constant
 
 

@@ -1,5 +1,8 @@
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -50,4 +53,30 @@ def test_only_oracles_imports_scipy_stats():
                 continue
             if any(n == "scipy.stats" or n.startswith("scipy.stats.") for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def _takes(param, type_name, names):
+    return param.name in names or type_name in str(param.annotation)
+
+
+def test_no_public_function_takes_an_oracle_with_its_set_or_kernel():
+    """An EquilibriumOracle carries the set and kernel that fix mu_E, so a
+    function that takes an oracle reads them there and takes neither
+    separately: nothing can hand it a set or kernel the oracle disagrees
+    with."""
+    offenders = []
+    for info in pkgutil.iter_modules(rieszpoints.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"rieszpoints.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(obj) or obj.__module__ != module.__name__:
+                continue
+            params = inspect.signature(obj).parameters.values()
+            if not any(_takes(p, "EquilibriumOracle", {"oracle"}) for p in params):
+                continue
+            if any(_takes(p, "CompactSetModel", {"E", "set_model"}) or _takes(p, "KernelSpec", {"spec"})
+                   for p in params):
+                offenders.append(f"{info.name}.{name}")
     assert offenders == []

@@ -18,9 +18,8 @@ from rieszpoints import (
     sphere_surface,
     union_of_balls,
 )
-from rieszpoints.measures import _monomials
 from rieszpoints.oracles import equilibrium_mean_mc, sphere_potential_quadrature
-from rieszpoints.sets import _halton, _primes, points_at_offset, sample_shell
+from rieszpoints.sets import _halton, _monomials, _primes, points_at_offset, sample_shell
 from rieszpoints.seeding import substream
 
 SPEC = KernelSpec(2.0, 3)
@@ -205,6 +204,7 @@ def test_sphere_covering_radius():
 
 def test_equilibrium_oracle_ball_values():
     oracle = equilibrium_oracle(UNIT_BALL, SPEC)
+    assert oracle.set_model is UNIT_BALL and oracle.spec == SPEC
     assert oracle.robin_constant == 1.0
     assert oracle.green(np.array([2.0, 0, 0])) == 0.5
     assert oracle.green(np.array([0.5, 0, 0])) == 0.0
@@ -267,6 +267,7 @@ def test_sampler_on_surface_and_deterministic():
 def test_quadrature_backed_oracle_for_box():
     B = box([0.0, 0, 0], [1.0, 1, 1])
     oracle = equilibrium_oracle(B, SPEC)
+    assert oracle.set_model is B and oracle.spec == SPEC
     assert oracle.approximate
     assert oracle.robin_constant > 0
     # Green vanishes on the set and grows away from it
@@ -285,6 +286,7 @@ def test_dimension_four_sphere_candidates_and_oracle():
     np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-9)
     spec4 = KernelSpec(2.0, 4)
     oracle = equilibrium_oracle(S4, spec4)
+    assert oracle.set_model is S4 and oracle.spec == spec4
     assert oracle.robin_constant == 1.0
     assert oracle.green(np.array([2.0, 0, 0, 0])) == pytest.approx(1 - 0.25)
     q = sphere_potential_quadrature(1.0, spec4, np.array([0.5, 0, 0, 0]), nodes=4000)
