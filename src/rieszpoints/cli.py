@@ -180,13 +180,14 @@ def cmd_generate(args) -> int:
 def cmd_study(args) -> int:
     E, set_text = _load_set(args.set)
     spec = KernelSpec(alpha=args.alpha, dim=E.dim)
-    oracle = equilibrium_oracle(E, spec)  # exit 4 when unsupported
     schedule = [int(t) for t in args.schedule.replace(",", " ").split()]
     if not schedule or any(n < 2 for n in schedule):
         raise SetDefinitionError("study schedule needs one or more entries, each >= 2")
     probe = _parse_vector(args.probe) if args.probe else _default_probe(E)
     if distance_to_set(E, probe) <= 0:
         raise InfeasiblePointError("probe must lie outside the set")
+    # after the cheap checks: on a box or union this builds a Fekete support
+    oracle = equilibrium_oracle(E, spec)  # exit 4 when unsupported
     r_a = args.r_a if args.r_a is not None else 1.0 / E.dim
     W = oracle.robin_constant
     phi = phi_for_potential(E, probe, spec)
@@ -295,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--restarts", type=int, default=FeketeSearchParams.restarts)
         p.add_argument("--max-iters", dest="max_iters", type=int, default=FeketeSearchParams.max_iters)
         p.add_argument("--tol", type=float, default=FeketeSearchParams.tol)
-        p.add_argument("--candidates", type=int, default=4096)
+        p.add_argument("--candidates", type=int, default=4096,
+                       help="size of the one candidate grid per leja sequence (default 4096); "
+                            "a very small grid gives poor sequences")
         p.add_argument("--xi0", default=None, help="start point for leja, e.g. '1,0,0'")
 
     g = sub.add_parser("generate", help="write a configuration CSV and manifest")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszpoints import configurations
+from rieszpoints import cli, configurations
 from rieszpoints.cli import STUDY_COLUMNS, main
 from rieszpoints.configurations import leja_sequence
 from rieszpoints.kernel import KernelSpec
@@ -140,6 +140,22 @@ def test_study_infeasible_xi0_exits_3_without_a_csv(sphere_file, tmp_path, capsy
     assert code == 3
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, exit_code", [(["--schedule", "1"], 2),
+                                              (["--schedule", "5", "--probe", "0.5,0.5,0.5"], 3)],
+                         ids=["schedule-1", "probe-inside"])
+def test_study_validates_before_building_the_oracle(tmp_path, monkeypatch, capsys, flags, exit_code):
+    """An invalid study on the unit cube exits before the oracle builds its
+    Fekete support."""
+    calls = []
+    monkeypatch.setattr(cli, "equilibrium_oracle", lambda *a, **k: calls.append(a))
+    cube = tmp_path / "cube.txt"
+    cube.write_text("shape = box\nlow = 0 0 0\nhigh = 1 1 1\n")
+    code = main(["study", "--set", str(cube), "--method", "random", *flags, "--out", str(tmp_path / "s.csv")])
+    assert code == exit_code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
 
 
 def test_generate_on_box_and_union_sets(tmp_path):

@@ -22,7 +22,9 @@ from rieszpoints import (
     sphere_surface,
     union_of_balls,
 )
+from rieszpoints import configurations
 from rieszpoints.discrepancy import potential_error, sphere_probe_rule
+from rieszpoints.kernel import potential_sums
 from rieszpoints.oracles import reference_energy
 from rieszpoints.seeding import substream
 from rieszpoints.sets import MEMBERSHIP_TOL, equilibrium_oracle, project_to_set, random_rotation, sample_uniform
@@ -166,9 +168,12 @@ def test_probe_rule_rms_is_rotation_invariant(sphere_minimizers):
 
 
 def test_leja_next_antipode_of_single_point():
+    prefix = PointConfig([[0.0, 0.0, 1.0]])
+    cands = sample_candidates(UNIT_SPHERE, 4096, seed=1)
     state = LejaState(
-        prefix=PointConfig([[0.0, 0.0, 1.0]]),
-        candidates=sample_candidates(UNIT_SPHERE, 4096, seed=1),
+        prefix=prefix,
+        candidates=cands,
+        sums=potential_sums(SPEC, cands, prefix.points),
         set_model=UNIT_SPHERE,
     )
     nxt = leja_next(state, SPEC)
@@ -176,9 +181,12 @@ def test_leja_next_antipode_of_single_point():
 
 
 def test_leja_next_equator_after_antipodal_pair():
+    prefix = PointConfig([[1.0, 0, 0], [-1.0, 0, 0]])
+    cands = sample_candidates(UNIT_SPHERE, 10_000, seed=2)
     state = LejaState(
-        prefix=PointConfig([[1.0, 0, 0], [-1.0, 0, 0]]),
-        candidates=sample_candidates(UNIT_SPHERE, 10_000, seed=2),
+        prefix=prefix,
+        candidates=cands,
+        sums=potential_sums(SPEC, cands, prefix.points),
         set_model=UNIT_SPHERE,
     )
     nxt = leja_next(state, SPEC)
@@ -188,8 +196,18 @@ def test_leja_next_equator_after_antipodal_pair():
 
 def test_leja_next_candidates_equal_prefix_raises():
     prefix = PointConfig([[0.0, 0, 1.0], [1.0, 0, 0]])
-    state = LejaState(prefix=prefix, candidates=np.array(prefix.points), set_model=UNIT_SPHERE)
+    cands = np.array(prefix.points)
+    state = LejaState(prefix=prefix, candidates=cands, sums=potential_sums(SPEC, cands, prefix.points),
+                      set_model=UNIT_SPHERE)
     with pytest.raises(CoincidentPointsError):
+        leja_next(state, SPEC)
+
+
+def test_leja_next_rejects_sums_of_another_grid():
+    prefix = PointConfig([[0.0, 0, 1.0]])
+    cands = sample_candidates(UNIT_SPHERE, 64, seed=1)
+    state = LejaState(prefix, cands, potential_sums(SPEC, cands[:10], prefix.points), UNIT_SPHERE)
+    with pytest.raises(ValueError, match="sums has shape"):
         leja_next(state, SPEC)
 
 
@@ -210,7 +228,8 @@ def test_leja_next_refinement_never_worse_than_grid(E):
     for trial in range(20):
         prefix_pts = sample_uniform(E, int(rng.integers(1, 9)), rng)
         cands = sample_candidates(E, 10_000, seed=trial)
-        x = leja_next(LejaState(PointConfig(prefix_pts), cands, E), spec)
+        sums = potential_sums(spec, cands, prefix_pts)
+        x = leja_next(LejaState(PointConfig(prefix_pts), cands, sums, E), spec)
         assert distance_to_set(E, x) <= MEMBERSHIP_TOL
         expo = spec.exponent
         val = np.sum(np.linalg.norm(x - prefix_pts, axis=1) ** expo)
@@ -233,8 +252,8 @@ def test_leja_sequence_prefix_incrementality():
 
 
 def test_leja_sequence_prefix_on_the_ball():
-    """The ball draws its candidates from the scrambled Halton sampler,
-    keyed by the step index, so the prefix claim holds there too."""
+    """The ball draws its one candidate grid from the scrambled Halton
+    sampler, keyed by the seed alone, so the prefix claim holds there too."""
     xi0 = [0.0, 0, 1.0]
     short = leja_sequence(UNIT_BALL, SPEC, 20, xi0, seed=5)
     long = leja_sequence(UNIT_BALL, SPEC, 30, xi0, seed=5)
@@ -245,6 +264,72 @@ def test_leja_sequence_energy_bound():
     L = leja_sequence(UNIT_SPHERE, SPEC, 100, [0.0, 0, 1.0], candidate_count=2048, seed=3)
     assert discrete_energy(L, SPEC) <= 1.0 + 1e-6
     assert np.all(distance_to_set(UNIT_SPHERE, L.points) <= 1e-9)
+
+
+def _recorded_leja_states(monkeypatch, E, n, **kwargs):
+    """(state, chosen point) of every greedy step of one leja_sequence."""
+    steps = []
+    step = configurations.leja_next
+
+    def recorded(state, spec):
+        x = step(state, spec)
+        steps.append((state, x))
+        return x
+
+    monkeypatch.setattr(configurations, "leja_next", recorded)
+    north = project_to_set(E, E.enclosing_center + E.enclosing_radius * np.eye(E.dim)[-1])
+    L = leja_sequence(E, KernelSpec(2.0, E.dim), n, north, **kwargs)
+    assert len(steps) == n - 1
+    return L, steps
+
+
+@pytest.mark.parametrize("E", [LEJA_SETS[0], LEJA_SETS[3], LEJA_SETS[4]], ids=["ball", "box", "union"])
+def test_leja_polish_never_worse_than_the_grid(E, monkeypatch):
+    """At every step the chosen point's from-scratch potential against the
+    prefix is at most the smallest running sum on the grid; the only slack
+    is for summation order."""
+    spec = KernelSpec(2.0, E.dim)
+    L, steps = _recorded_leja_states(monkeypatch, E, 100, seed=2)
+    for k, (state, x) in enumerate(steps, start=1):
+        np.testing.assert_array_equal(x, L.points[k])
+        u = potential_sums(spec, x[None], state.prefix.points)[0]
+        assert u <= state.sums.min() * (1.0 + 1e-12), k
+
+
+def test_leja_running_sums_match_a_fresh_sum(monkeypatch):
+    """The running sums of the last step of a 200-point sequence, after
+    199 one-column additions, equal a from-scratch sum up to summation order."""
+    _, steps = _recorded_leja_states(monkeypatch, UNIT_BALL, 200, seed=4)
+    state, _ = steps[-1]
+    assert state.prefix.n == 199
+    fresh = potential_sums(SPEC, state.candidates, state.prefix.points)
+    np.testing.assert_allclose(state.sums, fresh, rtol=1e-12, atol=0.0)
+
+
+def test_leja_sequence_draws_one_candidate_grid(monkeypatch):
+    calls = []
+    draw = configurations.sample_candidates
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(configurations, "sample_candidates", counted)
+    for n, expected in [(1, 0), (2, 1), (30, 1)]:
+        calls.clear()
+        leja_sequence(UNIT_BALL, SPEC, n, [0.0, 0, 1.0], seed=1)
+        assert len(calls) == expected, n
+
+
+def test_leja_prefix_energies_on_the_ball_stay_below_robin():
+    """At the default 4096 candidates every prefix up to n = 400 keeps its
+    energy at or below W = 1, within the 1e-6 of the grid argmin."""
+    L = leja_sequence(UNIT_BALL, SPEC, 400, [0.0, 0, 1.0], seed=0)
+    P = L.points
+    raw_prefix = np.cumsum([potential_sums(SPEC, P[m:m + 1], P[:m])[0] for m in range(L.n)])
+    m = np.arange(1, L.n)
+    prefix_energy = 2.0 * raw_prefix[1:] / ((m + 1) * m)
+    assert prefix_energy.max() <= 1.0 + 1e-6
 
 
 def test_leja_sequence_infeasible_start():
