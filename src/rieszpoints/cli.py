@@ -122,14 +122,17 @@ def _default_probe(E) -> np.ndarray:
     return points_at_offset(E, far, 1.0)[0]
 
 
-def _leja_config(E, spec, n, seed, args):
+def _leja_start(E, args) -> np.ndarray:
+    """The checked leja start: ``--xi0``, which must be a point of E, or by
+    default the point of E nearest to one beyond it along +e1."""
     if args.candidates < 1:
         raise SetDefinitionError("--candidates must be >= 1")
-    if args.xi0 is not None:
-        xi0 = _parse_vector(args.xi0)
-    else:
-        xi0 = project_to_set(E, E.enclosing_center + np.eye(E.dim)[0] * (E.enclosing_radius + 1.0))
-    return leja_sequence(E, spec, n, xi0, candidate_count=args.candidates, seed=seed)
+    if args.xi0 is None:
+        return project_to_set(E, E.enclosing_center + np.eye(E.dim)[0] * (E.enclosing_radius + 1.0))
+    xi0 = _parse_vector(args.xi0)
+    if distance_to_set(E, xi0) > MEMBERSHIP_TOL:  # raises on a wrong dimension
+        raise InfeasiblePointError("xi0 must lie in the set")
+    return xi0
 
 
 def _with_energy(config, spec):
@@ -147,7 +150,8 @@ def _generate_config(E, spec, method, n, seed, args):
         return run.config, {"final_energy": run.energy, "iterations": run.iterations,
                             "converged": run.converged, "grad_norm": run.grad_norm}
     if method == "leja":
-        return _with_energy(_leja_config(E, spec, n, seed, args), spec)
+        config = leja_sequence(E, spec, n, _leja_start(E, args), candidate_count=args.candidates, seed=seed)
+        return _with_energy(config, spec)
     return _with_energy(random_config(E, n, seed), spec)
 
 
@@ -186,6 +190,7 @@ def cmd_study(args) -> int:
     probe = _parse_vector(args.probe) if args.probe else _default_probe(E)
     if distance_to_set(E, probe) <= 0:
         raise InfeasiblePointError("probe must lie outside the set")
+    start = _leja_start(E, args) if args.method == "leja" else None
     # after the cheap checks: on a box or union this builds a Fekete support
     oracle = equilibrium_oracle(E, spec)  # exit 4 when unsupported
     r_a = args.r_a if args.r_a is not None else 1.0 / E.dim
@@ -196,8 +201,9 @@ def cmd_study(args) -> int:
     # guarantees a prefix equals the shorter run, and the seed names no n, so
     # a row depends on (seed, n) alone and the greedy steps are shared
     longest = None
-    if args.method == "leja":
-        longest = _leja_config(E, spec, max(schedule), child_seed(args.seed, "study", "leja"), args)
+    if start is not None:
+        longest = leja_sequence(E, spec, max(schedule), start, candidate_count=args.candidates,
+                                seed=child_seed(args.seed, "study", "leja"))
     rows, runs = [], []
     for n in schedule:
         if longest is not None:
@@ -244,12 +250,12 @@ def cmd_study(args) -> int:
 def cmd_potential(args) -> int:
     E, _ = _load_set(args.set)
     spec = KernelSpec(alpha=args.alpha, dim=E.dim)
-    oracle = equilibrium_oracle(E, spec)
     X = read_points_csv(args.points)
     y = _parse_vector(args.y)
     d_E = float(distance_to_set(E, y))
     if d_E <= 0:
         raise InfeasiblePointError("query point must lie outside the set")
+    oracle = equilibrium_oracle(E, spec)
     u_eq = float(oracle.potential(y))
     u_X = discrete_potential(X, spec, y)
     out = {

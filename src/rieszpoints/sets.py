@@ -8,17 +8,13 @@ and unions fall back to a quadrature-backed oracle built from a dense
 low-energy configuration, clearly labeled approximate.
 
 Candidate grids on balls, boxes, unions and spheres outside d = 3 come
-from the module's own scrambled Halton draw (Owen's randomized Halton,
-arXiv:1706.02808), which reproduces the points of scipy 1.17.1's
-``scipy.stats.qmc.Halton(d, scramble=True)`` bit for bit, so the module
-needs no ``scipy.stats``.
+from one seeded Kronecker lattice, shifted at random (``_lattice``); the
+2-sphere in R^3 keeps a rotated Fibonacci lattice.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -284,77 +280,21 @@ def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-@lru_cache(maxsize=None)
-def _primes(count: int) -> tuple:
-    """The first ``count`` primes, by trial division."""
-    primes = []
-    k = 2
-    while len(primes) < count:
-        if all(k % p for p in primes if p * p <= k):
-            primes.append(k)
-        k += 1
-    return tuple(primes)
-
-
-@lru_cache(maxsize=None)
-def _digit_weights(base: int) -> np.ndarray:
-    """base**-(j + 1) for the ceil(54 / log2(base)) - 1 digits that a
-    double resolves, by repeated division."""
-    weights = np.empty(math.ceil(54 / math.log2(base)) - 1)
-    w = 1.0 / base
-    for j in range(weights.size):
-        weights[j] = w
-        w /= base
-    weights.setflags(write=False)
-    return weights
-
-
-@lru_cache(maxsize=32)
-def _digit_index(base: int, count: int) -> np.ndarray:
-    """Flat indices j * base + (digit j of i) into a (digits, base) table,
-    one row per digit j that is nonzero for some i < count."""
-    q = np.arange(count)
-    rows = []
-    while q.any():
-        rows.append(q % base + len(rows) * base)
-        q //= base
-    index = np.array(rows, dtype=np.intp).reshape(len(rows), count)
-    index.setflags(write=False)
-    return index
-
-
-def _halton(rng_seed: int, dim: int, count: int) -> np.ndarray:
-    """The first ``count`` points of a scrambled Halton sequence in [0, 1)^dim.
-
-    Owen's scrambling (arXiv:1706.02808): coordinate c is the radical
-    inverse in the c-th prime base b, with digit j of the index mapped
-    through its own random permutation of range(b) before it is weighted
-    by b**-(j + 1). The stream is pinned to scipy 1.17.1's
-    ``qmc.Halton(dim, scramble=True, seed=np.random.default_rng(rng_seed))
-    .random(count)``: the same child generator, the same shuffles in the
-    same order, and each point's terms summed digit by digit as scipy's
-    loop sums them, so the bytes and the column-major layout match."""
-    # scipy spawns its engine's generator from a Generator seed
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed).spawn(1)[0]))
-    out = np.zeros((dim, count))
-    for acc, base in zip(out, _primes(dim)):
-        weights = _digit_weights(base)
-        perms = np.repeat(np.arange(base)[None], weights.size, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
-        table = perms * weights[:, None]
-        index = _digit_index(base, count)
-        for term in table.ravel().take(index):
-            acc += term
-        # digits past the largest index are zero for every point
-        for j in range(len(index), weights.size):
-            acc += table[j, 0]
-    return out.T
-
-
-def _gauss_from_uniform(u: np.ndarray) -> np.ndarray:
-    eps = np.finfo(float).tiny
-    return ndtri(np.clip(u, eps, 1 - 1e-16))
+def _lattice(seed: int, dim: int, count: int) -> np.ndarray:
+    """The points frac(s + i a), i < count, of a Kronecker lattice in
+    [0, 1)^dim with the Cranley-Patterson shift s = default_rng(seed).random(dim).
+    a_j = g**-(j + 1) for the root g > 1 of g**(dim + 1) = g + 1 (Roberts'
+    generalised golden ratio), by Newton's method down from 2 and with
+    +, -, * and / alone, so no build's pow can move the grid."""
+    g, after = 3.0, 2.0
+    while after < g:
+        g, gd = after, 1.0
+        for _ in range(dim):
+            gd *= g
+        after = g - (gd * g - g - 1.0) / ((dim + 1) * gd - 1.0)
+    a = np.cumprod(np.full(dim, 1.0 / g))
+    s = np.random.default_rng(seed).random(dim)
+    return (s + np.arange(count)[:, None] * a) % 1.0
 
 
 def random_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -363,13 +303,13 @@ def random_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndar
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _halton_ball(center, radius, dim, count, seed, solid) -> np.ndarray:
+def _lattice_ball(center, radius, dim, count, seed, solid) -> np.ndarray:
     """Exactly ``count`` low-discrepancy points in the solid ball, or on its
     boundary sphere when ``solid`` is False. The direction is the Gaussian
-    ppf of ``dim`` scrambled Halton coordinates; a solid ball takes its
-    radius from one more coordinate raised to the power 1/dim."""
-    u = _halton(seed, dim + solid, count)
-    g = _gauss_from_uniform(u[:, :dim])
+    ppf of ``dim`` lattice coordinates; a solid ball takes its radius from
+    one more coordinate raised to the power 1/dim."""
+    u = _lattice(seed, dim + solid, count)
+    g = ndtri(np.clip(u[:, :dim], np.finfo(float).tiny, 1 - 1e-16))
     v = g / np.linalg.norm(g, axis=1, keepdims=True)
     if solid:
         return center + radius * u[:, dim:] ** (1.0 / dim) * v
@@ -421,9 +361,9 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
         rot = random_rotation(substream(seed, "candidates", "rotation"), 3)
         return E.center + E.radius * (base @ rot.T)
     if E.kind in ("ball", "sphere"):
-        return _halton_ball(E.center, E.radius, d, count, child_seed(seed, "candidates"), solid=E.kind == "ball")
+        return _lattice_ball(E.center, E.radius, d, count, child_seed(seed, "candidates"), solid=E.kind == "ball")
     if E.kind == "box":
-        u = _halton(child_seed(seed, "candidates"), d, count)
+        u = _lattice(child_seed(seed, "candidates"), d, count)
         return E.low + u * (E.high - E.low)
     # union: allocate by volume, at least one candidate per ball
     vols = np.array([r ** d for _, r in E.balls])
@@ -433,7 +373,7 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
     while alloc.sum() < count:
         alloc[np.argmax(vols)] += 1
     parts = [
-        _halton_ball(c, r, d, k, child_seed(seed, "candidates", i), solid=True)
+        _lattice_ball(c, r, d, k, child_seed(seed, "candidates", i), solid=True)
         for i, ((c, r), k) in enumerate(zip(E.balls, alloc))
         if k > 0
     ]

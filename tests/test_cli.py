@@ -142,9 +142,13 @@ def test_study_infeasible_xi0_exits_3_without_a_csv(sphere_file, tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, exit_code", [(["--schedule", "1"], 2),
-                                              (["--schedule", "5", "--probe", "0.5,0.5,0.5"], 3)],
-                         ids=["schedule-1", "probe-inside"])
+@pytest.mark.parametrize("flags, exit_code", [
+    (["--method", "random", "--schedule", "1"], 2),
+    (["--method", "random", "--schedule", "5", "--probe", "0.5,0.5,0.5"], 3),
+    (["--method", "leja", "--schedule", "5", "--candidates", "0"], 2),
+    (["--method", "leja", "--schedule", "5", "--xi0", "5,5,5"], 3),
+    (["--method", "leja", "--schedule", "5", "--xi0", "1,0"], 2),
+], ids=["schedule-1", "probe-inside", "leja-candidates-0", "leja-xi0-outside", "leja-xi0-short"])
 def test_study_validates_before_building_the_oracle(tmp_path, monkeypatch, capsys, flags, exit_code):
     """An invalid study on the unit cube exits before the oracle builds its
     Fekete support."""
@@ -152,7 +156,24 @@ def test_study_validates_before_building_the_oracle(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli, "equilibrium_oracle", lambda *a, **k: calls.append(a))
     cube = tmp_path / "cube.txt"
     cube.write_text("shape = box\nlow = 0 0 0\nhigh = 1 1 1\n")
-    code = main(["study", "--set", str(cube), "--method", "random", *flags, "--out", str(tmp_path / "s.csv")])
+    code = main(["study", "--set", str(cube), *flags, "--out", str(tmp_path / "s.csv")])
+    assert code == exit_code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
+@pytest.mark.parametrize("points, y, exit_code", [("pts.csv", "0.5,0.5,0.5", 3), ("missing.csv", "2,0,0", 2)],
+                         ids=["y-inside", "missing-points"])
+def test_potential_validates_before_building_the_oracle(tmp_path, monkeypatch, capsys, points, y, exit_code):
+    """An invalid potential query on the unit cube exits before the oracle
+    builds its Fekete support."""
+    cube = tmp_path / "cube.txt"
+    cube.write_text("shape = box\nlow = 0 0 0\nhigh = 1 1 1\n")
+    assert main(["generate", "--set", str(cube), "--method", "random", "--n", "5",
+                 "--out", str(tmp_path / "pts.csv")]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "equilibrium_oracle", lambda *a, **k: calls.append(a))
+    code = main(["potential", "--set", str(cube), "--points", str(tmp_path / points), "--y", y])
     assert code == exit_code
     assert capsys.readouterr().err.startswith("error: ")
     assert calls == []
@@ -282,11 +303,12 @@ def test_study_small_smoothing_radius_reaches_the_shell(tmp_path):
 
 
 def test_study_refuses_nonnewtonian_exit_4(sphere_file, tmp_path):
-    code = main([
-        "study", "--set", str(sphere_file), "--method", "random", "--schedule", "10",
-        "--alpha", "1.5", "--out", str(tmp_path / "s.csv"),
-    ])
-    assert code == 4
+    for method in ("random", "leja"):
+        code = main([
+            "study", "--set", str(sphere_file), "--method", method, "--schedule", "10",
+            "--alpha", "1.5", "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == 4, method
 
 
 def test_potential_query(sphere_file, tmp_path, capsys):

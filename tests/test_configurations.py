@@ -252,8 +252,8 @@ def test_leja_sequence_prefix_incrementality():
 
 
 def test_leja_sequence_prefix_on_the_ball():
-    """The ball draws its one candidate grid from the scrambled Halton
-    sampler, keyed by the seed alone, so the prefix claim holds there too."""
+    """The ball draws its one candidate grid from the shifted lattice,
+    keyed by the seed alone, so the prefix claim holds there too."""
     xi0 = [0.0, 0, 1.0]
     short = leja_sequence(UNIT_BALL, SPEC, 20, xi0, seed=5)
     long = leja_sequence(UNIT_BALL, SPEC, 30, xi0, seed=5)

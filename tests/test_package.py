@@ -37,8 +37,8 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_only_oracles_imports_scipy_stats():
-    """The package samples its own scrambled Halton points; oracles.py is
-    the deliberately separate second opinion."""
+    """The package needs no scipy.stats: it draws its own candidate
+    lattices; oracles.py is the deliberately separate second opinion."""
     package = Path(rieszpoints.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):

@@ -1,7 +1,6 @@
-import math
-
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from rieszpoints import (
@@ -19,12 +18,14 @@ from rieszpoints import (
     union_of_balls,
 )
 from rieszpoints.oracles import equilibrium_mean_mc, sphere_potential_quadrature
-from rieszpoints.sets import _halton, _monomials, _primes, points_at_offset, sample_shell
+from rieszpoints.sets import _lattice, _monomials, points_at_offset, sample_shell, sample_uniform
 from rieszpoints.seeding import substream
 
 SPEC = KernelSpec(2.0, 3)
 UNIT_BALL = ball([0.0, 0.0, 0.0], 1.0)
 UNIT_SPHERE = sphere_surface([0.0, 0.0, 0.0], 1.0)
+BOX = box([0.0, 0, 0], [1.0, 2, 1])
+TWO_BALLS = union_of_balls([([-1.0, 0, 0], 1.0), ([1.0, 0, 0], 1.0)])
 
 
 def test_distance_examples():
@@ -132,33 +133,45 @@ def test_constructors_reject_non_finite(make):
         make()
 
 
-def test_halton_matches_scipy_bitwise():
-    """The module's scrambled Halton draw is scipy's engine, byte for byte
-    and in the same column-major layout: ten seeds for each dim 1-11, each
-    at counts 1, 2, 512, 4096 and around the largest power b**k <= 512 of
-    one of its bases b, where the number of varying digits changes."""
-    from scipy.stats import qmc
-
-    for seed in range(110):
-        dim = 1 + seed % 11
-        b = _primes(dim)[seed % dim]
-        power = b ** int(math.log(512, b) + 1e-9)
-        for count in (1, 2, 512, 4096, power - 1, power, power + 1):
-            ours = _halton(seed, dim, count)
-            ref = qmc.Halton(d=dim, scramble=True, seed=np.random.default_rng(seed)).random(count)
-            assert ours.tobytes() == ref.tobytes(), (seed, dim, count)
-            assert ours.strides == ref.strides
-
-
-def test_halton_stream_is_pinned():
+def test_lattice_stream_is_pinned():
     """The first points of one draw, written out, so the candidate grids
-    stay fixed whatever later scipy releases do to their engine."""
-    assert _halton(7, 3, 4).tolist() == [
-        [0.9739290315223428, 0.9514162026412822, 0.22224154570517254],
-        [0.4739290315223428, 0.618082869307949, 0.6222415457051729],
-        [0.7239290315223428, 0.28474953597461544, 0.4222415457051726],
-        [0.22392903152234278, 0.7291939804190601, 0.022241545705172554],
+    stay fixed whatever later numpy or libm releases do."""
+    assert _lattice(7, 3, 4).tolist() == [
+        [0.625095466604667, 0.8972138009695755, 0.7756856902451935],
+        [0.44426798000083134, 0.5682574076733644, 0.3253861681471637],
+        [0.2634404933969958, 0.23930101437715345, 0.8750866460491338],
+        [0.08261300679316008, 0.9103446210809425, 0.42478712395110385],
     ]
+
+
+def _covering_radii(grids, probes):
+    """For each grid, the largest distance from a probe to its nearest grid
+    point. A probe's distance is at most that of its nearest probe among
+    the first 4000 plus the gap between the two, so only the probes whose
+    bound exceeds the first 4000's largest distance are measured."""
+    head = probes[:4000]
+    gap, near = cKDTree(head).query(probes)
+    radii = []
+    for grid in grids:
+        tree = cKDTree(grid)
+        d = tree.query(head)[0]
+        far = probes[d[near] + gap > d.max()]
+        radii.append(max(d.max(), tree.query(far)[0].max(initial=0.0)))
+    return np.array(radii)
+
+
+@pytest.mark.parametrize("E", [UNIT_BALL, BOX, TWO_BALLS, sphere_surface(np.zeros(4), 1.0)],
+                         ids=["ball", "box", "union", "sphere-d4"])
+def test_lattice_grids_cover_better_than_iid_draws(E):
+    """Over seeds 0-9 the median covering radius of 4096 candidates beats
+    that of 4096 i.i.d. draws, and at every seed the radius shrinks by at
+    least 1.5x from 512 to 4096 candidates (1.62x or more when recorded)."""
+    probes = sample_uniform(E, 20000, substream(0, "covering-probes"))
+    fine = _covering_radii([sample_candidates(E, 4096, seed) for seed in range(10)], probes)
+    iid = _covering_radii([sample_uniform(E, 4096, substream(seed, "iid")) for seed in range(10)], probes)
+    coarse = _covering_radii([sample_candidates(E, 512, seed) for seed in range(10)], probes)
+    assert np.median(fine) < np.median(iid)
+    assert np.all(coarse >= 1.5 * fine), coarse / fine
 
 
 def test_candidates_on_sphere_count_one():
@@ -167,11 +180,12 @@ def test_candidates_on_sphere_count_one():
     assert abs(np.linalg.norm(pts[0]) - 1.0) <= 1e-12
 
 
-def test_candidates_deterministic():
-    a = sample_candidates(UNIT_SPHERE, 128, seed=9)
-    b = sample_candidates(UNIT_SPHERE, 128, seed=9)
+@pytest.mark.parametrize("E", [UNIT_SPHERE, UNIT_BALL, BOX, TWO_BALLS], ids=["sphere", "ball", "box", "union"])
+def test_candidates_deterministic(E):
+    a = sample_candidates(E, 128, seed=9)
+    b = sample_candidates(E, 128, seed=9)
     np.testing.assert_array_equal(a, b)
-    c = sample_candidates(UNIT_SPHERE, 128, seed=10)
+    c = sample_candidates(E, 128, seed=10)
     assert not np.array_equal(a, c)
 
 
