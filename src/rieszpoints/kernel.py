@@ -9,12 +9,18 @@ array primitives carry all the pair and probe work:
   (the Fekete optimizer), every n-by-n intermediate in a workspace the
   caller owns;
 - ``potential_sums``: per probe, the kernel summed over the points
-  (potentials, the greedy objective). It runs over the probes in row
-  blocks of ``_BLOCK`` that reuse one block-by-n buffer, so a call holds
-  O(block * n) memory and each row sums in the same order as an
-  unblocked evaluation;
+  (potentials, the greedy objective);
 - ``probe_potential_gradient``: the potential at one probe and its
   gradient from one pass over the points (the greedy polish).
+
+``pair_terms`` and ``potential_sums`` take their distances from
+``_distances``, which subtracts, squares and adds the coordinate planes
+in coordinate order and then takes the square root: bitwise what
+scipy's ``cdist`` and ``pdist`` return. Both run over row blocks sized
+by entries, about ``_ENTRIES`` distances each, so beyond its output a
+call holds memory bounded by that budget, not by n**2 or m * n, and
+each row sums in the same order as an unblocked evaluation; a
+4096-probe column against one point is a single block.
 
 Callers choose their own summation of ``pair_terms``. ``oracles.py``
 deliberately does not use this module's array primitives: its
@@ -26,12 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .errors import CoincidentPointsError, SingularityError
 
-# probe rows per block of potential_sums
-_BLOCK = 512
+# distances per row block of pair_terms and potential_sums
+_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -105,17 +110,43 @@ def kernel_gradient(spec: KernelSpec, displacement):
     return spec.exponent * r ** (spec.exponent - 2.0) * disp
 
 
+def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = |a[i] - b[j]| for (m, dim) and (n, dim) arrays into an
+    (m, n) ``out``: per coordinate the planes are subtracted, squared and
+    added in coordinate order, then the square root is taken. Uses one
+    scratch array the size of ``out``."""
+    t = np.empty_like(out)
+    np.subtract(a[:, 0, None], b[None, :, 0], out=out)
+    np.multiply(out, out, out=out)
+    for k in range(1, a.shape[1]):
+        np.subtract(a[:, k, None], b[None, :, k], out=t)
+        np.multiply(t, t, out=t)
+        out += t
+    return np.sqrt(out, out=out)
+
+
 def pair_terms(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     """Kernel over every pair j < k of an (n, dim) array, in pdist order.
 
+    Rows j are taken in blocks against the points after the block's first
+    row, and each block keeps its pairs j < k; no n-by-n array is built.
     Raises CoincidentPointsError when two points coincide exactly.
     """
     if points.shape[-1] != spec.dim:
         raise ValueError(f"config dimension {points.shape[-1]} != kernel dimension {spec.dim}")
-    d = pdist(points)
+    n = len(points)
+    d = np.empty(n * (n - 1) // 2)
+    rows = max(1, _ENTRIES // max(n, 1))
+    pos = 0
+    for i in range(0, n - 1, rows):
+        a = points[i:min(i + rows, n - 1)]
+        block = _distances(a, points[i + 1:], np.empty((len(a), n - 1 - i)))
+        above = block[np.arange(n - 1 - i) >= np.arange(len(a))[:, None]]
+        d[pos:pos + len(above)] = above
+        pos += len(above)
     if np.any(d == 0.0):
         raise CoincidentPointsError("configuration contains coincident points")
-    return d ** spec.exponent
+    return _kernel_of_distance(d, spec.exponent, d)
 
 
 def pair_energy_forces(spec: KernelSpec, points: np.ndarray, work: np.ndarray):
@@ -178,15 +209,16 @@ def potential_sums(spec: KernelSpec, probes: np.ndarray, points: np.ndarray) -> 
     """For each probe (m, dim), the sum over points (n, dim) of
     r**(alpha - dim), r the probe-point distance.
 
-    A probe sitting exactly on a point gets +inf.
+    A probe sitting exactly on a point gets +inf; with no points every
+    sum is 0.
     """
     m = len(probes)
     out = np.empty(m)
-    buf = np.empty((min(m, _BLOCK), len(points)))
+    rows = max(1, _ENTRIES // max(len(points), 1))
+    buf = np.empty((min(m, rows), len(points)))
     with np.errstate(divide="ignore"):
-        for i in range(0, m, _BLOCK):
-            r = buf[:min(_BLOCK, m - i)]
-            cdist(probes[i:i + _BLOCK], points, out=r)
+        for i in range(0, m, rows):
+            r = _distances(probes[i:i + rows], points, buf[:min(rows, m - i)])
             _kernel_of_distance(r, spec.exponent, r)
             np.add.reduce(r, axis=1, out=out[i:i + len(r)])
     return out

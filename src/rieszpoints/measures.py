@@ -13,10 +13,6 @@ from .errors import SingularityError
 from .kernel import KernelSpec, pair_terms, potential_sums
 from .sets import MEMBERSHIP_TOL, EquilibriumOracle, _monomials, distance_to_set
 
-# Fixed chunk size of the deterministic pairwise reduction. Partial sums
-# are always taken over these exact slices and added in slice order.
-_REDUCTION_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class PointConfig:
@@ -72,19 +68,11 @@ def read_points_csv(path) -> PointConfig:
     return PointConfig(np.array(rows, dtype=float))
 
 
-def _deterministic_sum(values: np.ndarray) -> float:
-    """Chunked reduction: each chunk's sum, added in chunk order."""
-    total = 0.0
-    for a in range(0, len(values), _REDUCTION_CHUNK):
-        total += float(np.add.reduce(values[a:a + _REDUCTION_CHUNK]))
-    return total
-
-
 def discrete_energy(X: PointConfig, spec: KernelSpec) -> float:
     """Normalized pair energy 2/(n(n-1)) * sum over j<k of k(x_j - x_k)."""
     if X.n < 2:
         raise ValueError("discrete energy needs n >= 2")
-    s = _deterministic_sum(pair_terms(spec, X.points))
+    s = float(np.add.reduce(pair_terms(spec, X.points)))
     return 2.0 * s / (X.n * (X.n - 1))
 
 

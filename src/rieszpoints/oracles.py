@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import CoincidentPointsError, UnsupportedOracleError
 from .kernel import KernelSpec, newtonian_flag
@@ -247,7 +246,9 @@ def _sphere_nodes(count: int, dim: int) -> tuple:
 
     The d = 3 rule is a Fibonacci lattice built with scalar ``math`` calls
     only, so the ledgered quadrature values do not depend on how a numpy
-    build vectorizes sin, cos or sqrt.
+    build vectorizes sin, cos or sqrt. For d > 3 the directions are the
+    seed-0 candidate grid of the unit sphere in R^dim, a Kronecker
+    lattice mapped through the Gaussian ppf (``sets.sample_candidates``).
     """
     if dim == 3:
         golden = math.pi * (3.0 - math.sqrt(5.0))
@@ -258,18 +259,8 @@ def _sphere_nodes(count: int, dim: int) -> tuple:
             phi = golden * i
             nodes.append((r * math.cos(phi), r * math.sin(phi), z))
         return tuple(nodes)
-    # deterministic low-discrepancy directions for d > 3; the midpoint
-    # Sobol point maps to the zero vector under ppf, so overdraw and drop
-    # degenerate rows
-    from scipy.stats import norm, qmc
-
-    eng = qmc.Sobol(d=dim, scramble=False)
-    eng.fast_forward(1)  # skip the origin point
-    u = eng.random(count + 8)
-    v = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
-    n = np.linalg.norm(v, axis=1)
-    v = v[n > 1e-9][:count]
-    return tuple(map(tuple, (v / np.linalg.norm(v, axis=1, keepdims=True)).tolist()))
+    v = sample_candidates(sphere_surface(np.zeros(dim), 1.0), count, seed=0)
+    return tuple(map(tuple, v.tolist()))
 
 
 @functools.lru_cache(maxsize=4)
@@ -432,7 +423,11 @@ def make_default_ledger_records() -> list:
     rng = substream(11, "covering-probes")
     probes = rng.normal(size=(100, 3))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    cover = float(cdist(probes, cands).min(axis=1).max())
+    r2 = np.zeros((len(probes), len(cands)))
+    for c in range(3):
+        t = probes[:, c, None] - cands[None, :, c]
+        r2 += t * t
+    cover = float(np.sqrt(r2.min(axis=1)).max())
     records.append(OracleRecord(
         name="covering_radius_sphere_4096",
         inputs=json.dumps({"shape": "sphere", "count": 4096, "probes": 100}, sort_keys=True),

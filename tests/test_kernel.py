@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 import rieszpoints
 from rieszpoints import (
@@ -16,7 +16,7 @@ from rieszpoints import (
     kernel_value,
     newtonian_flag,
 )
-from rieszpoints.kernel import _BLOCK, pair_energy_forces, pair_terms, potential_sums, probe_potential_gradient
+from rieszpoints.kernel import _ENTRIES, pair_energy_forces, pair_terms, potential_sums, probe_potential_gradient
 
 
 def test_unit_distance_newtonian():
@@ -182,17 +182,52 @@ def _unblocked_potential_sums(spec, probes, points):
 def test_potential_sums_row_blocks_match_unblocked_bitwise(d):
     rng = np.random.default_rng(d)
     points = rng.normal(size=(50, d))
+    rows = _ENTRIES // len(points)
     for alpha in (2.0, 0.7):
         spec = KernelSpec(alpha, d)
-        for m in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+        for m in (1, rows - 1, rows, rows + 1, 2 * rows + 3):
             probes = rng.normal(size=(m, d))
-            if m > _BLOCK:
+            if m > rows:
                 # a coincidence in a later block
                 probes[-1] = points[7]
             got = potential_sums(spec, probes, points)
             assert np.array_equal(got, _unblocked_potential_sums(spec, probes, points))
-            if m > _BLOCK:
+            if m > rows:
                 assert got[-1] == np.inf
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_pair_terms_and_potential_sums_match_scipy_bitwise(d):
+    """The kernel's own distances are scipy's pdist and cdist bitwise, for
+    pair sets inside one row block and across several, and probe counts on
+    both sides of a block boundary."""
+    rng = np.random.default_rng(30 + d)
+    for alpha in (2.0, 0.7):
+        spec = KernelSpec(alpha, d)
+        for n in (1, 2, 64, 65, 363, 700, 1500):
+            points = rng.normal(size=(n, d))
+            assert np.array_equal(pair_terms(spec, points), pdist(points) ** spec.exponent)
+            rows = _ENTRIES // n
+            for m in (1, 2, rows - 1, rows + 1):
+                probes = rng.normal(size=(m, d))
+                assert np.array_equal(potential_sums(spec, probes, points),
+                                      _unblocked_potential_sums(spec, probes, points))
+        probes = rng.normal(size=(5, d))
+        assert np.array_equal(potential_sums(spec, probes, probes[:0]), np.zeros(5))
+
+
+def test_pair_terms_allocates_no_pair_square():
+    spec = KernelSpec(alpha=2.0, dim=3)
+    n = 2000
+    points = np.random.default_rng(12).normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        pair_terms(spec, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output is half an n-by-n array; a row block holds 1 MiB
+    assert peak < n * (n - 1) // 2 * 8 + n * n * 8 / 4
 
 
 def test_potential_sums_warm_call_allocates_no_probe_by_point_array():
@@ -226,13 +261,12 @@ def test_probe_potential_gradient_matches_the_two_primitives_bitwise(d):
 
 
 def test_only_kernel_and_oracles_import_scipy_distance():
-    """Pair and probe distances belong to the kernel layer; oracles.py is
-    the deliberately separate second opinion."""
+    """Pair and probe distances belong to the kernel layer, which computes
+    them itself: the allowance kernel.py and oracles.py once held is
+    empty, and no package module imports scipy.spatial.distance."""
     package = Path(rieszpoints.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
-        if path.name in ("kernel.py", "oracles.py"):
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]

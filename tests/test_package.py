@@ -26,34 +26,33 @@ def test_all_drops_the_estimators_and_the_grid_budget_error():
     assert len(rieszpoints.__all__) == 44
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """scipy.stats costs about half of a cold import; only the reference
-    Sobol path in oracles.py loads it, on first use."""
-    code = ("import sys, rieszpoints, rieszpoints.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
-    env = dict(os.environ, PYTHONPATH=str(Path(rieszpoints.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-
-
 def test_only_oracles_imports_scipy_stats():
-    """The package needs no scipy.stats: it draws its own candidate
-    lattices; oracles.py is the deliberately separate second opinion."""
+    """No package module imports any scipy module, oracles.py included,
+    which once held the scipy.stats allowance: numpy is the only runtime
+    dependency, the kernel computes its own distances and the standard
+    library gives the Gaussian ppf. scipy stays a test-only second
+    opinion."""
     package = Path(rieszpoints.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "oracles.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{a.name}" for a in node.names]
+                names = [node.module or ""]
             else:
                 continue
-            if any(n == "scipy.stats" or n.startswith("scipy.stats.") for n in names):
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, rieszpoints, rieszpoints.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(rieszpoints.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _takes(param, type_name, names):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
+from scipy.special import ndtri
 
 from rieszpoints import (
     KernelSpec,
@@ -18,7 +19,7 @@ from rieszpoints import (
     union_of_balls,
 )
 from rieszpoints.oracles import equilibrium_mean_mc, sphere_potential_quadrature
-from rieszpoints.sets import _lattice, _monomials, points_at_offset, sample_shell, sample_uniform
+from rieszpoints.sets import _lattice, _lattice_ball, _monomials, points_at_offset, sample_shell, sample_uniform
 from rieszpoints.seeding import substream
 
 SPEC = KernelSpec(2.0, 3)
@@ -142,6 +143,21 @@ def test_lattice_stream_is_pinned():
         [0.2634404933969958, 0.23930101437715345, 0.8750866460491338],
         [0.08261300679316008, 0.9103446210809425, 0.42478712395110385],
     ]
+
+
+@pytest.mark.parametrize("solid", [False, True], ids=["sphere", "ball"])
+@pytest.mark.parametrize("dim", [3, 4, 5, 7])
+def test_lattice_ball_ppf_agrees_with_ndtri(dim, solid):
+    """The standard library's Gaussian ppf in _lattice_ball agrees with
+    scipy's ndtri within a few ulp: the unit-ball points built from
+    ndtri differ by at most 4 machine epsilons (2.25 when recorded)."""
+    u = _lattice(9, dim + solid, 2000)
+    g = ndtri(np.clip(u[:, :dim], np.finfo(float).tiny, 1 - 1e-16))
+    want = g / np.linalg.norm(g, axis=1, keepdims=True)
+    if solid:
+        want = u[:, dim:] ** (1.0 / dim) * want
+    got = _lattice_ball(np.zeros(dim), 1.0, dim, 2000, 9, solid)
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
 
 
 def _covering_radii(grids, probes):
