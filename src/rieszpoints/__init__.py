@@ -12,7 +12,7 @@ from .errors import (
     SingularityError,
     UnsupportedOracleError,
 )
-from .kernel import KernelSpec, kernel_gradient, kernel_value, newtonian_flag
+from .kernel import KernelSpec
 from .sets import (
     CompactSetModel,
     EquilibriumOracle,
@@ -38,9 +38,7 @@ from .measures import (
 from .configurations import (
     FeketeRun,
     FeketeSearchParams,
-    LejaState,
     fekete_search_run,
-    leja_next,
     leja_sequence,
     random_config,
 )
@@ -66,9 +64,6 @@ __all__ = [
     "UnsupportedOracleError",
     # kernel
     "KernelSpec",
-    "kernel_gradient",
-    "kernel_value",
-    "newtonian_flag",
     # sets
     "CompactSetModel",
     "EquilibriumOracle",
@@ -92,9 +87,7 @@ __all__ = [
     # configurations
     "FeketeRun",
     "FeketeSearchParams",
-    "LejaState",
     "fekete_search_run",
-    "leja_next",
     "leja_sequence",
     "random_config",
     # discrepancy

@@ -25,7 +25,8 @@ JSON), ``potential`` (single-point deficit query).
 Exit codes: 0 success, 1 verification failure, 2 parse error, invalid
 value (including a kernel evaluated at a coincidence or a floating-point
 overflow) or unreadable/unwritable file, 3 infeasible input, 4
-unsupported set/oracle or a missing Holder exponent.
+unsupported set/oracle, a non-Newtonian kernel (alpha != 2) for leja,
+study or potential, or a missing Holder exponent.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def cmd_study(args) -> int:
             "energy_gap": energy - W,
             "m_E": closeness_m_E(config, oracle),
             "moment_distance": moment_distance(config, oracle),
-            "sup_deficit": sup_potential_deficit(oracle, config, seed=child_seed(args.seed, "study-sup", n)),
+            "sup_deficit": sup_potential_deficit(oracle, config),
             "lhs": rep.lhs,
             "rhs": rep.rhs,
             "r": r_n,

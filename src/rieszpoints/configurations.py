@@ -12,7 +12,10 @@ over one seeded candidate grid per sequence, whose prefix potential gains
 one column per step (the discrete Leja points of Bos, De Marchi, Sommariva
 and Vianello, SIAM J. Numer. Anal. 48, 2010); the same projected L-BFGS
 then polishes the new point as a one-point configuration in the prefix's
-potential. A seeded uniform baseline rounds out the benchmark trio.
+potential. That argmin-and-polish step is one private helper,
+``_potential_min``, the minimum over a set of a configuration's
+potential; ``discrepancy.sup_potential_deficit`` calls it too. A seeded
+uniform baseline rounds out the benchmark trio.
 """
 
 from __future__ import annotations
@@ -251,48 +254,28 @@ def fekete_search_run(E: CompactSetModel, spec: KernelSpec, params: FeketeSearch
     )
 
 
-@dataclass(frozen=True)
-class LejaState:
-    """Prefix of a greedy sequence, the candidate grid for the next step
-    and ``sums``, the prefix's potential at each candidate;
-    ``set_model`` is the set the projected polish stays on."""
-
-    prefix: PointConfig
-    candidates: np.ndarray
-    sums: np.ndarray
-    set_model: CompactSetModel
-
-
-def leja_next(state: LejaState, spec: KernelSpec) -> np.ndarray:
-    """Next greedy point: candidate minimizing the potential sum against
-    the prefix (exponent 2-d), read from ``state.sums``, polished by the
-    projected L-BFGS as a one-point configuration, with a first step of
-    0.05 * (set radius) and at most 60 steps. The polish can only improve
-    the objective. Ties break to the lowest candidate index.
+def _potential_min(E: CompactSetModel, spec: KernelSpec, points: np.ndarray, grid: np.ndarray,
+                   sums: np.ndarray) -> tuple:
+    """Minimum over E of the potential of ``points`` (exponent 2-d), as
+    ``(x, value)``: the grid point with the smallest of ``sums``, the
+    points' potential at each grid point (ties to the lowest index),
+    polished by the projected L-BFGS as a one-point configuration, with a
+    first step of 0.05 * (set radius) and at most 60 steps. The polish
+    can only improve the value; it stays in the basin of the grid argmin,
+    so the value is an upper bound of the minimum, not a certificate.
     """
-    require_newtonian(spec, "greedy (Leja) selection")
-    if state.prefix.n < 1:
-        raise ValueError("prefix must be nonempty")
-    cands = np.asarray(state.candidates, dtype=float)
-    if cands.size == 0:
-        raise ValueError("candidate list is empty")
-    prefix_pts = state.prefix.points
-    u = np.asarray(state.sums, dtype=float)
-    if u.shape != (len(cands),):
-        raise ValueError(f"sums has shape {u.shape}, expected {(len(cands),)}")
-    if np.all(u == np.inf):
-        raise CoincidentPointsError("every candidate coincides with a prefix point")
-    i0 = int(np.argmin(u))
-    x0, u0 = cands[i0], float(u[i0])
+    if np.all(sums == np.inf):
+        raise CoincidentPointsError("every grid point coincides with a point")
+    i0 = int(np.argmin(sums))
+    x0, u0 = grid[i0], float(sums[i0])
 
     def value_forces(X):
-        value, gradient = probe_potential_gradient(spec, X[0], prefix_pts)
+        value, gradient = probe_potential_gradient(spec, X[0], points)
         return value, -gradient[None, :]
 
-    E = state.set_model
     X, val, *_ = _projected_lbfgs(E, value_forces, x0[None, :], _POLISH_STEPS,
                                   0.05 * E.enclosing_radius, _POLISH_TOL)
-    return X[0] if val <= u0 else x0
+    return (X[0], val) if val <= u0 else (x0, u0)
 
 
 def leja_sequence(
@@ -312,6 +295,7 @@ def leja_sequence(
     shorter run at the same seed. A very small grid gives poor sequences:
     the argmin then starts the polish far from the greedy minimizer.
     """
+    require_newtonian(spec, "greedy (Leja) selection")
     if n < 1:
         raise ValueError("n must be >= 1")
     x0 = np.asarray(xi0, dtype=float)
@@ -323,9 +307,9 @@ def leja_sequence(
         cands = sample_candidates(E, candidate_count, child_seed(seed, "leja-candidates"))
         sums = np.zeros(len(cands))
         for k in range(1, n):
-            # a new array, so a state handed out earlier keeps its sums
+            # a new array, so the sums of an earlier step stay as they were
             sums = sums + potential_sums(spec, cands, points[k - 1:k])
-            points[k] = leja_next(LejaState(PointConfig(points[:k]), cands, sums, E), spec)
+            points[k], _ = _potential_min(E, spec, points[:k], cands, sums)
     return PointConfig(points)
 
 

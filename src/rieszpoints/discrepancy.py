@@ -5,6 +5,13 @@ continuity and Dirichlet integral, assembles the smoothing-based
 discrepancy bound for test-function means, and measures potential errors
 against the equilibrium potential together with their predicted decay
 shapes.
+
+The sup over R^d of the potential deficit U^{mu_E} - U^{tau} is
+W - min over the boundary sphere of U^{tau} on a ball or sphere: off the
+sphere the deficit is subharmonic (a harmonic minus a superharmonic
+function) and vanishes at infinity, so its sup sits on the sphere. The
+minimum is the greedy step's own polished grid minimum, so the reported
+value is a lower bound of the supremum.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import numpy as np
 from .errors import MissingHolderDataError, UnsupportedOracleError
 from .kernel import KernelSpec, potential_sums, require_newtonian
 from .measures import PointConfig, closeness_m_E, discrete_energy, discrete_potential
+from .configurations import _potential_min
 from .sets import (
     CompactSetModel,
     EquilibriumOracle,
@@ -27,6 +35,7 @@ from .sets import (
     points_at_offset,
     sample_candidates,
     sample_shell,
+    sphere_surface,
 )
 from .seeding import child_seed, substream
 
@@ -34,8 +43,8 @@ from .seeding import child_seed, substream
 _SHELL_COUNT = 512
 # proposal rounds of the scan's shrinking local search
 _ASCENT_STEPS = 40
-# probes of sup_potential_deficit on E; each of its three shells gets a quarter
-_SUP_GRID = 512
+# grid points of the potential minimum in sup_potential_deficit
+_MIN_GRID = 4096
 
 
 def unit_sphere_area(d: int) -> float:
@@ -325,27 +334,24 @@ def potential_error(oracle: EquilibriumOracle, X: PointConfig, y) -> tuple:
     return measured, shape
 
 
-def sup_potential_deficit(oracle: EquilibriumOracle, X: PointConfig, seed: int = 0) -> float:
-    """Max over seeded probes of U^{mu_E}(y) - U^{tau(X)}(y), for the
-    oracle's set E and kernel: ``_SUP_GRID`` (512) points of E and
-    ``_SUP_GRID // 4`` (128) on each of three shells at 0.05, 0.15 and 0.4
-    times the enclosing radius.
+def sup_potential_deficit(oracle: EquilibriumOracle, X: PointConfig) -> float:
+    """W - min over S of U^{tau(X)}, for the oracle's set E and kernel, where
+    S is the boundary sphere of a ball and E itself for a sphere, box or
+    union. The minimum is ``_potential_min`` on a ``_MIN_GRID``-point
+    (4096) grid of S at a fixed seed: the polished grid minimum, so the
+    value is a lower bound of the supremum, not a certificate.
 
-    The global sup is governed by values near E (the discrete potential
-    is superharmonic and attains its minimum over the complement of a
-    neighborhood on that neighborhood's boundary), so probing E and a few
-    offset shells suffices.
+    On a ball or sphere B this is sup over R^d of U^{mu_E} - U^{tau(X)}
+    wherever the points lie: off the sphere the difference is subharmonic
+    (U^{mu_E} is harmonic there, U^{tau(X)} superharmonic) and tends to 0
+    at infinity, so its sup is max(W - min over the sphere of U^{tau(X)}, 0);
+    and the first term is >= 0, because the mean of U^{tau(X)} against
+    mu_E is the mean of U^{mu_E} over X, at most W. On a box or union it
+    reads W - min over E of U^{tau(X)} with the approximate oracle's W.
     """
     E, spec = oracle.set_model, oracle.spec
     require_newtonian(spec, "potential deficit")
-    pts = [sample_candidates(E, _SUP_GRID, child_seed(seed, "sup-grid"))]
-    rng = substream(seed, "sup-shell")
-    radius = E.enclosing_radius
-    for rel in (0.05, 0.15, 0.4):
-        pts.append(sample_shell(E, _SUP_GRID // 4, rel * radius, rng))
-    probes = np.concatenate(pts)
-    u = potential_sums(spec, probes, X.points)
-    # exclude probes sitting exactly on configuration atoms
-    keep = np.isfinite(u)
-    deficit = oracle.potential(probes[keep]) - u[keep] / X.n
-    return float(deficit.max())
+    S = sphere_surface(E.center, E.radius) if E.kind == "ball" else E
+    grid = sample_candidates(S, _MIN_GRID, 0)
+    _, u = _potential_min(S, spec, X.points, grid, potential_sums(spec, grid, X.points))
+    return float(oracle.robin_constant - u / X.n)

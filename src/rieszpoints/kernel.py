@@ -1,8 +1,7 @@
 """Riesz kernel family k(x) = |x|**(alpha - dim): the one library
 implementation of every kernel quantity the toolkit reports.
 
-Besides the pointwise ``kernel_value`` and ``kernel_gradient``, four
-array primitives carry all the pair and probe work:
+Four array primitives carry all the pair and probe work:
 
 - ``pair_terms``: the kernel over every pair j < k (energies);
 - ``pair_energy_forces``: the pair sum and minus its gradient together
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPointsError, SingularityError
+from .errors import CoincidentPointsError, UnsupportedOracleError
 
 # distances per row block of pair_terms and potential_sums
 _ENTRIES = 1 << 17
@@ -68,46 +67,10 @@ class KernelSpec:
         return self.alpha - self.dim
 
 
-def newtonian_flag(spec: KernelSpec) -> bool:
-    """True iff the kernel is Newtonian (alpha = 2)."""
-    return spec.alpha == 2.0
-
-
 def require_newtonian(spec: KernelSpec, what: str) -> None:
-    if not newtonian_flag(spec):
-        raise ValueError(f"{what} requires the Newtonian kernel (alpha = 2), got alpha={spec.alpha}")
-
-
-def kernel_value(spec: KernelSpec, displacement):
-    """Evaluate |displacement|**(alpha - dim).
-
-    Accepts one vector of shape (dim,) or a batch (..., dim). Any zero
-    displacement raises SingularityError: energy sums must exclude
-    self-pairs structurally rather than propagate infinities.
-    """
-    disp = np.asarray(displacement, dtype=float)
-    if disp.shape[-1] != spec.dim:
-        raise ValueError(f"displacement has dimension {disp.shape[-1]}, kernel has {spec.dim}")
-    r = np.linalg.norm(disp, axis=-1)
-    if np.any(r == 0.0):
-        raise SingularityError("kernel evaluated at zero displacement")
-    out = r ** spec.exponent
-    return float(out) if out.ndim == 0 else out
-
-
-def kernel_gradient(spec: KernelSpec, displacement):
-    """Gradient of kernel_value with respect to the displacement.
-
-    grad |x|**e = e * |x|**(e-2) * x with e = alpha - dim; antisymmetric
-    under negation of the displacement.
-    """
-    disp = np.asarray(displacement, dtype=float)
-    if disp.shape[-1] != spec.dim:
-        raise ValueError(f"displacement has dimension {disp.shape[-1]}, kernel has {spec.dim}")
-    r = np.linalg.norm(disp, axis=-1, keepdims=True)
-    if np.any(r == 0.0):
-        raise SingularityError("kernel gradient at zero displacement")
-    return spec.exponent * r ** (spec.exponent - 2.0) * disp
+    """Raise UnsupportedOracleError unless the kernel is Newtonian (alpha = 2)."""
+    if spec.alpha != 2.0:
+        raise UnsupportedOracleError(f"{what} requires the Newtonian kernel (alpha = 2), got alpha={spec.alpha}")
 
 
 def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -228,10 +191,10 @@ def probe_potential_gradient(spec: KernelSpec, x: np.ndarray, points: np.ndarray
     """Potential at one probe x (dim,) of the points (n, dim), and its
     gradient in x, from one pass over the displacements.
 
-    Returns ``(value, gradient)``, bitwise equal to
-    ``potential_sums(spec, x[None], points)[0]`` and
-    ``kernel_gradient(spec, x - points).sum(axis=0)``. A probe sitting on
-    a point gives value +inf (the gradient is then meaningless).
+    Returns ``(value, gradient)``: the value is bitwise
+    ``potential_sums(spec, x[None], points)[0]``, and the gradient sums
+    e * r**(e - 2) * (x - point) over the points, e = alpha - dim. A probe
+    sitting on a point gives value +inf (the gradient is then meaningless).
     """
     disp = x - points
     r = np.sqrt(np.add.reduce(disp * disp, axis=1, keepdims=True))

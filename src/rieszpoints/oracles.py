@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPointsError, UnsupportedOracleError
-from .kernel import KernelSpec, newtonian_flag
+from .kernel import KernelSpec, require_newtonian
 from .measures import PointConfig, discrete_energy
 from .sets import CompactSetModel, sample_candidates, sphere_surface
 from .seeding import substream
@@ -289,8 +289,7 @@ def sphere_potential_quadrature(
     build, and an exact-rounded ``math.fsum`` mean, so the d = 3 values
     replay bitwise across numpy builds.
     """
-    if not newtonian_flag(spec):
-        raise UnsupportedOracleError("spherical quadrature ships for the Newtonian kernel")
+    require_newtonian(spec, "spherical quadrature")
     if nodes < 1000:
         raise ValueError("use at least 1000 quadrature nodes")
     yv = np.asarray(y, dtype=float)

@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SetDefinitionError, UnsupportedOracleError
-from .kernel import KernelSpec, newtonian_flag
+from .errors import SetDefinitionError
+from .kernel import KernelSpec, require_newtonian
 from .seeding import child_seed, substream
 
 # Numeric membership threshold: projected points land on boundaries up to
@@ -501,10 +501,7 @@ def equilibrium_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracl
     """
     if E.dim != spec.dim:
         raise ValueError(f"set dimension {E.dim} != kernel dimension {spec.dim}")
-    if not newtonian_flag(spec):
-        raise UnsupportedOracleError(
-            f"equilibrium oracle requires the Newtonian kernel (alpha = 2), got alpha={spec.alpha}"
-        )
+    require_newtonian(spec, "equilibrium oracle")
     if E.kind in ("ball", "sphere"):
         return _analytic_ball_oracle(E, spec)
     return _quadrature_backed_oracle(E, spec)

@@ -218,17 +218,18 @@ def test_study_columns_and_inequality(sphere_file, tmp_path):
 
 def _leja_study_on_ball(tmp_path, monkeypatch, schedule):
     """Rows of a unit-ball ``study --method leja`` at seed 5, keyed by
-    their n in schedule order, as raw CSV lines; and its leja_next calls."""
+    their n in schedule order, as raw CSV lines; and its greedy steps, the
+    potential-minimum calls of leja_sequence."""
     ball_file = tmp_path / "ball.txt"
     ball_file.write_text("shape = ball\ncenter = 0 0 0\nradius = 1\n")
     calls = []
-    step = configurations.leja_next
+    step = configurations._potential_min
 
     def counted_step(*args, **kwargs):
         calls.append(1)
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(configurations, "leja_next", counted_step)
+    monkeypatch.setattr(configurations, "_potential_min", counted_step)
     out = tmp_path / f"study_{schedule.replace(',', '_')}.csv"
     assert main(["study", "--set", str(ball_file), "--method", "leja", "--schedule", schedule,
                  "--seed", "5", "--candidates", "512", "--out", str(out)]) == 0
@@ -309,6 +310,14 @@ def test_study_refuses_nonnewtonian_exit_4(sphere_file, tmp_path):
             "--alpha", "1.5", "--out", str(tmp_path / "s.csv"),
         ])
         assert code == 4, method
+
+
+def test_generate_leja_refuses_nonnewtonian_exit_4(sphere_file, tmp_path, capsys):
+    code = main(["generate", "--set", str(sphere_file), "--method", "leja", "--n", "5",
+                 "--alpha", "1.5", "--out", str(tmp_path / "g.csv")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "requires the Newtonian kernel" in err
 
 
 def test_potential_query(sphere_file, tmp_path, capsys):

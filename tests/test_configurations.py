@@ -8,14 +8,13 @@ from rieszpoints import (
     FeketeSearchParams,
     InfeasiblePointError,
     KernelSpec,
-    LejaState,
     PointConfig,
+    UnsupportedOracleError,
     ball,
     box,
     discrete_energy,
     distance_to_set,
     fekete_search_run,
-    leja_next,
     leja_sequence,
     random_config,
     sample_candidates,
@@ -167,48 +166,28 @@ def test_probe_rule_rms_is_rotation_invariant(sphere_minimizers):
             assert abs(rms(run.config.points @ Q) - base) <= 1e-10 * base, n
 
 
+def _next_point(E, prefix_pts, grid, spec=SPEC):
+    """The greedy step's point against the prefix, by the potential-minimum helper."""
+    x, _ = configurations._potential_min(E, spec, prefix_pts, grid, potential_sums(spec, grid, prefix_pts))
+    return x
+
+
 def test_leja_next_antipode_of_single_point():
-    prefix = PointConfig([[0.0, 0.0, 1.0]])
-    cands = sample_candidates(UNIT_SPHERE, 4096, seed=1)
-    state = LejaState(
-        prefix=prefix,
-        candidates=cands,
-        sums=potential_sums(SPEC, cands, prefix.points),
-        set_model=UNIT_SPHERE,
-    )
-    nxt = leja_next(state, SPEC)
+    nxt = _next_point(UNIT_SPHERE, np.array([[0.0, 0.0, 1.0]]), sample_candidates(UNIT_SPHERE, 4096, seed=1))
     np.testing.assert_allclose(nxt, [0.0, 0.0, -1.0], atol=1e-6)
 
 
 def test_leja_next_equator_after_antipodal_pair():
-    prefix = PointConfig([[1.0, 0, 0], [-1.0, 0, 0]])
-    cands = sample_candidates(UNIT_SPHERE, 10_000, seed=2)
-    state = LejaState(
-        prefix=prefix,
-        candidates=cands,
-        sums=potential_sums(SPEC, cands, prefix.points),
-        set_model=UNIT_SPHERE,
-    )
-    nxt = leja_next(state, SPEC)
+    nxt = _next_point(UNIT_SPHERE, np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
+                      sample_candidates(UNIT_SPHERE, 10_000, seed=2))
     assert abs(nxt[0]) < 1e-4
     assert np.linalg.norm(nxt) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_leja_next_candidates_equal_prefix_raises():
-    prefix = PointConfig([[0.0, 0, 1.0], [1.0, 0, 0]])
-    cands = np.array(prefix.points)
-    state = LejaState(prefix=prefix, candidates=cands, sums=potential_sums(SPEC, cands, prefix.points),
-                      set_model=UNIT_SPHERE)
+    prefix_pts = np.array([[0.0, 0, 1.0], [1.0, 0, 0]])
     with pytest.raises(CoincidentPointsError):
-        leja_next(state, SPEC)
-
-
-def test_leja_next_rejects_sums_of_another_grid():
-    prefix = PointConfig([[0.0, 0, 1.0]])
-    cands = sample_candidates(UNIT_SPHERE, 64, seed=1)
-    state = LejaState(prefix, cands, potential_sums(SPEC, cands[:10], prefix.points), UNIT_SPHERE)
-    with pytest.raises(ValueError, match="sums has shape"):
-        leja_next(state, SPEC)
+        _next_point(UNIT_SPHERE, prefix_pts, prefix_pts.copy())
 
 
 LEJA_SETS = [
@@ -228,8 +207,7 @@ def test_leja_next_refinement_never_worse_than_grid(E):
     for trial in range(20):
         prefix_pts = sample_uniform(E, int(rng.integers(1, 9)), rng)
         cands = sample_candidates(E, 10_000, seed=trial)
-        sums = potential_sums(spec, cands, prefix_pts)
-        x = leja_next(LejaState(PointConfig(prefix_pts), cands, sums, E), spec)
+        x = _next_point(E, prefix_pts, cands, spec)
         assert distance_to_set(E, x) <= MEMBERSHIP_TOL
         expo = spec.exponent
         val = np.sum(np.linalg.norm(x - prefix_pts, axis=1) ** expo)
@@ -267,16 +245,17 @@ def test_leja_sequence_energy_bound():
 
 
 def _recorded_leja_states(monkeypatch, E, n, **kwargs):
-    """(state, chosen point) of every greedy step of one leja_sequence."""
+    """(prefix, grid, sums, chosen point) of every greedy step of one
+    leja_sequence."""
     steps = []
-    step = configurations.leja_next
+    step = configurations._potential_min
 
-    def recorded(state, spec):
-        x = step(state, spec)
-        steps.append((state, x))
-        return x
+    def recorded(E, spec, points, grid, sums):
+        x, value = step(E, spec, points, grid, sums)
+        steps.append((points, grid, sums, x))
+        return x, value
 
-    monkeypatch.setattr(configurations, "leja_next", recorded)
+    monkeypatch.setattr(configurations, "_potential_min", recorded)
     north = project_to_set(E, E.enclosing_center + E.enclosing_radius * np.eye(E.dim)[-1])
     L = leja_sequence(E, KernelSpec(2.0, E.dim), n, north, **kwargs)
     assert len(steps) == n - 1
@@ -290,20 +269,20 @@ def test_leja_polish_never_worse_than_the_grid(E, monkeypatch):
     is for summation order."""
     spec = KernelSpec(2.0, E.dim)
     L, steps = _recorded_leja_states(monkeypatch, E, 100, seed=2)
-    for k, (state, x) in enumerate(steps, start=1):
+    for k, (prefix_pts, _, sums, x) in enumerate(steps, start=1):
         np.testing.assert_array_equal(x, L.points[k])
-        u = potential_sums(spec, x[None], state.prefix.points)[0]
-        assert u <= state.sums.min() * (1.0 + 1e-12), k
+        u = potential_sums(spec, x[None], prefix_pts)[0]
+        assert u <= sums.min() * (1.0 + 1e-12), k
 
 
 def test_leja_running_sums_match_a_fresh_sum(monkeypatch):
     """The running sums of the last step of a 200-point sequence, after
     199 one-column additions, equal a from-scratch sum up to summation order."""
     _, steps = _recorded_leja_states(monkeypatch, UNIT_BALL, 200, seed=4)
-    state, _ = steps[-1]
-    assert state.prefix.n == 199
-    fresh = potential_sums(SPEC, state.candidates, state.prefix.points)
-    np.testing.assert_allclose(state.sums, fresh, rtol=1e-12, atol=0.0)
+    prefix_pts, grid, sums, _ = steps[-1]
+    assert len(prefix_pts) == 199
+    fresh = potential_sums(SPEC, grid, prefix_pts)
+    np.testing.assert_allclose(sums, fresh, rtol=1e-12, atol=0.0)
 
 
 def test_leja_sequence_draws_one_candidate_grid(monkeypatch):
@@ -330,6 +309,12 @@ def test_leja_prefix_energies_on_the_ball_stay_below_robin():
     m = np.arange(1, L.n)
     prefix_energy = 2.0 * raw_prefix[1:] / ((m + 1) * m)
     assert prefix_energy.max() <= 1.0 + 1e-6
+
+
+def test_leja_sequence_refuses_nonnewtonian_even_at_one_point():
+    for n in (1, 5):
+        with pytest.raises(UnsupportedOracleError):
+            leja_sequence(UNIT_SPHERE, KernelSpec(1.5, 3), n, [0.0, 0, 1.0], seed=0)
 
 
 def test_leja_sequence_infeasible_start():

@@ -22,8 +22,11 @@ from rieszpoints import (
     potential_error,
     unit_sphere_area,
 )
-from rieszpoints.configurations import FeketeSearchParams, fekete_search_run
+from rieszpoints.configurations import FeketeSearchParams, fekete_search_run, leja_sequence, random_config
 from rieszpoints.discrepancy import TestFunction, max_green_on_shell
+from rieszpoints.kernel import potential_sums
+from rieszpoints.seeding import child_seed, substream
+from rieszpoints.sets import sample_candidates, sample_shell
 from rieszpoints.oracles import dirichlet_integral_mc, equilibrium_mean_mc, sphere_potential_quadrature
 
 SPEC = KernelSpec(2.0, 3)
@@ -286,10 +289,12 @@ def test_potential_error_requires_holder_and_inside_config():
 def test_sup_deficit_directions():
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     far = PointConfig([[50.0, 0, 0]])
-    big = sup_potential_deficit(oracle, far, seed=1)
-    assert big > 0.9  # a distant charge contributes almost nothing on E
+    big = sup_potential_deficit(oracle, far)
+    # a distant charge contributes almost nothing on E: its least
+    # potential on the sphere is at (-1, 0, 0)
+    assert big == pytest.approx(1.0 - 1.0 / 51.0, rel=0.0, abs=1e-14)
     mc = PointConfig(oracle.sampler(10_000, 11))
-    small = sup_potential_deficit(oracle, mc, seed=1)
+    small = sup_potential_deficit(oracle, mc)
     assert small < 0.05
 
 
@@ -298,6 +303,49 @@ def test_sup_deficit_decreases_with_n():
     small_n = fekete_search_run(UNIT_SPHERE, SPEC, FeketeSearchParams(n=20, restarts=2, seed=8)).config
     large_n = fekete_search_run(UNIT_SPHERE, SPEC,
                                 FeketeSearchParams(n=200, restarts=1, max_iters=1200, seed=8)).config
-    d_small = sup_potential_deficit(oracle, small_n, seed=2)
-    d_large = sup_potential_deficit(oracle, large_n, seed=2)
+    d_small = sup_potential_deficit(oracle, small_n)
+    d_large = sup_potential_deficit(oracle, large_n)
     assert d_large < d_small
+
+
+_A = math.sqrt(2.0 - 2.0 / math.sqrt(3.0))
+_B = math.sqrt(2.0 + 2.0 / math.sqrt(3.0))
+OCTAHEDRON = np.vstack([np.eye(3), -np.eye(3)])
+
+
+@pytest.mark.parametrize("E,points,expected", [
+    # antipodal pair: least potential on the equator, sqrt(2) from both
+    (UNIT_SPHERE, [[0.0, 0, 1.0], [0.0, 0, -1.0]], 1.0 - 1.0 / math.sqrt(2.0)),
+    # octahedron: least potential at the face centres, three vertices at
+    # distance a and three at b
+    (UNIT_SPHERE, OCTAHEDRON, 1.0 - (3.0 / _A + 3.0 / _B) / 6.0),
+    # a charge inside the ball: its boundary sphere carries the minimum
+    (UNIT_BALL, [[0.5, 0, 0]], 1.0 - 1.0 / 1.5),
+], ids=["antipodal-pair", "octahedron", "ball-inner-charge"])
+def test_sup_deficit_closed_forms(E, points, expected):
+    oracle = equilibrium_oracle(E, SPEC)
+    assert sup_potential_deficit(oracle, PointConfig(points)) == pytest.approx(expected, rel=0.0, abs=1e-14)
+
+
+def _probe_max_deficit(oracle, X, seed):
+    """The earlier seeded estimator: the max of U^{mu_E} - U^{tau(X)} over
+    512 grid points of E and 128 points on each of three shells, at 0.05,
+    0.15 and 0.4 times the enclosing radius."""
+    E = oracle.set_model
+    probes = [sample_candidates(E, 512, child_seed(seed, "sup-grid"))]
+    rng = substream(seed, "sup-shell")
+    for rel in (0.05, 0.15, 0.4):
+        probes.append(sample_shell(E, 128, rel * E.enclosing_radius, rng))
+    probes = np.concatenate(probes)
+    u = potential_sums(SPEC, probes, X.points)
+    keep = np.isfinite(u)
+    return float((oracle.potential(probes[keep]) - u[keep] / X.n).max())
+
+
+@pytest.mark.parametrize("E", [UNIT_BALL, UNIT_SPHERE], ids=["ball", "sphere"])
+def test_sup_deficit_is_at_least_every_seeded_probe_maximum(E):
+    oracle = equilibrium_oracle(E, SPEC)
+    leja = leja_sequence(E, SPEC, 200, [0.0, 0, 1.0], seed=1)
+    for X in (leja.prefix(50), leja, random_config(E, 50, seed=1), random_config(E, 200, seed=1)):
+        value = sup_potential_deficit(oracle, X)
+        assert value >= max(_probe_max_deficit(oracle, X, seed) for seed in range(10)), X.n

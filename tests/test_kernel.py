@@ -8,15 +8,29 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 import rieszpoints
-from rieszpoints import (
-    CoincidentPointsError,
-    KernelSpec,
-    SingularityError,
-    kernel_gradient,
-    kernel_value,
-    newtonian_flag,
-)
-from rieszpoints.kernel import _ENTRIES, pair_energy_forces, pair_terms, potential_sums, probe_potential_gradient
+from rieszpoints import CoincidentPointsError, KernelSpec, SingularityError, UnsupportedOracleError
+from rieszpoints.kernel import (_ENTRIES, pair_energy_forces, pair_terms, potential_sums, probe_potential_gradient,
+                                require_newtonian)
+
+
+def kernel_value(spec, displacement):
+    """Reference: |displacement|**(alpha - dim) for one vector or a batch;
+    a zero displacement raises SingularityError."""
+    disp = np.asarray(displacement, dtype=float)
+    r = np.linalg.norm(disp, axis=-1)
+    if np.any(r == 0.0):
+        raise SingularityError("kernel evaluated at zero displacement")
+    out = r ** spec.exponent
+    return float(out) if out.ndim == 0 else out
+
+
+def kernel_gradient(spec, displacement):
+    """Reference: e * |x|**(e-2) * x with e = alpha - dim."""
+    disp = np.asarray(displacement, dtype=float)
+    r = np.linalg.norm(disp, axis=-1, keepdims=True)
+    if np.any(r == 0.0):
+        raise SingularityError("kernel gradient at zero displacement")
+    return spec.exponent * r ** (spec.exponent - 2.0) * disp
 
 
 def test_unit_distance_newtonian():
@@ -319,10 +333,11 @@ def test_positivity(coords):
     assert kernel_value(spec, x) > 0
 
 
-def test_newtonian_flag():
-    assert newtonian_flag(KernelSpec(2.0, 3))
-    assert not newtonian_flag(KernelSpec(1.5, 3))
-    assert newtonian_flag(KernelSpec(2.0, 5))
+def test_require_newtonian_raises_unsupported():
+    require_newtonian(KernelSpec(2.0, 3), "x")
+    require_newtonian(KernelSpec(2.0, 5), "x")
+    with pytest.raises(UnsupportedOracleError, match="greedy step requires the Newtonian kernel"):
+        require_newtonian(KernelSpec(1.5, 3), "greedy step")
 
 
 def test_spec_validation():

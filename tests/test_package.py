@@ -23,7 +23,18 @@ def test_all_drops_the_estimators_and_the_grid_budget_error():
     for gone in ("modulus_of_continuity", "dirichlet_integral", "GridBudgetError"):
         assert gone not in rieszpoints.__all__
         assert not hasattr(rieszpoints, gone)
-    assert len(rieszpoints.__all__) == 44
+    assert len(rieszpoints.__all__) == 39
+
+
+def test_all_drops_the_greedy_step_and_the_dead_kernel_api():
+    """The greedy step is a private helper shared with the sup deficit,
+    the pointwise kernel formulas are test references, and one Newtonian
+    check remains."""
+    for gone in ("LejaState", "leja_next", "kernel_value", "kernel_gradient", "newtonian_flag"):
+        assert gone not in rieszpoints.__all__
+        assert not hasattr(rieszpoints, gone)
+    assert not hasattr(rieszpoints.kernel, "newtonian_flag")
+    assert not hasattr(rieszpoints.configurations, "leja_next")
 
 
 def test_only_oracles_imports_scipy_stats():
