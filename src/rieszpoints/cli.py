@@ -136,12 +136,11 @@ def _leja_start(E, args) -> np.ndarray:
     return xi0
 
 
-def _with_energy(config, spec):
-    energy = discrete_energy(config, spec) if config.n >= 2 else None
-    return config, {"final_energy": energy, "iterations": None, "converged": None, "grad_norm": None}
+_NO_RUN = {"iterations": None, "converged": None, "grad_norm": None}
 
 
 def _generate_config(E, spec, method, n, seed, args):
+    """The configuration and its run record, with ``final_energy`` from a Fekete run only."""
     if method == "fekete":
         params = FeketeSearchParams(
             n=n, restarts=args.restarts, max_iters=args.max_iters,
@@ -152,8 +151,9 @@ def _generate_config(E, spec, method, n, seed, args):
                             "converged": run.converged, "grad_norm": run.grad_norm}
     if method == "leja":
         config = leja_sequence(E, spec, n, _leja_start(E, args), candidate_count=args.candidates, seed=seed)
-        return _with_energy(config, spec)
-    return _with_energy(random_config(E, n, seed), spec)
+    else:
+        config = random_config(E, n, seed)
+    return config, dict(_NO_RUN)
 
 
 def cmd_generate(args) -> int:
@@ -164,6 +164,8 @@ def cmd_generate(args) -> int:
     if args.n < 1:
         raise SetDefinitionError("--n must be >= 1")
     config, result = _generate_config(E, spec, args.method, args.n, args.seed, args)
+    if "final_energy" not in result:
+        result["final_energy"] = discrete_energy(config, spec) if config.n >= 2 else None
     write_points_csv(config, args.out)
     outputs = [args.out]
     if args.manifest:
@@ -208,18 +210,17 @@ def cmd_study(args) -> int:
     rows, runs = [], []
     for n in schedule:
         if longest is not None:
-            config, result = _with_energy(longest.prefix(n), spec)
+            config, result = longest.prefix(n), _NO_RUN
         else:
             config, result = _generate_config(E, spec, args.method, n, child_seed(args.seed, "study", n), args)
         runs.append({"n": n, "iterations": result["iterations"], "converged": result["converged"],
                      "grad_norm": result["grad_norm"]})
-        energy = result["final_energy"]
         r_n = args.r_c * n ** (-r_a)
         rep = discrepancy_bound(oracle, config, phi, r_n, seed=child_seed(args.seed, "study-bound", n))
         rows.append({
             "n": n,
-            "energy": energy,
-            "energy_gap": energy - W,
+            "energy": rep.energy,
+            "energy_gap": rep.energy - W,
             "m_E": closeness_m_E(config, oracle),
             "moment_distance": moment_distance(config, oracle),
             "sup_deficit": sup_potential_deficit(oracle, config),

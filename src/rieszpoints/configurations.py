@@ -14,7 +14,10 @@ and Vianello, SIAM J. Numer. Anal. 48, 2010); the same projected L-BFGS
 then polishes the new point as a one-point configuration in the prefix's
 potential. That argmin-and-polish step is one private helper,
 ``_potential_min``, the minimum over a set of a configuration's
-potential; ``discrepancy.sup_potential_deficit`` calls it too. A seeded
+potential; ``discrepancy.sup_potential_deficit`` calls it too. On a ball
+both search the boundary sphere (``_min_surface``): a potential is
+superharmonic, so by the minimum principle (Landkof, Foundations of Modern
+Potential Theory, 1972) its minimum over a ball lies there. A seeded
 uniform baseline rounds out the benchmark trio.
 """
 
@@ -29,8 +32,8 @@ import numpy as np
 from .errors import CoincidentPointsError, InfeasiblePointError
 from .kernel import KernelSpec, pair_energy_forces, potential_sums, probe_potential_gradient, require_newtonian
 from .measures import PointConfig, discrete_energy
-from .sets import (MEMBERSHIP_TOL, CompactSetModel, _nearest_ball, distance_to_set, project_to_set,
-                   sample_candidates, sample_uniform)
+from .sets import (MEMBERSHIP_TOL, CompactSetModel, _nearest_ball, _norms, distance_to_set, project_to_set,
+                   sample_candidates, sample_uniform, sphere_surface)
 from .seeding import child_seed, substream
 
 
@@ -114,22 +117,22 @@ def _active_face(E, X, F):
     else:
         center, radius = E.center, E.radius
     V = X - center
-    rho = np.linalg.norm(V, axis=1)
-    U = np.divide(V, rho[:, None], out=np.zeros_like(V), where=rho[:, None] > 0)
+    rho = _norms(V)[:, None]
+    U = V / rho if rho.all() else np.divide(V, rho, out=np.zeros_like(V), where=rho > 0)
     if E.kind == "sphere":
         held = np.ones(len(X), dtype=bool)
     else:
-        held = (rho >= (1.0 - _ON_SPHERE) * radius) & (_rowdot(F, U) > 0.0)
-    N = np.where(held[:, None], U, 0.0)
+        held = (rho[:, 0] >= (1.0 - _ON_SPHERE) * radius) & (_rowdot(F, U) > 0.0)
+    N = U if held.all() else np.where(held[:, None], U, 0.0)
     return held, lambda V: V - N * _rowdot(V, N)[:, None]
 
 
 def _relative_force(P, F):
     """Largest per-point norm of P over the mean per-point norm of F."""
-    mean = float(np.linalg.norm(F, axis=1).mean())
+    mean = float(np.add.reduce(_norms(F)) / len(F))
     if mean <= _FORCE_FLOOR:
         return 0.0
-    return float(np.linalg.norm(P, axis=1).max()) / mean
+    return float(_norms(P).max()) / mean
 
 
 def _lbfgs_direction(P, pairs, gamma):
@@ -175,14 +178,14 @@ def _projected_lbfgs(E, energy_forces, X0, max_iters, step0, tol):
             break
         it += 1
         if gamma is None:
-            d = P * (step0 / float(np.linalg.norm(P, axis=1).max()))
+            d = P * (step0 / float(_norms(P).max()))
         else:
             d = restrict(_lbfgs_direction(P, pairs, gamma))
             if not np.vdot(d, P) > 0.0:
                 pairs.clear()
                 d = gamma * P
         # cap the largest single-point move at one diameter
-        move = float(np.linalg.norm(d, axis=1).max())
+        move = float(_norms(d).max())
         if move > max_move:
             d *= max_move / move
         t = 1.0
@@ -254,6 +257,11 @@ def fekete_search_run(E: CompactSetModel, spec: KernelSpec, params: FeketeSearch
     )
 
 
+def _min_surface(E: CompactSetModel) -> CompactSetModel:
+    """Where a potential's minimum over E lies: a ball's boundary sphere, E otherwise."""
+    return sphere_surface(E.center, E.radius) if E.kind == "ball" else E
+
+
 def _potential_min(E: CompactSetModel, spec: KernelSpec, points: np.ndarray, grid: np.ndarray,
                    sums: np.ndarray) -> tuple:
     """Minimum over E of the potential of ``points`` (exponent 2-d), as
@@ -288,6 +296,8 @@ def leja_sequence(
 ) -> PointConfig:
     """Greedy sequence of length n started at xi0 in E.
 
+    A ball's greedy steps search its boundary sphere (``_min_surface``), so
+    from a boundary xi0 it gives the sphere's sequence; xi0 may lie inside.
     One seeded candidate grid serves the whole sequence. Its prefix
     potential is kept and gains one kernel column per new point, so a
     step costs O(candidate_count), not O(candidate_count * k). The grid's
@@ -304,12 +314,13 @@ def leja_sequence(
     points = np.empty((n, E.dim))
     points[0] = project_to_set(E, x0)
     if n > 1:
-        cands = sample_candidates(E, candidate_count, child_seed(seed, "leja-candidates"))
+        S = _min_surface(E)
+        cands = sample_candidates(S, candidate_count, child_seed(seed, "leja-candidates"))
         sums = np.zeros(len(cands))
         for k in range(1, n):
             # a new array, so the sums of an earlier step stay as they were
             sums = sums + potential_sums(spec, cands, points[k - 1:k])
-            points[k], _ = _potential_min(E, spec, points[:k], cands, sums)
+            points[k], _ = _potential_min(S, spec, points[:k], cands, sums)
     return PointConfig(points)
 
 

@@ -2,16 +2,9 @@
 
 Builds test functions that carry closed-form bounds on their modulus of
 continuity and Dirichlet integral, assembles the smoothing-based
-discrepancy bound for test-function means, and measures potential errors
-against the equilibrium potential together with their predicted decay
-shapes.
-
-The sup over R^d of the potential deficit U^{mu_E} - U^{tau} is
-W - min over the boundary sphere of U^{tau} on a ball or sphere: off the
-sphere the deficit is subharmonic (a harmonic minus a superharmonic
-function) and vanishes at infinity, so its sup sits on the sphere. The
-minimum is the greedy step's own polished grid minimum, so the reported
-value is a lower bound of the supremum.
+discrepancy bound for test-function means, measures potential errors
+against the equilibrium potential with their predicted decay shapes, and
+reads the sup of the potential deficit off the greedy step's minimum.
 """
 
 from __future__ import annotations
@@ -26,7 +19,7 @@ import numpy as np
 from .errors import MissingHolderDataError, UnsupportedOracleError
 from .kernel import KernelSpec, potential_sums, require_newtonian
 from .measures import PointConfig, closeness_m_E, discrete_energy, discrete_potential
-from .configurations import _potential_min
+from .configurations import _min_surface, _potential_min
 from .sets import (
     CompactSetModel,
     EquilibriumOracle,
@@ -35,7 +28,6 @@ from .sets import (
     points_at_offset,
     sample_candidates,
     sample_shell,
-    sphere_surface,
 )
 from .seeding import child_seed, substream
 
@@ -199,12 +191,14 @@ class DiscrepancyReport:
     the exact integral of phi against mu_E (``phi.equilibrium_mean``);
     ``rhs`` is omega_term + sqrt(D[phi]/((d-2) omega_d)) * sqrt(max(I_value, 0));
     ``vacuous`` flags a negative I_value (possible under numerical noise),
-    in which case the inequality is not asserted.
+    in which case the inequality is not asserted. ``energy`` is the
+    configuration's ``discrete_energy``, computed once here for callers.
     """
 
     lhs: float
     phi_integral: float
     omega_term: float
+    energy: float
     energy_gap: float
     smoothing_term: float
     green_term: float
@@ -248,7 +242,8 @@ def discrepancy_bound(
     lhs = abs(float(np.mean(phi.evaluator(X.points))) - integral)
 
     m_term = 2.0 * closeness_m_E(X, oracle)
-    energy_gap = (n - 1) / n * discrete_energy(X, spec) - W
+    energy = discrete_energy(X, spec)
+    energy_gap = (n - 1) / n * energy - W
     smoothing_term = r ** (2.0 - d) / n
     green_term = 2.0 * max_green_on_shell(oracle, 2.0 * r, seed=child_seed(seed, "shell"))
     I_value = m_term + energy_gap + smoothing_term + green_term
@@ -268,6 +263,7 @@ def discrepancy_bound(
         lhs=lhs,
         phi_integral=integral,
         omega_term=omega_term,
+        energy=energy,
         energy_gap=energy_gap,
         smoothing_term=smoothing_term,
         green_term=green_term,
@@ -337,9 +333,9 @@ def potential_error(oracle: EquilibriumOracle, X: PointConfig, y) -> tuple:
 def sup_potential_deficit(oracle: EquilibriumOracle, X: PointConfig) -> float:
     """W - min over S of U^{tau(X)}, for the oracle's set E and kernel, where
     S is the boundary sphere of a ball and E itself for a sphere, box or
-    union. The minimum is ``_potential_min`` on a ``_MIN_GRID``-point
-    (4096) grid of S at a fixed seed: the polished grid minimum, so the
-    value is a lower bound of the supremum, not a certificate.
+    union (``_min_surface``). The minimum is ``_potential_min`` on a
+    ``_MIN_GRID``-point (4096) grid of S at a fixed seed: the polished grid
+    minimum, so the value is a lower bound of the supremum, not a certificate.
 
     On a ball or sphere B this is sup over R^d of U^{mu_E} - U^{tau(X)}
     wherever the points lie: off the sphere the difference is subharmonic
@@ -351,7 +347,7 @@ def sup_potential_deficit(oracle: EquilibriumOracle, X: PointConfig) -> float:
     """
     E, spec = oracle.set_model, oracle.spec
     require_newtonian(spec, "potential deficit")
-    S = sphere_surface(E.center, E.radius) if E.kind == "ball" else E
+    S = _min_surface(E)
     grid = sample_candidates(S, _MIN_GRID, 0)
     _, u = _potential_min(S, spec, X.points, grid, potential_sums(spec, grid, X.points))
     return float(oracle.robin_constant - u / X.n)

@@ -169,9 +169,16 @@ def distance_to_set(E: CompactSetModel, x):
     return float(out) if out.ndim == 0 else out
 
 
+def _norms(A):
+    """Row norms of a 2-D array by ``np.linalg.norm(A, axis=1)``'s own formula."""
+    return np.sqrt(np.add.reduce(A * A, axis=1))
+
+
 def _shell_point(v, rho, center, radius):
     """center + radius * v / rho for rows v = p - center of norm rho
     (shape (k, 1)); a row at the center maps to center + radius * e1."""
+    if rho.all():
+        return center + radius * (v / rho)
     unit = np.divide(v, rho, out=np.zeros_like(v), where=rho > 0)
     # deterministic tie-break for the shell's center: fixed direction +e1
     deg = rho[:, 0] == 0
@@ -183,14 +190,14 @@ def _shell_point(v, rho, center, radius):
 def _project_to_sphere_shell(p, center, radius):
     """Radial projection onto |x - center| = radius; center maps to +e1."""
     v = p - center
-    return _shell_point(v, np.linalg.norm(v, axis=-1, keepdims=True), center, radius)
+    return _shell_point(v, _norms(v)[:, None], center, radius)
 
 
 def _project_to_ball(q, center, radius):
     """Nearest point of the solid ball: inside points stay, outside points
     go radially to the boundary."""
     v = q - center
-    rho = np.linalg.norm(v, axis=-1, keepdims=True)
+    rho = _norms(v)[:, None]
     inside = rho <= radius
     if inside.all():
         return q.copy()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rieszpoints import cli, configurations
+from rieszpoints import cli, configurations, discrepancy, measures
 from rieszpoints.cli import STUDY_COLUMNS, main
 from rieszpoints.configurations import leja_sequence
 from rieszpoints.kernel import KernelSpec
@@ -255,6 +255,29 @@ def test_study_leja_runs_the_greedy_steps_once(tmp_path, monkeypatch):
     assert [n for n, _ in rows] == [40, 10, 40]
     assert rows[0] == rows[2]
     assert calls == 39
+
+
+@pytest.mark.parametrize("method", ["leja", "random"])
+def test_study_computes_each_row_energy_once(tmp_path, monkeypatch, method):
+    """The bound computes a row's energy and the row reads it from the
+    report, so a 4-row study evaluates the energy 4 times, not 8."""
+    ball_file = tmp_path / "ball.txt"
+    ball_file.write_text("shape = ball\ncenter = 0 0 0\nradius = 1\n")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return discrete_energy(*args, **kwargs)
+
+    for module in (cli, configurations, discrepancy, measures):
+        monkeypatch.setattr(module, "discrete_energy", counted)
+    out = tmp_path / "study.csv"
+    assert main(["study", "--set", str(ball_file), "--method", method, "--schedule", "10,20,30,40",
+                 "--seed", "5", "--candidates", "512", "--out", str(out)]) == 0
+    assert len(calls) == 4
+    for line in out.read_text().splitlines()[1:]:
+        n, energy = line.split(",")[:2]
+        assert float(energy) > 0.0, n
 
 
 def test_study_fekete_gap_shrinks(sphere_file, tmp_path):

@@ -311,6 +311,68 @@ def test_leja_prefix_energies_on_the_ball_stay_below_robin():
     assert prefix_energy.max() <= 1.0 + 1e-6
 
 
+BALL_AND_SPHERE = [([0.0, 0.0, 0.0], 1.0), ([0.5, -1.0, 2.0], 2.5)]
+
+
+@pytest.mark.parametrize("center,radius", BALL_AND_SPHERE, ids=["unit", "offset"])
+def test_ball_leja_is_the_sphere_leja_from_a_boundary_start(center, radius):
+    """The prefix potential is superharmonic, so its minimum over a ball
+    lies on the boundary sphere and a ball's greedy steps search there:
+    from a start on the sphere the two sequences are bitwise equal."""
+    xi0 = np.array(center) + [0.0, 0.0, radius]  # exactly on the sphere
+    on_ball = leja_sequence(ball(center, radius), SPEC, 60, xi0, candidate_count=1024, seed=3)
+    on_sphere = leja_sequence(sphere_surface(center, radius), SPEC, 60, xi0, candidate_count=1024, seed=3)
+    assert on_ball.points.tobytes() == on_sphere.points.tobytes()
+
+
+@pytest.mark.parametrize("center,radius", BALL_AND_SPHERE, ids=["unit", "offset"])
+def test_ball_leja_after_an_interior_start_lies_on_the_sphere(center, radius):
+    xi0 = np.array(center) + [0.1 * radius, -0.3 * radius, 0.2 * radius]
+    L = leja_sequence(ball(center, radius), SPEC, 60, xi0, candidate_count=1024, seed=3)
+    np.testing.assert_array_equal(L.points[0], xi0)
+    off = np.abs(np.linalg.norm(L.points[1:] - np.array(center), axis=1) - radius)
+    assert off.max() <= 1e-15 * radius
+
+
+@pytest.mark.parametrize("center,radius", BALL_AND_SPHERE, ids=["unit", "offset"])
+def test_ball_potential_minimum_lies_on_the_sphere(center, radius):
+    """The minimum principle behind the boundary search: for 30 random
+    prefixes of 1 to 20 points in the ball, the smallest potential on a
+    20 000-point lattice of the solid ball is at least the polished
+    minimum on the sphere (smallest relative margin 4.5e-4 at both
+    centres)."""
+    E = ball(center, radius)
+    S = configurations._min_surface(E)
+    assert S.kind == "sphere" and S.radius == radius
+    lattice = sample_candidates(E, 20_000, seed=1)
+    grid = sample_candidates(S, 4096, seed=0)
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        prefix_pts = sample_uniform(E, int(rng.integers(1, 21)), rng)
+        _, u = configurations._potential_min(S, SPEC, prefix_pts, grid, potential_sums(SPEC, grid, prefix_pts))
+        assert potential_sums(SPEC, lattice, prefix_pts).min() >= u, trial
+
+
+def test_ball_leja_polish_is_near_a_dense_boundary_minimum(monkeypatch):
+    """How close each greedy step's polished value comes to the step's
+    true minimum: against a 65 536-point grid of the unit sphere, over a
+    150-point sequence from the 4096-point default grid (seed 0), the
+    worst relative excess measured is 6.9e-4, at step 131, and 2 of the
+    149 steps exceed the dense minimum at all, none before step 100. The
+    polish starts from the grid argmin and stays in its basin, so a
+    neighbouring deeper basin can be missed."""
+    L, steps = _recorded_leja_states(monkeypatch, UNIT_BALL, 150, seed=0)
+    dense = sample_candidates(UNIT_SPHERE, 65_536, seed=0)
+    dense_sums = np.zeros(len(dense))
+    excess = []
+    for k, (prefix_pts, _, _, x) in enumerate(steps, start=1):
+        dense_sums += potential_sums(SPEC, dense, L.points[k - 1:k])
+        u = potential_sums(SPEC, x[None], prefix_pts)[0]
+        excess.append(u / dense_sums.min() - 1.0)
+    assert max(excess[:99]) <= 1e-8
+    assert max(excess) <= 1e-3
+
+
 def test_leja_sequence_refuses_nonnewtonian_even_at_one_point():
     for n in (1, 5):
         with pytest.raises(UnsupportedOracleError):

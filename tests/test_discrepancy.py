@@ -19,6 +19,7 @@ from rieszpoints import (
     sphere_surface,
     sup_potential_deficit,
     discrepancy_bound,
+    discrete_energy,
     potential_error,
     unit_sphere_area,
 )
@@ -249,6 +250,7 @@ def test_bound_energy_term_examples():
     tetra = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / (2.0 * math.sqrt(2.0))  # edge 1
     for X, r, expected in [(pair, 1.0, 1.0), (pair, 0.5, 1.5), (PointConfig(tetra), 1.0, 1.0)]:
         rep = discrepancy_bound(oracle, X, phi, r)
+        assert rep.energy == discrete_energy(X, SPEC)
         got = rep.energy_gap + oracle.robin_constant + rep.smoothing_term
         assert got == pytest.approx(expected, rel=1e-14)
 
