@@ -206,7 +206,7 @@ def criterion_test_function_bound_matrix(seed: int, ctx: dict) -> CriterionResul
             phi = radial_hat([0.5, 0.0, 0.0], radius=2.0)
         else:
             phi = phi_for_potential(E, np.array([probe_dist, 0.0, 0.0]), _SPEC3)
-        rep = discrepancy_bound(oracles[set_key], X, phi, r, seed=child_seed(seed, "acc-matrix-trial", t))
+        rep = discrepancy_bound(oracles[set_key], X, phi, r)
         lhs = rep.lhs
         if method == "fekete":
             # rotating X by Q^T about the centre is rotating phi by Q

@@ -60,8 +60,8 @@ from .measures import (
     read_points_csv,
     write_points_csv,
 )
-from .sets import (MEMBERSHIP_TOL, distance_to_set, equilibrium_oracle, parse_set_definition, points_at_offset,
-                   project_to_set)
+from .sets import (MEMBERSHIP_TOL, _parse_floats, distance_to_set, equilibrium_oracle, parse_set_definition,
+                   points_at_offset, project_to_set)
 from .seeding import child_seed
 
 EXIT_OK = 0
@@ -86,13 +86,6 @@ _EXIT_CODES = {
 
 STUDY_COLUMNS = ["n", "energy", "energy_gap", "m_E", "moment_distance",
                  "sup_deficit", "lhs", "rhs", "r"]
-
-
-def _parse_vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(t) for t in text.replace(",", " ").split()], dtype=float)
-    except ValueError as exc:
-        raise SetDefinitionError(f"cannot parse vector {text!r}") from exc
 
 
 def _load_set(path: str):
@@ -130,7 +123,7 @@ def _leja_start(E, args) -> np.ndarray:
         raise SetDefinitionError("--candidates must be >= 1")
     if args.xi0 is None:
         return project_to_set(E, E.enclosing_center + np.eye(E.dim)[0] * (E.enclosing_radius + 1.0))
-    xi0 = _parse_vector(args.xi0)
+    xi0 = np.array(_parse_floats(args.xi0, "--xi0"))
     if distance_to_set(E, xi0) > MEMBERSHIP_TOL:  # raises on a wrong dimension
         raise InfeasiblePointError("xi0 must lie in the set")
     return xi0
@@ -190,13 +183,18 @@ def cmd_study(args) -> int:
     schedule = [int(t) for t in args.schedule.replace(",", " ").split()]
     if not schedule or any(n < 2 for n in schedule):
         raise SetDefinitionError("study schedule needs one or more entries, each >= 2")
-    probe = _parse_vector(args.probe) if args.probe else _default_probe(E)
+    probe = np.array(_parse_floats(args.probe, "--probe")) if args.probe else _default_probe(E)
     if distance_to_set(E, probe) <= 0:
         raise InfeasiblePointError("probe must lie outside the set")
     start = _leja_start(E, args) if args.method == "leja" else None
+    r_a = args.r_a if args.r_a is not None else 1.0 / E.dim
+    radii = [args.r_c * n ** (-r_a) for n in schedule]
+    if not all(0 < r < np.inf for r in radii):  # NaN fails too
+        raise ValueError("r must be positive and finite")  # discrepancy_bound's check, made early
+    if args.method == "fekete":  # raises ValueError on a bad option
+        FeketeSearchParams(n=min(schedule), restarts=args.restarts, max_iters=args.max_iters, tol=args.tol)
     # after the cheap checks: on a box or union this builds a Fekete support
     oracle = equilibrium_oracle(E, spec)  # exit 4 when unsupported
-    r_a = args.r_a if args.r_a is not None else 1.0 / E.dim
     W = oracle.robin_constant
     phi = phi_for_potential(E, probe, spec)
 
@@ -208,15 +206,14 @@ def cmd_study(args) -> int:
         longest = leja_sequence(E, spec, max(schedule), start, candidate_count=args.candidates,
                                 seed=child_seed(args.seed, "study", "leja"))
     rows, runs = [], []
-    for n in schedule:
+    for n, r_n in zip(schedule, radii):
         if longest is not None:
             config, result = longest.prefix(n), _NO_RUN
         else:
             config, result = _generate_config(E, spec, args.method, n, child_seed(args.seed, "study", n), args)
         runs.append({"n": n, "iterations": result["iterations"], "converged": result["converged"],
                      "grad_norm": result["grad_norm"]})
-        r_n = args.r_c * n ** (-r_a)
-        rep = discrepancy_bound(oracle, config, phi, r_n, seed=child_seed(args.seed, "study-bound", n))
+        rep = discrepancy_bound(oracle, config, phi, r_n)
         rows.append({
             "n": n,
             "energy": rep.energy,
@@ -253,7 +250,7 @@ def cmd_potential(args) -> int:
     E, _ = _load_set(args.set)
     spec = KernelSpec(alpha=args.alpha, dim=E.dim)
     X = read_points_csv(args.points)
-    y = _parse_vector(args.y)
+    y = np.array(_parse_floats(args.y, "--y"))
     d_E = float(distance_to_set(E, y))
     if d_E <= 0:
         raise InfeasiblePointError("query point must lie outside the set")

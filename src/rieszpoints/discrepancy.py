@@ -29,7 +29,7 @@ from .sets import (
     sample_candidates,
     sample_shell,
 )
-from .seeding import child_seed, substream
+from .seeding import substream
 
 # shell points the Green-function scan starts from
 _SHELL_COUNT = 512
@@ -157,13 +157,15 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
     )
 
 
-def max_green_on_shell(oracle: EquilibriumOracle, offset: float, seed: int = 0) -> float:
-    """Max of the Green function over the shell {x : d_E(x) = offset} of
-    the oracle's set E: the slab max {d_E <= offset} is attained there for
-    the shipped regular sets, so ``_SHELL_COUNT`` (512) shell points and
-    ``_ASCENT_STEPS`` (40) rounds of a shrinking local search suffice."""
+def max_green_on_shell(oracle: EquilibriumOracle, offset: float) -> float:
+    """Max of the oracle's Green function over the shell {x : d_E(x) = offset}
+    of its set E, where the slab max {d_E <= offset} lies for the shipped
+    regular sets: ``_SHELL_COUNT`` (512) shell points and ``_ASCENT_STEPS``
+    (40) rounds of a shrinking local search, on one fixed stream. Exact up
+    to rounding on a ball or sphere, where g_E is constant on the shell,
+    W - (R + offset)**(2-d); a lower estimate on a box or union."""
     E = oracle.set_model
-    rng = substream(seed, "green-shell")
+    rng = substream(0, "green-shell")
     shell = sample_shell(E, _SHELL_COUNT, offset, rng)
     g = oracle.green(shell)
     best_i = int(np.argmax(g))
@@ -216,7 +218,6 @@ def discrepancy_bound(
     X: PointConfig,
     phi: TestFunction,
     r: float,
-    seed: int = 0,
 ) -> DiscrepancyReport:
     """Assemble the test-function discrepancy bound for one configuration
     against the oracle's set E and kernel.
@@ -227,7 +228,9 @@ def discrepancy_bound(
     term with the square root of the composite energy term
 
         I = 2 m_E(X) + (n-1)/n * energy - W(E) + r**(2-d)/n
-            + 2 max over {d_E <= 2r} of g_E.
+            + 2 max over {d_E <= 2r} of g_E (``max_green_on_shell``),
+
+    so the report depends on (oracle, X, phi, r) alone.
     """
     spec = oracle.spec
     require_newtonian(spec, "discrepancy bound")
@@ -245,7 +248,7 @@ def discrepancy_bound(
     energy = discrete_energy(X, spec)
     energy_gap = (n - 1) / n * energy - W
     smoothing_term = r ** (2.0 - d) / n
-    green_term = 2.0 * max_green_on_shell(oracle, 2.0 * r, seed=child_seed(seed, "shell"))
+    green_term = 2.0 * max_green_on_shell(oracle, 2.0 * r)
     I_value = m_term + energy_gap + smoothing_term + green_term
 
     omega_term = float(phi.modulus_model(r))

@@ -3,9 +3,10 @@ equilibrium oracles.
 
 Shipped shapes: solid ball, sphere surface, axis-aligned box, finite
 union of balls. Balls and spheres carry exact Newtonian equilibrium
-oracles (Robin constant, equilibrium potential, Green function); boxes
-and unions fall back to a quadrature-backed oracle built from a dense
-low-energy configuration, clearly labeled approximate.
+oracles (Robin constant W, equilibrium potential U); boxes and unions
+fall back to a quadrature-backed oracle built from a dense low-energy
+configuration, clearly labeled approximate. Every oracle derives its
+Green function max(W - U, 0) from its own W and U.
 
 Candidate grids on balls, boxes, unions and spheres outside d = 3 come
 from one seeded Kronecker lattice, shifted at random (``_lattice``); the
@@ -14,7 +15,7 @@ from one seeded Kronecker lattice, shifted at random (``_lattice``); the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from statistics import NormalDist
 from typing import Callable, Optional
 
@@ -406,38 +407,43 @@ def _monomials(points: np.ndarray) -> np.ndarray:
 class EquilibriumOracle:
     """Equilibrium data for the set ``set_model`` under the kernel
     ``spec``, which fix mu_E: Robin constant W(E), the equilibrium
-    potential, the Green function W(E) - U(x), an i.i.d. sampler of the
-    equilibrium measure, and its exact ``moments``: the means of the
-    monomials of degree 1 and 2, in the order of ``_monomials``.
-    ``approximate`` marks quadrature-backed oracles whose values carry
-    discretization error. Consumers read E and the kernel from here."""
+    potential U, the Green function (``green``, derived from W and U), an
+    i.i.d. sampler of the equilibrium measure, and its exact ``moments``:
+    the means of the monomials of degree 1 and 2, in the order of
+    ``_monomials``. ``approximate`` marks quadrature-backed oracles whose
+    values carry discretization error. Consumers read E and the kernel
+    from here."""
 
     set_model: CompactSetModel
     spec: KernelSpec
     robin_constant: float
     potential: Callable[[np.ndarray], np.ndarray]
-    green: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[int, int], np.ndarray]  # (count, seed) -> points
     moments: np.ndarray
     approximate: bool = False
+    # accepted and dropped, so that replacing every callable of an oracle (as
+    # perfbench/spans.py does) keeps working; its default is the method below
+    green: InitVar[Callable[[np.ndarray], np.ndarray]]
+
+    def green(self, x):
+        """The Green function g_E(x) = max(W(E) - U(x), 0), from this
+        oracle's ``robin_constant`` and ``potential``; 0 within
+        ``MEMBERSHIP_TOL`` of E, where g_E vanishes."""
+        pts = _vec(x, self.set_model.dim)
+        g = np.maximum(self.robin_constant - self.potential(pts), 0.0)
+        g = np.where(distance_to_set(self.set_model, pts) <= MEMBERSHIP_TOL, 0.0, g)
+        return float(g) if g.ndim == 0 else g
 
 
 def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
     d = spec.dim
     R = E.radius
     c = E.center
-    W = R ** (2.0 - d)
 
     def potential(x):
         rho = np.linalg.norm(_vec(x, d) - c, axis=-1)
         out = np.maximum(rho, R) ** (2.0 - d)
         return float(out) if out.ndim == 0 else out
-
-    def green(x):
-        g = W - potential(x)
-        # clamp tiny negative rounding noise; g is >= 0 by construction
-        out = np.maximum(g, 0.0)
-        return float(out) if np.ndim(out) == 0 else out
 
     def sampler(count, seed):
         rng = substream(seed, "equilibrium-sampler")
@@ -449,9 +455,8 @@ def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOr
     return EquilibriumOracle(
         set_model=E,
         spec=spec,
-        robin_constant=W,
+        robin_constant=R ** (2.0 - d),
         potential=potential,
-        green=green,
         sampler=sampler,
         moments=np.concatenate([c, second[np.triu_indices(d)]]),
         approximate=False,
@@ -471,14 +476,6 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> Equilibri
     def potential(x):
         return discrete_potential(support, spec, x)
 
-    def green(x):
-        pts = _vec(x, E.dim)
-        u = discrete_potential(support, spec, pts)
-        g = np.maximum(W_hat - u, 0.0)
-        inside = distance_to_set(E, pts) <= MEMBERSHIP_TOL
-        g = np.where(inside, 0.0, g)
-        return float(g) if np.ndim(g) == 0 else g
-
     def sampler(count, seed):
         rng = substream(seed, "equilibrium-sampler")
         idx = rng.integers(0, support.n, size=count)
@@ -489,7 +486,6 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> Equilibri
         spec=spec,
         robin_constant=W_hat,
         potential=potential,
-        green=green,
         sampler=sampler,
         moments=_monomials(support.points).mean(axis=0),
         approximate=True,

@@ -148,7 +148,12 @@ def test_study_infeasible_xi0_exits_3_without_a_csv(sphere_file, tmp_path, capsy
     (["--method", "leja", "--schedule", "5", "--candidates", "0"], 2),
     (["--method", "leja", "--schedule", "5", "--xi0", "5,5,5"], 3),
     (["--method", "leja", "--schedule", "5", "--xi0", "1,0"], 2),
-], ids=["schedule-1", "probe-inside", "leja-candidates-0", "leja-xi0-outside", "leja-xi0-short"])
+    (["--method", "random", "--schedule", "5", "--r-c", "0"], 2),
+    (["--method", "random", "--schedule", "5", "--r-a", "nan"], 2),
+    (["--method", "fekete", "--schedule", "5", "--restarts", "0"], 2),
+    (["--method", "fekete", "--schedule", "5", "--tol", "nan"], 2),
+], ids=["schedule-1", "probe-inside", "leja-candidates-0", "leja-xi0-outside", "leja-xi0-short",
+        "r-c-0", "r-a-nan", "fekete-restarts-0", "fekete-tol-nan"])
 def test_study_validates_before_building_the_oracle(tmp_path, monkeypatch, capsys, flags, exit_code):
     """An invalid study on the unit cube exits before the oracle builds its
     Fekete support."""

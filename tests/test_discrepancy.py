@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 
@@ -117,7 +118,7 @@ def test_max_green_on_shell_exact(E, offset):
     # the Green function is constant on each shell about a ball or sphere:
     # g = W - (R + offset)**(2-d) with W = R**(2-d) = 1
     oracle = equilibrium_oracle(E, SPEC)
-    g = max_green_on_shell(oracle, offset=offset, seed=0)
+    g = max_green_on_shell(oracle, offset=offset)
     assert abs(g - (1.0 - 1.0 / (1.0 + offset))) <= 1e-15
 
 
@@ -126,7 +127,7 @@ def test_discrepancy_bound_composite_term_antipodal_pair():
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     phi = radial_hat([0.5, 0, 0], radius=2.0)
-    rep = discrepancy_bound(oracle, X, phi, r=1.0, seed=1)
+    rep = discrepancy_bound(oracle, X, phi, r=1.0)
     assert rep.I_value == pytest.approx(13.0 / 12.0, abs=1e-9)
     assert rep.m_term == 0.0
     assert rep.smoothing_term == pytest.approx(0.5)
@@ -146,23 +147,25 @@ def test_discrepancy_bound_zero_phi():
     )
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
-    rep = discrepancy_bound(oracle, X, zero, r=0.5, seed=2)
+    rep = discrepancy_bound(oracle, X, zero, r=0.5)
     assert rep.lhs == 0.0
     assert rep.lhs <= rep.rhs
 
 
 def test_discrepancy_bound_vacuous_flag():
     # an artificially negative composite term must flag, not crash: feed an
-    # oracle whose Robin constant overstates the energy scale
+    # oracle whose Robin constant overstates the energy scale by 9, with its
+    # potential raised by 9 too, so that g = W - U is unchanged
+    base = equilibrium_oracle(UNIT_SPHERE, SPEC)
     inflated = dataclasses.replace(
-        equilibrium_oracle(UNIT_SPHERE, SPEC),
+        base,
         robin_constant=10.0,
-        green=lambda x: np.zeros(np.asarray(x).shape[0]) if np.asarray(x).ndim > 1 else 0.0,
+        potential=lambda x: base.potential(x) + 9.0,
         approximate=True,
     )
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     phi = radial_hat([0.5, 0, 0], radius=2.0)
-    rep = discrepancy_bound(inflated, X, phi, r=0.1, seed=3)
+    rep = discrepancy_bound(inflated, X, phi, r=0.1)
     assert rep.I_value < 0
     assert rep.vacuous
     assert rep.bound_satisfied is None
@@ -170,16 +173,29 @@ def test_discrepancy_bound_vacuous_flag():
 
 def test_discrepancy_bound_reads_the_oracle_potential():
     # phi_for_potential's equilibrium mean is U^{mu_E}(y) - R**(2-d), so an
-    # oracle whose potential is off by +10 puts the lhs near 10, above the
-    # rhs of about 5.5 for the octahedron at r = 0.5
+    # oracle whose potential is off by +10 puts the lhs near 10. The shift
+    # zeroes the derived Green function too: at r = 0.5 the composite term
+    # turns negative (about -0.11) and the bound is vacuous; at r = 0.25 it
+    # is about 0.22 and the rhs, about 2.75, sits below the lhs
     base = equilibrium_oracle(UNIT_SPHERE, SPEC)
     shifted = dataclasses.replace(base, potential=lambda x: base.potential(x) + 10.0)
     X = PointConfig(np.vstack([np.eye(3), -np.eye(3)]))
     phi = phi_for_potential(UNIT_SPHERE, np.array([2.0, 0, 0]), SPEC)
+    rep = discrepancy_bound(shifted, X, phi, r=0.5)
+    assert rep.green_term == 0.0
+    assert rep.vacuous and rep.bound_satisfied is None
     with pytest.warns(RuntimeWarning, match="discrepancy bound violated"):
-        rep = discrepancy_bound(shifted, X, phi, r=0.5)
+        rep = discrepancy_bound(shifted, X, phi, r=0.25)
+    assert rep.I_value > 0
     assert rep.lhs > rep.rhs
     assert rep.bound_satisfied is False
+
+
+def test_bound_and_shell_search_take_no_seed():
+    """The shell search runs on one fixed stream, so the bound depends on
+    (oracle, X, phi, r) alone."""
+    assert "seed" not in inspect.signature(discrepancy_bound).parameters
+    assert "seed" not in inspect.signature(max_green_on_shell).parameters
 
 
 def test_discrepancy_bound_hat_off_ball_is_unsupported():
@@ -231,7 +247,7 @@ def test_report_json_keys():
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
     phi = radial_hat([0.5, 0, 0], radius=2.0)
-    rep = discrepancy_bound(oracle, X, phi, r=0.5, seed=4)
+    rep = discrepancy_bound(oracle, X, phi, r=0.5)
     payload = json.loads(json.dumps(dataclasses.asdict(rep)))
     assert set(payload) == {f.name for f in dataclasses.fields(DiscrepancyReport)}
     # the stored rhs reproduces its defining combination

@@ -24,6 +24,20 @@ def test_all_drops_the_estimators_and_the_grid_budget_error():
         assert gone not in rieszpoints.__all__
         assert not hasattr(rieszpoints, gone)
     assert len(rieszpoints.__all__) == 39
+    assert _public_parameter_count() == 109
+
+
+def _public_parameter_count():
+    """Parameters of every callable in ``__all__`` that has a signature
+    (the exception classes have none), constructors included."""
+    total = 0
+    for name in rieszpoints.__all__:
+        obj = getattr(rieszpoints, name)
+        try:
+            total += len(inspect.signature(obj).parameters)
+        except ValueError:
+            continue
+    return total
 
 
 def test_all_drops_the_greedy_step_and_the_dead_kernel_api():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -18,6 +20,7 @@ from rieszpoints import (
     sphere_surface,
     union_of_balls,
 )
+from rieszpoints.discrepancy import max_green_on_shell
 from rieszpoints.oracles import equilibrium_mean_mc, sphere_potential_quadrature
 from rieszpoints.sets import _lattice, _lattice_ball, _monomials, points_at_offset, sample_shell, sample_uniform
 from rieszpoints.seeding import substream
@@ -262,6 +265,27 @@ def test_oracle_matches_quadrature():
     assert worst <= 1e-2
 
 
+@pytest.mark.parametrize("E", [UNIT_BALL, UNIT_SPHERE], ids=["ball", "sphere"])
+def test_green_is_derived_from_robin_constant_and_potential(E):
+    """g_E = max(W - U, 0) off E and exactly 0 within 1e-10 of E, read from
+    the oracle's own W and U, so replacing the potential moves g_E too."""
+    oracle = equilibrium_oracle(E, SPEC)
+    rng = np.random.default_rng(17)
+    u = rng.normal(size=(200, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    off = u * rng.uniform(1.01, 3.0, size=(200, 1))
+    W, U = oracle.robin_constant, oracle.potential
+    np.testing.assert_array_equal(oracle.green(off), np.maximum(W - U(off), 0.0))
+    near = u * (1.0 + rng.uniform(-1e-10, 1e-10, size=(200, 1)))
+    assert np.all(oracle.green(near) == 0.0)
+    raised = dataclasses.replace(oracle, potential=lambda x: U(x) + 0.25)
+    np.testing.assert_array_equal(raised.green(off), np.maximum(W - U(off) - 0.25, 0.0))
+    # no field holds g_E; a green= keyword is accepted and dropped
+    assert "green" not in {f.name for f in dataclasses.fields(oracle)}
+    ignored = dataclasses.replace(oracle, green=lambda x: np.ones(len(x)))
+    np.testing.assert_array_equal(ignored.green(off), oracle.green(off))
+
+
 def test_green_positive_exactly_outside():
     for E in (UNIT_BALL, UNIT_SPHERE):
         oracle = equilibrium_oracle(E, SPEC)
@@ -303,6 +327,8 @@ def test_quadrature_backed_oracle_for_box():
     # Green vanishes on the set and grows away from it
     assert oracle.green(np.array([0.5, 0.5, 0.5])) == 0.0
     assert oracle.green(np.array([5.0, 5.0, 5.0])) > 0
+    # the shell search runs on one fixed stream
+    assert max_green_on_shell(oracle, 0.1) == max_green_on_shell(oracle, 0.1)
     # the exact moments are the support's means; its sampler draws the support
     mc, stderr = equilibrium_mean_mc(oracle, _monomials, seed=3)
     assert np.all(np.abs(oracle.moments - mc) <= 4.0 * stderr)
