@@ -1,8 +1,8 @@
 """Rebuild the committed oracle_ledger.csv from scratch.
 
 The ledger pins every ground-truth value the test suite relies on
-(quadrature potentials, exhaustive small-n minima, the candidate covering
-radius, a reference energy). The provenance check in ``rieszpoints verify``
+(quadrature potentials, the closed-form minima of 2, 3 and 4 points on the
+unit sphere, the candidate covering radius, a reference energy). The provenance check in ``rieszpoints verify``
 replays these rows and demands bitwise agreement.
 """
 

@@ -23,9 +23,9 @@ from .kernel import KernelSpec, potential_sums
 from .measures import PointConfig, closeness_m_E, discrete_energy, moment_distance
 from .oracles import (
     describe_mismatch,
-    grid_fekete,
     reference_energy,
     replay_ledger,
+    simplex_energy,
     sphere_potential_quadrature,
 )
 from .seeding import child_seed, substream
@@ -149,14 +149,14 @@ def criterion_fekete_bound_monotonicity(seed: int, ctx: dict) -> CriterionResult
 
 
 def criterion_fekete_small_n_optimality(seed: int, ctx: dict) -> CriterionResult:
-    """Optimizer energies match the exhaustive grid search at n = 2, 3, 4."""
+    """Optimizer energies match the regular simplex's closed-form minimum
+    at n = 2, 3, 4."""
     diffs = {}
     for n in (2, 3, 4):
-        grid_cfg = grid_fekete(_SPHERE, _SPEC3, n, grid_size=48)
-        e_grid = discrete_energy(grid_cfg, _SPEC3)
+        e_exact = simplex_energy(_SPEC3, n)
         e_opt = _fekete_cached(ctx, seed, "sphere", _SPHERE, n).energy
-        diffs[f"n{n}"] = {"grid": e_grid, "optimizer": e_opt, "abs_diff": abs(e_grid - e_opt)}
-    passed = all(v["abs_diff"] <= 1e-4 for v in diffs.values())
+        diffs[f"n{n}"] = {"exact": e_exact, "optimizer": e_opt, "abs_diff": abs(e_exact - e_opt)}
+    passed = all(v["abs_diff"] <= 1e-12 for v in diffs.values())
     return _result("fekete_small_n_optimality", passed, **diffs)
 
 

@@ -2,8 +2,8 @@
 
 Everything here exists to anchor derived test values against a second
 computation path that shares no code with the library's kernel: an
-exact-rounded energy sum, an exhaustive grid search for tiny optimal
-configurations, a spherical quadrature for equilibrium potentials, and
+exact-rounded energy sum, the closed-form minimum energy of n <= dim + 1
+points on a sphere, a spherical quadrature for equilibrium potentials, and
 Monte Carlo Dirichlet integrals and equilibrium means that check the
 closed forms of the test functions and oracles.
 These functions back the test harness and the provenance ledger; they
@@ -29,15 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPointsError, UnsupportedOracleError
+from .errors import CoincidentPointsError
 from .kernel import KernelSpec, require_newtonian
-from .measures import PointConfig, discrete_energy
-from .sets import CompactSetModel, sample_candidates, sphere_surface
+from .measures import PointConfig
+from .sets import sample_candidates, sphere_surface
 from .seeding import substream
-
-# grid_fekete at n = 4 streams the grid kernel in blocks of this many rows,
-# so its memory stays O(block * N)
-_GRID_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -81,160 +77,25 @@ def reference_energy(X: PointConfig, spec: KernelSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive grid Fekete search (tiny n)
+# small-n Fekete minima in closed form
 # ---------------------------------------------------------------------------
 
-def _sphere_product_grid(center, radius, T: int, P: int):
-    """Product angular grid (theta x phi) on a sphere, poles deduplicated.
+def simplex_energy(spec: KernelSpec, n: int) -> float:
+    """Minimum normalized energy of n points on the unit sphere of R^dim,
+    for 2 <= n <= dim + 1: the energy of the regular simplex.
 
-    Returns (nodes, meridian_indices); meridian nodes have phi = 0 and
-    exclude the north pole, which is always node 0.
+    For unit vectors x_1..x_n, the sum over the pairs j < k of
+    |x_j - x_k|^2 is n^2 - |sum x_j|^2 <= n^2, so the mean squared pair
+    distance is at most 2n / (n - 1). The map t -> t^(exponent / 2) is
+    convex and decreasing, so by Jensen's inequality the mean pair term,
+    the normalized energy, is at least (2n / (n - 1))^(exponent / 2).
+    Equality needs every pair at the same distance and sum x_j = 0, which
+    is the regular simplex; it fits in R^dim exactly when n <= dim + 1
+    (Cohn and Kumar, J. AMS 20, 2007).
     """
-    pts = [np.array([0.0, 0.0, radius]), np.array([0.0, 0.0, -radius])]
-    meridian = [1]  # the south pole sits on the phi = 0 meridian
-    thetas = np.linspace(0.0, np.pi, T)
-    phis = np.linspace(0.0, 2.0 * np.pi, P, endpoint=False)
-    for th in thetas[1:-1]:
-        st, ct = math.sin(th), math.cos(th)
-        for j, ph in enumerate(phis):
-            pts.append(radius * np.array([st * math.cos(ph), st * math.sin(ph), ct]))
-            if j == 0:
-                meridian.append(len(pts) - 1)
-    return np.asarray(pts) + np.asarray(center), meridian
-
-
-def _grid_polish(points: np.ndarray, expo: float, radius: float, center, iters: int = 4000):
-    """Deterministic steepest-descent polish on the sphere, self-contained
-    (no randomness, no shared code with the main optimizer)."""
-    def energy(P):
-        best = 0.0
-        n = len(P)
-        terms = []
-        for j in range(n):
-            for k in range(j + 1, n):
-                r2 = float(np.dot(P[j] - P[k], P[j] - P[k]))
-                if r2 == 0.0:
-                    return math.inf
-                terms.append(r2 ** (expo / 2.0))
-        return math.fsum(terms)
-
-    def forces(P):
-        diff = P[:, None, :] - P[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", diff, diff)
-        np.fill_diagonal(r2, 1.0)
-        w = r2 ** ((expo - 2.0) / 2.0)
-        np.fill_diagonal(w, 0.0)
-        return -expo * np.einsum("ij,ijk->ik", w, diff)
-
-    def proj(P):
-        v = P - center
-        return center + radius * v / np.linalg.norm(v, axis=1, keepdims=True)
-
-    X = proj(np.array(points, dtype=float))
-    e = energy(X)
-    F = forces(X)
-    t = 0.05 * radius / max(float(np.linalg.norm(F, axis=1).max()), 1e-300)
-    stall = 0
-    for _ in range(iters):
-        F = forces(X)
-        tt = t
-        accepted = False
-        for _ in range(60):
-            Xt = proj(X + tt * F)
-            et = energy(Xt)
-            if et < e:
-                rel = (e - et) / abs(e)
-                X, e, t = Xt, et, tt * 1.5
-                stall = stall + 1 if rel < 1e-15 else 0
-                accepted = True
-                break
-            tt *= 0.5
-        if not accepted or stall >= 10:
-            break
-    return X, e
-
-
-def _grid_kernel(G: np.ndarray, rows, col0: int, expo: float) -> np.ndarray:
-    """Rows ``rows`` of the grid kernel K[a, b] = |G[a] - G[b]|^expo over
-    the columns ``col0:``, inf on the diagonal a == b.
-
-    Each entry is evaluated with the same elementwise expressions as the
-    whole N x N matrix would be, so every block is bitwise a slice of it.
-    """
-    rows = np.asarray(rows)
-    diff = G[rows, None, :] - G[None, col0:, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    on_diag = np.flatnonzero(rows >= col0)
-    r[on_diag, rows[on_diag] - col0] = np.inf
-    K = r ** expo
-    K[on_diag, rows[on_diag] - col0] = np.inf
-    return K
-
-
-def grid_fekete(E: CompactSetModel, spec: KernelSpec, n: int, grid_size: int = 48) -> PointConfig:
-    """Certified small-n minimizer: exhaustive search over a product
-    angular grid with rotational symmetry pruning (first point pinned to
-    the pole, second to the phi = 0 meridian), then a deterministic local
-    polish that removes the O(grid step squared) snap bias.
-
-    Supports 2 <= n <= 4 and grid_size in [4, 64] on d = 3 balls/spheres
-    (minimizers lie on the boundary sphere). The largest search, n = 4 at
-    grid_size 64, enumerates about 4.96e8 subsets.
-    """
-    if not 2 <= n <= 4:
-        raise ValueError("grid search supports 2 <= n <= 4")
-    if not 4 <= grid_size <= 64:
-        raise ValueError("grid_size must lie in [4, 64] per angular dimension")
-    if E.dim != 3 or E.kind not in ("ball", "sphere"):
-        raise UnsupportedOracleError("grid search ships for d = 3 balls and spheres only")
-    T = P = int(grid_size)
-    G, meridian = _sphere_product_grid(E.center, E.radius, T, P)
-    N = len(G)
-    expo = spec.alpha - spec.dim
-    k0 = _grid_kernel(G, [0], 0, expo)[0]
-    Km = _grid_kernel(G, meridian, 0, expo) if n > 2 else None
-
-    if n == 2:
-        i = int(np.argmin(k0))
-        idx = (0, i)
-    elif n == 3:
-        best = (np.inf, None)
-        for i1, k1 in zip(meridian, Km):
-            tot = k0 + k1 + k0[i1]
-            j = int(np.argmin(tot))
-            if tot[j] < best[0]:
-                best = (float(tot[j]), (0, i1, j))
-        idx = best[1]
-    else:  # n == 4
-        # the upper triangle of M = (w[a] + w[b]) + K[a, b] streamed in row
-        # blocks, each K block shared by every meridian node; K is bitwise
-        # symmetric, so a block's first minimum in row-major order lies
-        # above the diagonal and matches the first minimum of M[triu]
-        W = k0 + Km
-        node_val = np.full(len(meridian), np.inf)
-        node_ab = [None] * len(meridian)
-        buf = np.empty(_GRID_BLOCK * N)
-        for a0 in range(0, N - 1, _GRID_BLOCK):
-            a1 = min(a0 + _GRID_BLOCK, N - 1)
-            Kb = _grid_kernel(G, np.arange(a0, a1), a0 + 1, expo)
-            M = buf[:Kb.size].reshape(Kb.shape)
-            for m, w in enumerate(W):
-                np.add(w[a0:a1, None], w[None, a0 + 1:], out=M)
-                M += Kb
-                j = int(np.argmin(M))
-                if M.flat[j] < node_val[m]:
-                    node_val[m] = M.flat[j]
-                    da, db = divmod(j, Kb.shape[1])
-                    node_ab[m] = (a0 + da, a0 + 1 + db)
-        best = (np.inf, None)
-        for i1, v, ab in zip(meridian, node_val, node_ab):
-            if v + k0[i1] < best[0]:
-                best = (float(v + k0[i1]), (0, i1) + ab)
-        idx = best[1]
-
-    grid_best = G[list(idx)]
-    polished, _ = _grid_polish(grid_best, expo, E.radius, E.center)
-    return PointConfig(polished)
+    if not 2 <= n <= spec.dim + 1:
+        raise ValueError(f"the simplex bound needs 2 <= n <= dim + 1 = {spec.dim + 1}, got n={n}")
+    return (2.0 * n / (n - 1)) ** (spec.exponent / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +272,10 @@ def make_default_ledger_records() -> list:
         ))
 
     for n in (2, 3, 4):
-        cfg = grid_fekete(sphere, spec, n, grid_size=48)
         records.append(OracleRecord(
-            name=f"grid_fekete_sphere_n{n}",
-            inputs=json.dumps({"shape": "sphere", "radius": 1.0, "n": n, "grid_size": 48}, sort_keys=True),
-            value=discrete_energy(cfg, spec), error_estimate=0.0, seed=0,
+            name=f"simplex_energy_sphere_n{n}",
+            inputs=json.dumps({"alpha": 2.0, "dim": 3, "n": n}, sort_keys=True),
+            value=simplex_energy(spec, n), error_estimate=0.0, seed=0,
         ))
 
     cands = sample_candidates(sphere, 4096, seed=11)

@@ -1,24 +1,21 @@
 import csv
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from rieszpoints import CoincidentPointsError, KernelSpec, PointConfig, ball, sphere_surface
+from rieszpoints import CoincidentPointsError, KernelSpec, PointConfig, sphere_surface
 from rieszpoints.acceptance import criterion_provenance, find_default_ledger
 from rieszpoints.measures import discrete_energy
 from rieszpoints.oracles import (
-    _grid_polish,
     _sphere_nodes,
-    _sphere_product_grid,
     describe_mismatch,
-    grid_fekete,
     make_default_ledger_records,
     read_ledger,
     reference_energy,
     replay_ledger,
+    simplex_energy,
     sphere_potential_quadrature,
     write_ledger,
 )
@@ -81,43 +78,6 @@ def _loop_quadrature(radius, spec, y, nodes):
     return v2, abs(v2 - v1)
 
 
-def _dense_grid_fekete(E, spec, n, grid_size):
-    """The dense N x N enumeration that the streamed n <= 4 search replaced,
-    followed by the same polish."""
-    G, meridian = _sphere_product_grid(E.center, E.radius, grid_size, grid_size)
-    N = len(G)
-    expo = spec.alpha - spec.dim
-    diff = G[:, None, :] - G[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(r, np.inf)
-    K = r ** expo
-    np.fill_diagonal(K, np.inf)
-    k0 = K[0]
-    if n == 2:
-        idx = (0, int(np.argmin(k0)))
-    elif n == 3:
-        best = (np.inf, None)
-        for i1 in meridian:
-            tot = k0 + K[i1] + k0[i1]
-            j = int(np.argmin(tot))
-            if tot[j] < best[0]:
-                best = (float(tot[j]), (0, i1, j))
-        idx = best[1]
-    else:
-        iu = np.triu_indices(N, 1)
-        best = (np.inf, None)
-        for i1 in meridian:
-            w = k0 + K[i1]
-            M = w[:, None] + w[None, :] + K
-            v = M[iu]
-            j = int(np.argmin(v))
-            if v[j] + k0[i1] < best[0]:
-                best = (float(v[j] + k0[i1]), (0, i1, int(iu[0][j]), int(iu[1][j])))
-        idx = best[1]
-    polished, _ = _grid_polish(G[list(idx)], expo, E.radius, E.center)
-    return polished
-
-
 def test_reference_energy_trivial_pairs():
     assert reference_energy(PointConfig([[0.0, 0, 0], [1.0, 0, 0]]), SPEC) == 1.0
     tet = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float) / (2 * np.sqrt(2))
@@ -166,46 +126,60 @@ def test_reference_agrees_with_main_path():
         assert discrete_energy(X, spec) == pytest.approx(reference_energy(X, spec), rel=1e-12)
 
 
-def test_grid_fekete_known_small_optima():
-    e2 = discrete_energy(grid_fekete(UNIT_SPHERE, SPEC, 2, grid_size=32), SPEC)
-    assert e2 == pytest.approx(0.5, abs=1e-10)
-    e3 = discrete_energy(grid_fekete(UNIT_SPHERE, SPEC, 3, grid_size=32), SPEC)
-    assert e3 == pytest.approx(1 / np.sqrt(3), abs=1e-8)
-    e4 = discrete_energy(grid_fekete(UNIT_SPHERE, SPEC, 4, grid_size=24), SPEC)
-    assert e4 == pytest.approx(0.6123724356957945, abs=1e-8)
+def _simplex_vertices(n):
+    """The n vertices of a regular simplex on the unit sphere of R^(n-1):
+    the standard basis of R^n, centred and scaled to unit length, written
+    in an orthonormal basis of the hyperplane orthogonal to (1, ..., 1)."""
+    V = np.eye(n) - 1.0 / n
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    Q = np.linalg.qr(V[:, :-1])[0]
+    return V @ Q
 
 
-@pytest.mark.parametrize("E", [
-    UNIT_SPHERE,
-    sphere_surface([1.0, -2.0, 0.5], 2.0),
-    ball([0.0, 0.0, 0.0], 1.0),
-], ids=["unit-sphere", "offset-sphere", "unit-ball"])
-@pytest.mark.parametrize("alpha", [2.0, 1.5, 2.5])
-def test_streamed_grid_search_matches_dense_enumeration(E, alpha):
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_simplex_energy_is_the_energy_of_the_simplex_in_R3(n, alpha):
+    """The antipodal pair, the equatorial triangle and the tetrahedron,
+    embedded in R^3."""
     spec = KernelSpec(alpha, 3)
-    for grid_size in (8, 12, 16, 24):
-        for n in (2, 3, 4):
-            got = grid_fekete(E, spec, n, grid_size=grid_size).points
-            want = _dense_grid_fekete(E, spec, n, grid_size)
-            assert got.tobytes() == want.tobytes(), (grid_size, n)
+    X = np.zeros((n, 3))
+    X[:, :n - 1] = _simplex_vertices(n)
+    assert np.allclose(np.linalg.norm(X, axis=1), 1.0, rtol=0, atol=1e-15)
+    want = reference_energy(PointConfig(X), spec)
+    assert simplex_energy(spec, n) == pytest.approx(want, rel=1e-15)
 
 
-def test_grid_fekete_n4_allocates_no_grid_by_grid_array():
-    grid_fekete(UNIT_SPHERE, SPEC, 4, grid_size=8)
-    tracemalloc.start()
-    try:
-        grid_fekete(UNIT_SPHERE, SPEC, 4, grid_size=48)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one 2210 x 2210 float array alone would take 37 MiB
-    assert peak < 16 * 2**20
+def test_simplex_energy_of_five_points_in_R4_and_the_small_optima():
+    spec = KernelSpec(2.0, 4)
+    X = PointConfig(_simplex_vertices(5))
+    assert simplex_energy(spec, 5) == pytest.approx(reference_energy(X, spec), rel=1e-15)
+    # the committed minima of 2, 3 and 4 charges on the unit sphere in R^3
+    got = [simplex_energy(SPEC, n) for n in (2, 3, 4)]
+    assert got == [0.5, 0.5773502691896257, 0.6123724356957946]
+    assert got[1] == pytest.approx(1 / math.sqrt(3), rel=1e-15)
+    assert got[2] == pytest.approx(math.sqrt(3 / 8), rel=1e-15)
 
 
-def test_grid_fekete_budget_and_validation():
-    for n, grid_size in [(5, 16), (6, 16), (1, 16), (4, 3), (4, 65)]:
-        with pytest.raises(ValueError):
-            grid_fekete(UNIT_SPHERE, SPEC, n, grid_size=grid_size)
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5])
+def test_simplex_energy_bounds_every_configuration_below(dim, alpha):
+    """Jensen's bound: no n <= dim + 1 unit vectors have a smaller energy."""
+    spec = KernelSpec(alpha, dim)
+    rng = np.random.default_rng(7)
+    for n in range(2, dim + 2):
+        floor = simplex_energy(spec, n)
+        for _ in range(50):
+            pts = rng.normal(size=(n, dim))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            assert discrete_energy(PointConfig(pts), spec) >= floor
+
+
+def test_simplex_energy_rejects_n_outside_the_simplex_range():
+    for dim in (3, 4):
+        spec = KernelSpec(2.0, dim)
+        for n in (1, dim + 2):
+            with pytest.raises(ValueError):
+                simplex_energy(spec, n)
 
 
 def test_quadrature_interior_and_exterior():

@@ -18,8 +18,8 @@ def test_all_lists_public_names_not_modules():
 
 
 def test_all_drops_the_estimators_and_the_grid_budget_error():
-    """The bound machinery exports only paths that yield bounds; grid_fekete
-    validates its inputs with ValueError."""
+    """The bound machinery exports only paths that yield bounds, and no
+    search budget needs an error class of its own."""
     for gone in ("modulus_of_continuity", "dirichlet_integral", "GridBudgetError"):
         assert gone not in rieszpoints.__all__
         assert not hasattr(rieszpoints, gone)
