@@ -15,11 +15,9 @@ from .errors import (
 from .kernel import KernelSpec
 from .sets import (
     CompactSetModel,
-    EquilibriumOracle,
     ball,
     box,
     distance_to_set,
-    equilibrium_oracle,
     parse_set_definition,
     project_to_set,
     sample_candidates,
@@ -28,10 +26,8 @@ from .sets import (
 )
 from .measures import (
     PointConfig,
-    closeness_m_E,
     discrete_energy,
     discrete_potential,
-    moment_distance,
     read_points_csv,
     write_points_csv,
 )
@@ -44,7 +40,11 @@ from .configurations import (
 )
 from .discrepancy import (
     DiscrepancyReport,
+    EquilibriumOracle,
     TestFunction,
+    closeness_m_E,
+    equilibrium_oracle,
+    moment_distance,
     phi_for_potential,
     radial_hat,
     sup_potential_deficit,
@@ -66,11 +66,9 @@ __all__ = [
     "KernelSpec",
     # sets
     "CompactSetModel",
-    "EquilibriumOracle",
     "ball",
     "box",
     "distance_to_set",
-    "equilibrium_oracle",
     "parse_set_definition",
     "project_to_set",
     "sample_candidates",
@@ -78,10 +76,8 @@ __all__ = [
     "union_of_balls",
     # measures
     "PointConfig",
-    "closeness_m_E",
     "discrete_energy",
     "discrete_potential",
-    "moment_distance",
     "read_points_csv",
     "write_points_csv",
     # configurations
@@ -92,7 +88,11 @@ __all__ = [
     "random_config",
     # discrepancy
     "DiscrepancyReport",
+    "EquilibriumOracle",
     "TestFunction",
+    "closeness_m_E",
+    "equilibrium_oracle",
+    "moment_distance",
     "phi_for_potential",
     "radial_hat",
     "sup_potential_deficit",

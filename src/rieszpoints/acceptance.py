@@ -18,9 +18,10 @@ import numpy as np
 
 from . import __version__
 from .configurations import FeketeSearchParams, fekete_search_run, leja_sequence, random_config
-from .discrepancy import phi_for_potential, radial_hat, discrepancy_bound, potential_error, sphere_probe_rule
+from .discrepancy import (closeness_m_E, discrepancy_bound, equilibrium_oracle, moment_distance, phi_for_potential,
+                          potential_error, radial_hat, sphere_probe_rule)
 from .kernel import KernelSpec, potential_sums
-from .measures import PointConfig, closeness_m_E, discrete_energy, moment_distance
+from .measures import PointConfig, discrete_energy
 from .oracles import (
     describe_mismatch,
     reference_energy,
@@ -29,7 +30,7 @@ from .oracles import (
     sphere_potential_quadrature,
 )
 from .seeding import child_seed, substream
-from .sets import ball, equilibrium_oracle, project_to_set, random_rotation, sample_uniform, sphere_surface
+from .sets import ball, project_to_set, random_rotation, sample_uniform, sphere_surface
 
 DEFAULT_SEED = 1601
 
@@ -75,7 +76,6 @@ def _fekete_cached(ctx: dict, seed: int, set_key: str, E, n: int):
         params = FeketeSearchParams(
             n=n,
             restarts=6 if n <= 60 else (4 if n <= 150 else 3),
-            max_iters=3000,
             tol=1e-14,
             seed=child_seed(seed, "fekete", set_key, n),
         )

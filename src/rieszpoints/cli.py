@@ -42,7 +42,8 @@ import numpy as np
 from . import __version__
 from .acceptance import DEFAULT_SEED, run_criteria, verdict_json
 from .configurations import FeketeSearchParams, fekete_search_run, leja_sequence, random_config
-from .discrepancy import phi_for_potential, sup_potential_deficit, discrepancy_bound, potential_error
+from .discrepancy import (closeness_m_E, discrepancy_bound, equilibrium_oracle, moment_distance, phi_for_potential,
+                          potential_error, sup_potential_deficit)
 from .errors import (
     CoincidentPointsError,
     InfeasiblePointError,
@@ -52,16 +53,9 @@ from .errors import (
     UnsupportedOracleError,
 )
 from .kernel import KernelSpec
-from .measures import (
-    closeness_m_E,
-    discrete_energy,
-    discrete_potential,
-    moment_distance,
-    read_points_csv,
-    write_points_csv,
-)
-from .sets import (MEMBERSHIP_TOL, _parse_floats, distance_to_set, equilibrium_oracle, parse_set_definition,
-                   points_at_offset, project_to_set)
+from .measures import discrete_energy, discrete_potential, read_points_csv, write_points_csv
+from .sets import (MEMBERSHIP_TOL, _parse_floats, distance_to_set, parse_set_definition, points_at_offset,
+                   project_to_set)
 from .seeding import child_seed
 
 EXIT_OK = 0

@@ -1,10 +1,15 @@
-"""Quantitative equidistribution machinery.
+"""Equilibrium data of a compact set and quantitative equidistribution
+machinery.
 
-Builds test functions that carry closed-form bounds on their modulus of
-continuity and Dirichlet integral, assembles the smoothing-based
-discrepancy bound for test-function means, measures potential errors
-against the equilibrium potential with their predicted decay shapes, and
-reads the sup of the potential deficit off the greedy step's minimum.
+Holds the equilibrium oracles (Robin constant, potential and Green
+function of mu_E, with its exact low-order moments) and the diagnostics
+that compare a configuration with them: the closeness functional m_E and
+the moment distance. Builds test functions that carry closed-form bounds
+on their modulus of continuity and Dirichlet integral, assembles the
+smoothing-based discrepancy bound for test-function means, measures
+potential errors against the equilibrium potential with their predicted
+decay shapes, and reads the sup of the potential deficit off the greedy
+step's minimum.
 """
 
 from __future__ import annotations
@@ -18,14 +23,15 @@ import numpy as np
 
 from .errors import MissingHolderDataError, UnsupportedOracleError
 from .kernel import KernelSpec, potential_sums, require_newtonian
-from .measures import PointConfig, closeness_m_E, discrete_energy, discrete_potential
-from .configurations import _min_surface, _potential_min
+from .measures import PointConfig, discrete_energy, discrete_potential
+from .configurations import FeketeSearchParams, _min_surface, _potential_min, fekete_search_run
 from .sets import (
     CompactSetModel,
-    EquilibriumOracle,
     MEMBERSHIP_TOL,
+    _vec,
     distance_to_set,
     points_at_offset,
+    random_directions,
     sample_candidates,
     sample_shell,
 )
@@ -38,6 +44,145 @@ _ASCENT_STEPS = 40
 # grid points of the potential minimum in sup_potential_deficit
 _MIN_GRID = 4096
 
+
+# ---------------------------------------------------------------------------
+# equilibrium oracles
+# ---------------------------------------------------------------------------
+
+def _monomials(points: np.ndarray) -> np.ndarray:
+    """The monomials of degree 1 and 2 at each point: the d coordinates,
+    then x_i x_j for i <= j in row-major order, one row per point."""
+    d = points.shape[1]
+    quad = [points[:, i] * points[:, j] for i in range(d) for j in range(i, d)]
+    return np.column_stack([points] + quad)
+
+
+@dataclass(frozen=True)
+class EquilibriumOracle:
+    """Equilibrium data for the set ``set_model`` under the kernel
+    ``spec``, which fix mu_E: Robin constant W(E), the equilibrium
+    potential U, the Green function (``green``, derived from W and U), an
+    i.i.d. sampler of the equilibrium measure, and its exact ``moments``:
+    the means of the monomials of degree 1 and 2, in the order of
+    ``_monomials``. ``approximate`` marks quadrature-backed oracles whose
+    values carry discretization error. Consumers read E and the kernel
+    from here."""
+
+    set_model: CompactSetModel
+    spec: KernelSpec
+    robin_constant: float
+    potential: Callable[[np.ndarray], np.ndarray]
+    sampler: Callable[[int, int], np.ndarray]  # (count, seed) -> points
+    moments: np.ndarray
+    approximate: bool = False
+
+    def green(self, x):
+        """The Green function g_E(x) = max(W(E) - U(x), 0), from this
+        oracle's ``robin_constant`` and ``potential``; 0 within
+        ``MEMBERSHIP_TOL`` of E, where g_E vanishes and U is not
+        evaluated (a quadrature-backed U is singular at its support)."""
+        pts = _vec(x, self.set_model.dim)
+        off = np.asarray(distance_to_set(self.set_model, pts)) > MEMBERSHIP_TOL
+        g = np.zeros(off.shape)
+        g[off] = np.maximum(self.robin_constant - self.potential(pts[off]), 0.0)
+        return float(g) if g.ndim == 0 else g
+
+
+def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
+    d = spec.dim
+    R = E.radius
+    c = E.center
+
+    def potential(x):
+        rho = np.linalg.norm(_vec(x, d) - c, axis=-1)
+        out = np.maximum(rho, R) ** (2.0 - d)
+        return float(out) if out.ndim == 0 else out
+
+    def sampler(count, seed):
+        rng = substream(seed, "equilibrium-sampler")
+        return c + R * random_directions(rng, count, d)
+
+    # uniform measure on the sphere: E[x] = c, E[x x^T] = c c^T + (R^2/d) I
+    second = np.outer(c, c) + (R * R / d) * np.eye(d)
+
+    return EquilibriumOracle(
+        set_model=E,
+        spec=spec,
+        robin_constant=R ** (2.0 - d),
+        potential=potential,
+        sampler=sampler,
+        moments=np.concatenate([c, second[np.triu_indices(d)]]),
+        approximate=False,
+    )
+
+
+def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
+    # The equilibrium measure is approximated by a dense low-energy
+    # configuration on E and its discrete potential; documented as
+    # approximate, never used by the acceptance bounds.
+    run = fekete_search_run(E, spec, FeketeSearchParams(n=400, restarts=1, tol=1e-10, seed=20406))
+    support, W_hat = run.config, run.energy
+
+    def potential(x):
+        return discrete_potential(support, spec, x)
+
+    def sampler(count, seed):
+        rng = substream(seed, "equilibrium-sampler")
+        idx = rng.integers(0, support.n, size=count)
+        return support.points[idx]
+
+    return EquilibriumOracle(
+        set_model=E,
+        spec=spec,
+        robin_constant=W_hat,
+        potential=potential,
+        sampler=sampler,
+        moments=_monomials(support.points).mean(axis=0),
+        approximate=True,
+    )
+
+
+def equilibrium_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
+    """Equilibrium oracle for E under the given kernel.
+
+    Balls and spheres get the exact Newtonian closed forms (classical:
+    the equilibrium measure is the uniform surface measure, so
+    W = R**(2-d) and U(x) = max(|x-c|, R)**(2-d)). Boxes and unions get
+    the approximate quadrature-backed oracle. Either records E and the
+    kernel as ``set_model`` and ``spec``. Non-Newtonian kernels have no
+    fallback and raise.
+    """
+    if E.dim != spec.dim:
+        raise ValueError(f"set dimension {E.dim} != kernel dimension {spec.dim}")
+    require_newtonian(spec, "equilibrium oracle")
+    if E.kind in ("ball", "sphere"):
+        return _analytic_ball_oracle(E, spec)
+    return _quadrature_backed_oracle(E, spec)
+
+
+def closeness_m_E(X: PointConfig, oracle: EquilibriumOracle) -> float:
+    """Average of the Green function over configuration points outside
+    the oracle's set E.
+
+    Exactly zero when every point lies in E: ``oracle.green`` is 0 within
+    ``MEMBERSHIP_TOL`` of E, which absorbs projection rounding.
+    """
+    return float(np.sum(oracle.green(X.points)) / X.n)
+
+
+def moment_distance(X: PointConfig, oracle: EquilibriumOracle) -> float:
+    """Max deviation of the coordinate-monomial means of total degree 1
+    and 2 between the counting measure and the equilibrium measure, whose
+    means are the oracle's exact ``moments``. Quantifies weak-star
+    closeness through a fixed finite test family; the unit sphere's
+    octahedron, which matches every equilibrium moment of degree <= 2,
+    reads 0."""
+    return float(np.max(np.abs(_monomials(X.points).mean(axis=0) - oracle.moments)))
+
+
+# ---------------------------------------------------------------------------
+# test functions and the discrepancy bound
+# ---------------------------------------------------------------------------
 
 def unit_sphere_area(d: int) -> float:
     """Surface area of the unit (d-1)-sphere: 2 pi^{d/2} / Gamma(d/2)."""

@@ -1,6 +1,5 @@
-"""Discrete counting measures: energies, potentials, the closeness
-functional over the Green function, and moment distances to the
-equilibrium measure."""
+"""Point configurations and their counting measures: the CSV round-trip,
+the normalized pair energy and the discrete potential."""
 
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import numpy as np
 
 from .errors import SingularityError
 from .kernel import KernelSpec, pair_terms, potential_sums
-from .sets import MEMBERSHIP_TOL, EquilibriumOracle, _monomials, distance_to_set
 
 
 @dataclass(frozen=True)
@@ -85,32 +83,11 @@ def discrete_potential(X: PointConfig, spec: KernelSpec, y):
     if X.dim != spec.dim:
         raise ValueError(f"config dimension {X.dim} != kernel dimension {spec.dim}")
     yv = np.asarray(y, dtype=float)
+    if yv.ndim not in (1, 2) or yv.shape[-1] != X.dim:
+        raise ValueError(f"probe shape {yv.shape} does not match config dimension {X.dim}")
     scalar = yv.ndim == 1
     u = potential_sums(spec, yv[None, :] if scalar else yv, X.points)
     if np.any(u == np.inf):
         raise SingularityError("potential evaluated at a configuration point")
     u /= X.n
     return float(u[0]) if scalar else u
-
-
-def closeness_m_E(X: PointConfig, oracle: EquilibriumOracle) -> float:
-    """Average of the Green function over configuration points outside
-    the oracle's set E.
-
-    Exactly zero when every point lies in E (membership uses the
-    distance threshold 1e-9 to absorb projection rounding).
-    """
-    outside = distance_to_set(oracle.set_model, X.points) > MEMBERSHIP_TOL
-    if not np.any(outside):
-        return 0.0
-    return float(np.sum(oracle.green(X.points[outside])) / X.n)
-
-
-def moment_distance(X: PointConfig, oracle: EquilibriumOracle) -> float:
-    """Max deviation of the coordinate-monomial means of total degree 1
-    and 2 between the counting measure and the equilibrium measure, whose
-    means are the oracle's exact ``moments``. Quantifies weak-star
-    closeness through a fixed finite test family; the unit sphere's
-    octahedron, which matches every equilibrium moment of degree <= 2,
-    reads 0."""
-    return float(np.max(np.abs(_monomials(X.points).mean(axis=0) - oracle.moments)))

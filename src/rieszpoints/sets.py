@@ -1,12 +1,9 @@
-"""Compact sets in R^d: distance/projection queries, samplers, and
-equilibrium oracles.
+"""Compact sets in R^d: shapes, distance and projection queries,
+samplers and the plain-text set grammar.
 
 Shipped shapes: solid ball, sphere surface, axis-aligned box, finite
-union of balls. Balls and spheres carry exact Newtonian equilibrium
-oracles (Robin constant W, equilibrium potential U); boxes and unions
-fall back to a quadrature-backed oracle built from a dense low-energy
-configuration, clearly labeled approximate. Every oracle derives its
-Green function max(W - U, 0) from its own W and U.
+union of balls. Their equilibrium data (Robin constant, potential, Green
+function) live with the bound machinery, in ``discrepancy``.
 
 Candidate grids on balls, boxes, unions and spheres outside d = 3 come
 from one seeded Kronecker lattice, shifted at random (``_lattice``); the
@@ -15,14 +12,13 @@ from one seeded Kronecker lattice, shifted at random (``_lattice``); the
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import SetDefinitionError
-from .kernel import KernelSpec, require_newtonian
 from .seeding import child_seed, substream
 
 # Numeric membership threshold: projected points land on boundaries up to
@@ -32,7 +28,8 @@ MEMBERSHIP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CompactSetModel:
-    """A compact set E with geometric queries and an optional Holder exponent.
+    """A compact set E: its shape's parameters and an optional Holder
+    exponent. The geometric queries are this module's functions.
 
     ``holder_s`` is the user-declared exponent s, 0 < s <= 1, of a bound
     g_E(x) <= A * d_E(x)**s on the Green function; the constant A never
@@ -389,125 +386,6 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
         if k > 0
     ]
     return np.concatenate(parts)
-
-
-# ---------------------------------------------------------------------------
-# equilibrium oracles
-# ---------------------------------------------------------------------------
-
-def _monomials(points: np.ndarray) -> np.ndarray:
-    """The monomials of degree 1 and 2 at each point: the d coordinates,
-    then x_i x_j for i <= j in row-major order, one row per point."""
-    d = points.shape[1]
-    quad = [points[:, i] * points[:, j] for i in range(d) for j in range(i, d)]
-    return np.column_stack([points] + quad)
-
-
-@dataclass(frozen=True)
-class EquilibriumOracle:
-    """Equilibrium data for the set ``set_model`` under the kernel
-    ``spec``, which fix mu_E: Robin constant W(E), the equilibrium
-    potential U, the Green function (``green``, derived from W and U), an
-    i.i.d. sampler of the equilibrium measure, and its exact ``moments``:
-    the means of the monomials of degree 1 and 2, in the order of
-    ``_monomials``. ``approximate`` marks quadrature-backed oracles whose
-    values carry discretization error. Consumers read E and the kernel
-    from here."""
-
-    set_model: CompactSetModel
-    spec: KernelSpec
-    robin_constant: float
-    potential: Callable[[np.ndarray], np.ndarray]
-    sampler: Callable[[int, int], np.ndarray]  # (count, seed) -> points
-    moments: np.ndarray
-    approximate: bool = False
-    # accepted and dropped, so that replacing every callable of an oracle (as
-    # perfbench/spans.py does) keeps working; its default is the method below
-    green: InitVar[Callable[[np.ndarray], np.ndarray]]
-
-    def green(self, x):
-        """The Green function g_E(x) = max(W(E) - U(x), 0), from this
-        oracle's ``robin_constant`` and ``potential``; 0 within
-        ``MEMBERSHIP_TOL`` of E, where g_E vanishes."""
-        pts = _vec(x, self.set_model.dim)
-        g = np.maximum(self.robin_constant - self.potential(pts), 0.0)
-        g = np.where(distance_to_set(self.set_model, pts) <= MEMBERSHIP_TOL, 0.0, g)
-        return float(g) if g.ndim == 0 else g
-
-
-def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
-    d = spec.dim
-    R = E.radius
-    c = E.center
-
-    def potential(x):
-        rho = np.linalg.norm(_vec(x, d) - c, axis=-1)
-        out = np.maximum(rho, R) ** (2.0 - d)
-        return float(out) if out.ndim == 0 else out
-
-    def sampler(count, seed):
-        rng = substream(seed, "equilibrium-sampler")
-        return c + R * random_directions(rng, count, d)
-
-    # uniform measure on the sphere: E[x] = c, E[x x^T] = c c^T + (R^2/d) I
-    second = np.outer(c, c) + (R * R / d) * np.eye(d)
-
-    return EquilibriumOracle(
-        set_model=E,
-        spec=spec,
-        robin_constant=R ** (2.0 - d),
-        potential=potential,
-        sampler=sampler,
-        moments=np.concatenate([c, second[np.triu_indices(d)]]),
-        approximate=False,
-    )
-
-
-def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
-    # The equilibrium measure is approximated by a dense low-energy
-    # configuration on E and its discrete potential; documented as
-    # approximate, never used by the acceptance bounds.
-    from .configurations import FeketeSearchParams, fekete_search_run
-    from .measures import discrete_potential
-
-    run = fekete_search_run(E, spec, FeketeSearchParams(n=400, restarts=1, tol=1e-10, seed=20406))
-    support, W_hat = run.config, run.energy
-
-    def potential(x):
-        return discrete_potential(support, spec, x)
-
-    def sampler(count, seed):
-        rng = substream(seed, "equilibrium-sampler")
-        idx = rng.integers(0, support.n, size=count)
-        return support.points[idx]
-
-    return EquilibriumOracle(
-        set_model=E,
-        spec=spec,
-        robin_constant=W_hat,
-        potential=potential,
-        sampler=sampler,
-        moments=_monomials(support.points).mean(axis=0),
-        approximate=True,
-    )
-
-
-def equilibrium_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
-    """Equilibrium oracle for E under the given kernel.
-
-    Balls and spheres get the exact Newtonian closed forms (classical:
-    the equilibrium measure is the uniform surface measure, so
-    W = R**(2-d) and U(x) = max(|x-c|, R)**(2-d)). Boxes and unions get
-    the approximate quadrature-backed oracle. Either records E and the
-    kernel as ``set_model`` and ``spec``. Non-Newtonian kernels have no
-    fallback and raise.
-    """
-    if E.dim != spec.dim:
-        raise ValueError(f"set dimension {E.dim} != kernel dimension {spec.dim}")
-    require_newtonian(spec, "equilibrium oracle")
-    if E.kind in ("ball", "sphere"):
-        return _analytic_ball_oracle(E, spec)
-    return _quadrature_backed_oracle(E, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,11 @@ from rieszpoints import (
     union_of_balls,
 )
 from rieszpoints import configurations
-from rieszpoints.discrepancy import potential_error, sphere_probe_rule
+from rieszpoints.discrepancy import equilibrium_oracle, potential_error, sphere_probe_rule
 from rieszpoints.kernel import potential_sums
 from rieszpoints.oracles import reference_energy
 from rieszpoints.seeding import substream
-from rieszpoints.sets import MEMBERSHIP_TOL, equilibrium_oracle, project_to_set, random_rotation, sample_uniform
+from rieszpoints.sets import MEMBERSHIP_TOL, project_to_set, random_rotation, sample_uniform
 
 SPEC = KernelSpec(2.0, 3)
 UNIT_SPHERE = sphere_surface([0.0, 0.0, 0.0], 1.0)

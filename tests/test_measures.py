@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from rieszpoints import (
     sphere_surface,
     write_points_csv,
 )
-from rieszpoints.sets import _monomials
+from rieszpoints.discrepancy import _monomials
 from rieszpoints.oracles import equilibrium_mean_mc, reference_energy
 
 SPEC = KernelSpec(2.0, 3)
@@ -99,6 +101,18 @@ def test_potential_matches_loop_oracle():
     y = np.array([3.0, 0, 0])
     direct = sum(1.0 / np.linalg.norm(y - p) for p in pts) / 100
     assert discrete_potential(X, SPEC, y) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("y", [[2.0, 0.0], [2.0, 0.0, 0.0, 0.0], [[2.0, 0.0], [0.0, 3.0]],
+                               [[2.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0]]],
+                         ids=["2d-probe", "4d-probe", "2d-batch", "4d-batch"])
+def test_potential_rejects_a_probe_of_another_dimension(y):
+    """A probe whose dimension differs from the configuration's raises
+    ValueError naming both, not a potential of the leading coordinates or
+    an IndexError from the distance kernel."""
+    X = PointConfig([[0.0, 0, 1], [0.0, 1, 0]])
+    with pytest.raises(ValueError, match=re.escape(f"probe shape {np.shape(y)} does not match config dimension 3")):
+        discrete_potential(X, SPEC, y)
 
 
 def test_potential_singular_at_config_point():

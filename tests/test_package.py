@@ -8,6 +8,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import rieszpoints
 
 
@@ -24,7 +26,7 @@ def test_all_drops_the_estimators_and_the_grid_budget_error():
         assert gone not in rieszpoints.__all__
         assert not hasattr(rieszpoints, gone)
     assert len(rieszpoints.__all__) == 39
-    assert _public_parameter_count() == 109
+    assert _public_parameter_count() == 108
 
 
 def _public_parameter_count():
@@ -70,6 +72,42 @@ def test_only_oracles_imports_scipy_stats():
             if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _package_sources():
+    package = Path(rieszpoints.__file__).parent
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+
+
+def test_no_import_inside_a_function():
+    """Every import sits at module level: no module hides a dependency,
+    or breaks an import cycle, inside a function body."""
+    offenders = []
+    for name, tree in _package_sources().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders += [f"{name}.{func.name}:{node.lineno}" for node in ast.walk(func)
+                              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert offenders == []
+
+
+def _package_imports(tree):
+    """The package modules a module imports: ``from .x import ...`` gives x,
+    and ``from . import y`` gives y."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+@pytest.mark.parametrize("module, allowed", [("sets", {"errors", "seeding"}), ("measures", {"errors", "kernel"})],
+                         ids=["sets", "measures"])
+def test_sets_and_measures_are_low_layers(module, allowed):
+    """sets.py is geometry alone and measures.py holds configurations,
+    energies and potentials: neither reaches the equilibrium oracle or
+    the optimizer, so neither can join an import cycle with them."""
+    assert _package_imports(_package_sources()[module]) <= allowed
 
 
 def test_import_loads_no_scipy():

@@ -8,10 +8,13 @@ from scipy.special import ndtri
 
 from rieszpoints import (
     KernelSpec,
+    PointConfig,
     SetDefinitionError,
     UnsupportedOracleError,
     ball,
     box,
+    closeness_m_E,
+    discrete_potential,
     distance_to_set,
     equilibrium_oracle,
     parse_set_definition,
@@ -20,9 +23,9 @@ from rieszpoints import (
     sphere_surface,
     union_of_balls,
 )
-from rieszpoints.discrepancy import max_green_on_shell
+from rieszpoints.discrepancy import _monomials, max_green_on_shell
 from rieszpoints.oracles import equilibrium_mean_mc, sphere_potential_quadrature
-from rieszpoints.sets import _lattice, _lattice_ball, _monomials, points_at_offset, sample_shell, sample_uniform
+from rieszpoints.sets import _lattice, _lattice_ball, points_at_offset, sample_shell, sample_uniform
 from rieszpoints.seeding import substream
 
 SPEC = KernelSpec(2.0, 3)
@@ -280,10 +283,24 @@ def test_green_is_derived_from_robin_constant_and_potential(E):
     assert np.all(oracle.green(near) == 0.0)
     raised = dataclasses.replace(oracle, potential=lambda x: U(x) + 0.25)
     np.testing.assert_array_equal(raised.green(off), np.maximum(W - U(off) - 0.25, 0.0))
-    # no field holds g_E; a green= keyword is accepted and dropped
+    # no field holds g_E, and the constructor takes no green= keyword
     assert "green" not in {f.name for f in dataclasses.fields(oracle)}
-    ignored = dataclasses.replace(oracle, green=lambda x: np.ones(len(x)))
-    np.testing.assert_array_equal(ignored.green(off), oracle.green(off))
+    with pytest.raises(TypeError):
+        dataclasses.replace(oracle, green=lambda x: np.ones(len(x)))
+
+
+def test_green_on_E_does_not_evaluate_the_potential():
+    """A potential that is singular on E, as a quadrature-backed one is at
+    its support points (a cube's corners among them), still gives g_E = 0
+    there, so the closeness functional of the support reads 0."""
+    support = PointConfig(np.vstack([np.eye(3), -np.eye(3)]))
+    oracle = dataclasses.replace(equilibrium_oracle(UNIT_SPHERE, SPEC),
+                                 potential=lambda x: discrete_potential(support, SPEC, x))
+    np.testing.assert_array_equal(oracle.green(support.points), np.zeros(6))
+    assert oracle.green(support.points[0]) == 0.0
+    assert closeness_m_E(support, oracle) == 0.0
+    mixed = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+    np.testing.assert_array_equal(oracle.green(mixed), [0.0, 1.0 - discrete_potential(support, SPEC, mixed[1])])
 
 
 def test_green_positive_exactly_outside():
