@@ -54,8 +54,7 @@ from .errors import (
 )
 from .kernel import KernelSpec
 from .measures import discrete_energy, discrete_potential, read_points_csv, write_points_csv
-from .sets import (MEMBERSHIP_TOL, _parse_floats, distance_to_set, parse_set_definition, points_at_offset,
-                   project_to_set)
+from .sets import MEMBERSHIP_TOL, _parse_floats, distance_to_set, parse_set_definition, project_to_set
 from .seeding import child_seed
 
 EXIT_OK = 0
@@ -104,10 +103,13 @@ def _write_manifest(path, command, set_text, spec, seed, params, outputs, result
 
 
 def _default_probe(E) -> np.ndarray:
-    """Deterministic exterior probe at distance 1 from E along +e1."""
+    """Deterministic exterior probe at distance 1 from E: a point far out
+    along +e1 moved to distance 1 toward its nearest point of E, which
+    every point of that segment shares."""
     far = np.array(E.enclosing_center, dtype=float)
     far[0] += E.enclosing_radius + 10.0
-    return points_at_offset(E, far, 1.0)[0]
+    near = project_to_set(E, far)
+    return near + (far - near) / np.linalg.norm(far - near)
 
 
 def _leja_start(E, args) -> np.ndarray:

@@ -305,6 +305,8 @@ def leja_sequence(
     shorter run at the same seed. A very small grid gives poor sequences:
     the argmin then starts the polish far from the greedy minimizer.
     """
+    if E.dim != spec.dim:
+        raise ValueError(f"set dimension {E.dim} != kernel dimension {spec.dim}")
     require_newtonian(spec, "greedy (Leja) selection")
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -6,10 +6,11 @@ function of mu_E, with its exact low-order moments) and the diagnostics
 that compare a configuration with them: the closeness functional m_E and
 the moment distance. Builds test functions that carry closed-form bounds
 on their modulus of continuity and Dirichlet integral, assembles the
-smoothing-based discrepancy bound for test-function means, measures
-potential errors against the equilibrium potential with their predicted
-decay shapes, and reads the sup of the potential deficit off the greedy
-step's minimum.
+smoothing-based discrepancy bound for test-function means, with the
+Green function's maximum near E read from a fixed grid of a widened set,
+measures potential errors against the equilibrium potential with their
+predicted decay shapes, and reads the sup of the potential deficit off the
+greedy step's minimum.
 """
 
 from __future__ import annotations
@@ -28,20 +29,18 @@ from .configurations import FeketeSearchParams, _min_surface, _potential_min, fe
 from .sets import (
     CompactSetModel,
     MEMBERSHIP_TOL,
+    _radius,
     _vec,
+    box,
     distance_to_set,
-    points_at_offset,
     random_directions,
     sample_candidates,
-    sample_shell,
+    sphere_surface,
 )
 from .seeding import substream
 
-# shell points the Green-function scan starts from
-_SHELL_COUNT = 512
-# proposal rounds of the scan's shrinking local search
-_ASCENT_STEPS = 40
-# grid points of the potential minimum in sup_potential_deficit
+# grid points of the potential minimum in sup_potential_deficit, and of
+# each widened set that max_green_on_shell reads
 _MIN_GRID = 4096
 
 
@@ -261,11 +260,14 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
     where mu_E is uniform on the sphere of radius R about E's center
     (Archimedes): at distance s from the hat's center, rho = |x - c| has
     density rho/(2Rs) on [|R-s|, R+s]. Elsewhere it raises
-    UnsupportedOracleError.
+    UnsupportedOracleError. A non-finite center or a radius outside
+    0 < a < inf raises ValueError.
     """
     c = np.asarray(center, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError("center must be finite")
     d = c.size
-    a = float(radius)
+    a = _radius(radius)
 
     def evaluator(x):
         pts = np.asarray(x, dtype=float)
@@ -303,31 +305,22 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
 
 
 def max_green_on_shell(oracle: EquilibriumOracle, offset: float) -> float:
-    """Max of the oracle's Green function over the shell {x : d_E(x) = offset}
-    of its set E, where the slab max {d_E <= offset} lies for the shipped
-    regular sets: ``_SHELL_COUNT`` (512) shell points and ``_ASCENT_STEPS``
-    (40) rounds of a shrinking local search, on one fixed stream. Exact up
-    to rounding on a ball or sphere, where g_E is constant on the shell,
-    W - (R + offset)**(2-d); a lower estimate on a box or union."""
+    """Max of the oracle's Green function over {x : d_E(x) <= offset}, read
+    on fixed probes of a compact D that holds it: the ``_MIN_GRID``-point
+    grid (seed 0) of each ball's sphere widened by ``offset`` (ball, sphere,
+    union) or of the widened box. g_E is 0 on E and subharmonic off it, so
+    its max over D lies on the boundary of D and bounds the slab's. Exact up
+    to rounding on a ball or sphere, W - (R + offset)**(2-d); high on a box,
+    whose widened corners reach past the slab; a grid estimate on a union."""
     E = oracle.set_model
-    rng = substream(0, "green-shell")
-    shell = sample_shell(E, _SHELL_COUNT, offset, rng)
-    g = oracle.green(shell)
-    best_i = int(np.argmax(g))
-    x, gx = shell[best_i], float(g[best_i])
-    scale = offset
-    d = E.dim
-    for _ in range(_ASCENT_STEPS):
-        props = points_at_offset(E, x + rng.normal(size=(8, d)) * scale, offset)
-        gp = oracle.green(props)
-        j = int(np.argmax(gp))
-        if gp[j] > gx:
-            x, gx = props[j], float(gp[j])
-            continue
-        scale *= 0.5
-        if scale < 1e-12 * max(1.0, offset):
-            break
-    return gx
+    if E.kind == "box":
+        probes = sample_candidates(box(E.low - offset, E.high + offset), _MIN_GRID, 0)
+    else:
+        probes = np.concatenate([
+            sample_candidates(sphere_surface(c, r + offset), _MIN_GRID, 0)
+            for c, r in E.balls or ((E.center, E.radius),)
+        ])
+    return float(np.max(oracle.green(probes)))
 
 
 @dataclass(frozen=True)
@@ -375,7 +368,8 @@ def discrepancy_bound(
         I = 2 m_E(X) + (n-1)/n * energy - W(E) + r**(2-d)/n
             + 2 max over {d_E <= 2r} of g_E (``max_green_on_shell``),
 
-    so the report depends on (oracle, X, phi, r) alone.
+    the last read on fixed probes, so the report depends on
+    (oracle, X, phi, r) alone.
     """
     spec = oracle.spec
     require_newtonian(spec, "discrepancy bound")
@@ -495,6 +489,8 @@ def sup_potential_deficit(oracle: EquilibriumOracle, X: PointConfig) -> float:
     """
     E, spec = oracle.set_model, oracle.spec
     require_newtonian(spec, "potential deficit")
+    if X.dim != spec.dim:
+        raise ValueError(f"config dimension {X.dim} != kernel dimension {spec.dim}")
     S = _min_surface(E)
     grid = sample_candidates(S, _MIN_GRID, 0)
     _, u = _potential_min(S, spec, X.points, grid, potential_sums(spec, grid, X.points))

@@ -230,41 +230,6 @@ def project_to_set(E: CompactSetModel, x):
     return out[0] if scalar else out
 
 
-def points_at_offset(E: CompactSetModel, seeds_xyz, offset: float):
-    """One point of the shell {x : d_E(x) = offset} per seed, exact up to
-    rounding. A box moves a seed along z - clip(z), or out through its
-    nearest face from inside. A ball, union or sphere moves it along the ray
-    from its nearest ball's center (+e1 from the center) to the farthest exit
-    from the balls dilated by offset; a seed inside a sphere of radius R >
-    offset goes to radius R - offset instead."""
-    z = _vec(seeds_xyz, E.dim).reshape(-1, E.dim)
-    if E.kind == "box":
-        p = np.clip(z, E.low, E.high)
-        v = z - p
-        nv = np.linalg.norm(v, axis=1, keepdims=True)
-        out = p + offset * np.divide(v, nv, out=np.zeros_like(v), where=nv > 0)
-        inside = np.flatnonzero(nv[:, 0] == 0)
-        face = np.argmin(np.concatenate([z - E.low, E.high - z], axis=1)[inside], axis=1)
-        axis = face % E.dim
-        out[inside, axis] = np.where(face < E.dim, E.low[axis] - offset, E.high[axis] + offset)
-        return out
-    centers, radii, j = _nearest_ball(E, z)
-    v = z - centers[j]
-    rho = np.linalg.norm(v, axis=1, keepdims=True)
-    u = _shell_point(v, rho, 0.0, 1.0)
-    # the larger root t of |w + t u| = r_k + offset, w = c_j - c_k, taken
-    # without squaring r_k + offset; a ray that misses dilated ball k has none
-    w = centers[j][:, None, :] - centers
-    b = np.sum(w * u[:, None, :], axis=2)
-    reach = radii + offset
-    miss = np.linalg.norm(w - b[..., None] * u[:, None, :], axis=2) / reach
-    root = reach * np.sqrt(np.maximum((1.0 - miss) * (1.0 + miss), 0.0)) - b
-    t = np.max(np.where(miss <= 1.0, root, -np.inf), axis=1, keepdims=True)
-    if E.kind == "sphere":
-        t = np.where((rho < E.radius) & (offset < E.radius), E.radius - offset, t)
-    return centers[j] + t * u
-
-
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
@@ -345,14 +310,6 @@ def sample_uniform(E: CompactSetModel, count: int, rng: np.random.Generator) -> 
     if E.kind == "sphere":
         return center + radius * v
     return center + radius * rng.random((count, 1)) ** (1.0 / d) * v
-
-
-def sample_shell(E: CompactSetModel, count: int, offset: float, rng: np.random.Generator) -> np.ndarray:
-    """Exactly ``count`` points on the shell {x : d_E(x) = offset}: uniform
-    draws on E, each pushed ``offset`` along a random direction and moved
-    onto the shell by points_at_offset."""
-    base = sample_uniform(E, count, rng)
-    return points_at_offset(E, base + random_directions(rng, count, E.dim) * offset, offset)
 
 
 def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:

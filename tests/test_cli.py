@@ -15,7 +15,7 @@ from rieszpoints.configurations import leja_sequence
 from rieszpoints.kernel import KernelSpec
 from rieszpoints.measures import discrete_energy, read_points_csv
 from rieszpoints.seeding import child_seed
-from rieszpoints.sets import ball, project_to_set
+from rieszpoints.sets import ball, box, distance_to_set, project_to_set, union_of_balls
 
 SPHERE_DEF = """\
 shape = sphere
@@ -199,6 +199,20 @@ def test_generate_on_box_and_union_sets(tmp_path):
     code = main(["generate", "--set", str(box_file), "--method", "fekete", "--n", "8",
                  "--seed", "1", "--restarts", "2", "--max-iters", "600", "--out", str(out)])
     assert code == 0
+
+
+@pytest.mark.parametrize("E,expected", [
+    (ball([0.0, 0, 0], 1.0), [2.0, 0.0, 0.0]),
+    (box([0.0, 0, 0], [1.0, 2, 1]), [2.0, 1.0, 0.5]),
+    (union_of_balls([([0.0, 0, 0], 1.0), ([3.0, 0, 0], 0.5)]), [4.5, 0.0, 0.0]),
+], ids=["ball", "box", "union"])
+def test_default_probe_is_pinned(E, expected):
+    np.testing.assert_array_equal(cli._default_probe(E), expected)
+
+
+def test_default_probe_on_a_three_ball_union_is_at_distance_one():
+    E = union_of_balls([([0.0, 0, 0], 1.0), ([1.5, 0, 0], 1.0), ([0.7, 1.2, 0], 0.8)])
+    assert abs(distance_to_set(E, cli._default_probe(E)) - 1.0) <= 1e-15
 
 
 def test_study_columns_and_inequality(sphere_file, tmp_path):

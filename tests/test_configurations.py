@@ -379,6 +379,12 @@ def test_leja_sequence_refuses_nonnewtonian_even_at_one_point():
             leja_sequence(UNIT_SPHERE, KernelSpec(1.5, 3), n, [0.0, 0, 1.0], seed=0)
 
 
+def test_leja_sequence_rejects_a_kernel_of_another_dimension():
+    for n in (1, 5):
+        with pytest.raises(ValueError, match="set dimension 3 != kernel dimension 4"):
+            leja_sequence(UNIT_BALL, KernelSpec(2.0, 4), n, [0.0, 0, 1.0])
+
+
 def test_leja_sequence_infeasible_start():
     with pytest.raises(InfeasiblePointError):
         leja_sequence(UNIT_SPHERE, SPEC, 5, [5.0, 0, 0], seed=0)

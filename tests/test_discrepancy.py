@@ -28,7 +28,7 @@ from rieszpoints.configurations import FeketeSearchParams, fekete_search_run, le
 from rieszpoints.discrepancy import TestFunction, max_green_on_shell
 from rieszpoints.kernel import potential_sums
 from rieszpoints.seeding import child_seed, substream
-from rieszpoints.sets import sample_candidates, sample_shell
+from rieszpoints.sets import random_directions, sample_candidates
 from rieszpoints.oracles import dirichlet_integral_mc, equilibrium_mean_mc, sphere_potential_quadrature
 
 SPEC = KernelSpec(2.0, 3)
@@ -112,14 +112,18 @@ def test_dirichlet_mc_self_consistency_for_potential_phi():
     assert phi.dirichlet >= fine
 
 
-@pytest.mark.parametrize("E", [UNIT_SPHERE, UNIT_BALL], ids=["sphere", "ball"])
+@pytest.mark.parametrize("E", [
+    UNIT_SPHERE,
+    UNIT_BALL,
+    ball([0.3, -1.0, 2.0], 2.5),
+], ids=["sphere", "ball", "ball-off-centre"])
 @pytest.mark.parametrize("offset", [1e-6, 0.1, 2.0])
 def test_max_green_on_shell_exact(E, offset):
     # the Green function is constant on each shell about a ball or sphere:
-    # g = W - (R + offset)**(2-d) with W = R**(2-d) = 1
+    # g = W - (R + offset)**(2-d) with W = R**(2-d)
     oracle = equilibrium_oracle(E, SPEC)
     g = max_green_on_shell(oracle, offset=offset)
-    assert abs(g - (1.0 - 1.0 / (1.0 + offset))) <= 1e-15
+    assert abs(g - (1.0 / E.radius - 1.0 / (E.radius + offset))) <= 1e-15
 
 
 def test_discrepancy_bound_composite_term_antipodal_pair():
@@ -192,8 +196,8 @@ def test_discrepancy_bound_reads_the_oracle_potential():
 
 
 def test_bound_and_shell_search_take_no_seed():
-    """The shell search runs on one fixed stream, so the bound depends on
-    (oracle, X, phi, r) alone."""
+    """The Green-function maximum reads fixed probes, so the bound depends
+    on (oracle, X, phi, r) alone."""
     assert "seed" not in inspect.signature(discrepancy_bound).parameters
     assert "seed" not in inspect.signature(max_green_on_shell).parameters
 
@@ -241,6 +245,19 @@ def test_radial_hat_mean_closed_form_edges():
     assert radial_hat([0.0, 0, 0], radius=0.5).equilibrium_mean(oracle) == 0.0
     # support ball disjoint from the sphere
     assert radial_hat([3.0, 0, 0], radius=1.5).equilibrium_mean(oracle) == 0.0
+
+
+@pytest.mark.parametrize("center,radius", [
+    ([0.0, 0, 0], -1.0),
+    ([0.0, 0, 0], 0.0),
+    ([0.0, 0, 0], math.nan),
+    ([0.0, 0, 0], math.inf),
+    ([math.nan, 0, 0], 1.0),
+    ([0.0, math.inf, 0], 1.0),
+])
+def test_radial_hat_rejects_a_bad_center_or_radius(center, radius):
+    with pytest.raises(ValueError):
+        radial_hat(center, radius)
 
 
 def test_report_json_keys():
@@ -345,15 +362,26 @@ def test_sup_deficit_closed_forms(E, points, expected):
     assert sup_potential_deficit(oracle, PointConfig(points)) == pytest.approx(expected, rel=0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("points", [[[0.0, 1.0]], [[0.0, 0, 0, 1.0]]], ids=["2d", "4d"])
+def test_sup_deficit_rejects_points_of_another_dimension(points):
+    oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
+    with pytest.raises(ValueError, match="config dimension .* != kernel dimension 3"):
+        sup_potential_deficit(oracle, PointConfig(points))
+
+
 def _probe_max_deficit(oracle, X, seed):
     """The earlier seeded estimator: the max of U^{mu_E} - U^{tau(X)} over
-    512 grid points of E and 128 points on each of three shells, at 0.05,
-    0.15 and 0.4 times the enclosing radius."""
+    512 grid points of E and 128 random points on each sphere at distance
+    0.05, 0.15 and 0.4 times the radius R from E: radius R(1 + rel), and
+    on a sphere also R(1 - rel)."""
     E = oracle.set_model
     probes = [sample_candidates(E, 512, child_seed(seed, "sup-grid"))]
     rng = substream(seed, "sup-shell")
-    for rel in (0.05, 0.15, 0.4):
-        probes.append(sample_shell(E, 128, rel * E.enclosing_radius, rng))
+    scales = [1.0 + rel for rel in (0.05, 0.15, 0.4)]
+    if E.kind == "sphere":
+        scales += [1.0 - rel for rel in (0.05, 0.15, 0.4)]
+    for scale in scales:
+        probes.append(E.center + scale * E.radius * random_directions(rng, 128, E.dim))
     probes = np.concatenate(probes)
     u = potential_sums(SPEC, probes, X.points)
     keep = np.isfinite(u)
