@@ -10,9 +10,11 @@ converges when the largest per-point projected force is at most sqrt(tol)
 times the mean force magnitude. Greedy (Leja) points come from an argmin
 over one seeded candidate grid per sequence, whose prefix potential gains
 one column per step (the discrete Leja points of Bos, De Marchi, Sommariva
-and Vianello, SIAM J. Numer. Anal. 48, 2010); the same projected L-BFGS
-then polishes the new point as a one-point configuration in the prefix's
-potential. That argmin-and-polish step is one private helper,
+and Vianello, SIAM J. Numer. Anal. 48, 2010); projected Newton with the
+exact Hessian then polishes the new point in the prefix's potential, on
+the same active face as the L-BFGS, with the sphere's curvature term of
+the Riemannian Hessian (Absil, Mahony and Sepulchre, ch. 6). That
+argmin-and-polish step is one private helper,
 ``_potential_min``, the minimum over a set of a configuration's
 potential; ``discrepancy.sup_potential_deficit`` calls it too. On a ball
 both search the boundary sphere (``_min_surface``): a potential is
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPointsError, InfeasiblePointError
-from .kernel import KernelSpec, pair_energy_forces, potential_sums, probe_potential_gradient, require_newtonian
+from .kernel import KernelSpec, pair_energy_forces, potential_sums, probe_potential_derivatives, require_newtonian
 from .measures import PointConfig, discrete_energy
 from .sets import (MEMBERSHIP_TOL, CompactSetModel, _nearest_ball, _norms, distance_to_set, project_to_set,
                    sample_candidates, sample_uniform, sphere_surface)
@@ -102,15 +104,17 @@ def _rowdot(A, B):
 def _active_face(E, X, F):
     """The face of the n-fold product of E that a step from X stays on.
 
-    Returns ``(key, restrict)``. ``restrict`` maps an (n, dim) array to
-    its component along the face: a sphere's points, and boundary points
-    of a ball or union whose force points out of their ball, keep only
-    the part tangent to that ball's sphere; a box coordinate on a face
-    whose force points out of it is held. ``key`` marks what is held, so
-    two faces at the same X are equal when their keys are."""
+    Returns ``(held, normals, radius)``. On a box ``held`` is an (n, dim)
+    mask of the coordinates on a face whose force points out of it, and
+    ``normals`` and ``radius`` are None. Otherwise ``held`` is an (n,)
+    mask of the points held to their ball's sphere: every point of a
+    sphere, and boundary points of a ball or union whose force points out
+    of their ball; ``normals`` holds their unit outward normals (zero rows
+    for the rest) and ``radius`` the sphere's radius, per point on a
+    union. Two faces at the same X are equal when their ``held`` are."""
     if E.kind == "box":
         held = ((X <= E.low) & (F < 0.0)) | ((X >= E.high) & (F > 0.0))
-        return held, lambda V: np.where(held, 0.0, V)
+        return held, None, None
     if E.kind == "union":
         centers, radii, j = _nearest_ball(E, X)
         center, radius = centers[j], radii[j]
@@ -124,7 +128,16 @@ def _active_face(E, X, F):
     else:
         held = (rho[:, 0] >= (1.0 - _ON_SPHERE) * radius) & (_rowdot(F, U) > 0.0)
     N = U if held.all() else np.where(held[:, None], U, 0.0)
-    return held, lambda V: V - N * _rowdot(V, N)[:, None]
+    return held, N, radius
+
+
+def _restrict(V, held, normals):
+    """The component of an (n, dim) array V along the face (held, normals)
+    of ``_active_face``: held box coordinates are zeroed, and the rows of
+    held sphere points keep only their part tangent to the sphere."""
+    if normals is None:
+        return np.where(held, 0.0, V)
+    return V - normals * _rowdot(V, normals)[:, None]
 
 
 def _relative_force(P, F):
@@ -161,8 +174,8 @@ def _projected_lbfgs(E, energy_forces, X0, max_iters, step0, tol):
     the actual move."""
     X = project_to_set(E, X0)
     energy, F = energy_forces(X)
-    held, restrict = _active_face(E, X, F)
-    P = restrict(F)
+    held, normals, _ = _active_face(E, X, F)
+    P = _restrict(F, held, normals)
     pairs = deque(maxlen=_MEMORY)
     gamma = None
     max_move = 2.0 * E.enclosing_radius
@@ -180,7 +193,7 @@ def _projected_lbfgs(E, energy_forces, X0, max_iters, step0, tol):
         if gamma is None:
             d = P * (step0 / float(_norms(P).max()))
         else:
-            d = restrict(_lbfgs_direction(P, pairs, gamma))
+            d = _restrict(_lbfgs_direction(P, pairs, gamma), held, normals)
             if not np.vdot(d, P) > 0.0:
                 pairs.clear()
                 d = gamma * P
@@ -201,19 +214,19 @@ def _projected_lbfgs(E, energy_forces, X0, max_iters, step0, tol):
             # a failed line search takes no step
             it -= 1
             break
-        held_t, restrict_t = _active_face(E, Xt, Ft)
-        Pt = restrict_t(Ft)
+        held_t, normals_t, _ = _active_face(E, Xt, Ft)
+        Pt = _restrict(Ft, held_t, normals_t)
         if np.array_equal(held_t, held):
             # old vectors reach the new tangent space by projection
-            s = restrict_t(Xt - X)
-            y = restrict_t(P) - Pt
+            s = _restrict(Xt - X, held_t, normals_t)
+            y = _restrict(P, held_t, normals_t) - Pt
             sy = float(np.vdot(s, y))
             if sy > 0.0:
                 pairs.append((s, y, 1.0 / sy))
                 gamma = sy / float(np.vdot(y, y))
         else:
             pairs.clear()
-        X, energy, F, held, restrict, P = Xt, Et, Ft, held_t, restrict_t, Pt
+        X, energy, F, held, normals, P = Xt, Et, Ft, held_t, normals_t, Pt
     return X, energy, it, converged, grad_norm
 
 
@@ -267,23 +280,61 @@ def _potential_min(E: CompactSetModel, spec: KernelSpec, points: np.ndarray, gri
     """Minimum over E of the potential of ``points`` (exponent 2-d), as
     ``(x, value)``: the grid point with the smallest of ``sums``, the
     points' potential at each grid point (ties to the lowest index),
-    polished by the projected L-BFGS as a one-point configuration, with a
-    first step of 0.05 * (set radius) and at most 60 steps. The polish
-    can only improve the value; it stays in the basin of the grid argmin,
-    so the value is an upper bound of the minimum, not a certificate.
+    polished by projected Newton with the exact Hessian on the point's
+    active face (``_active_face``), for at most 60 steps. On a held
+    sphere the face's Hessian carries the curvature term of the
+    Riemannian Hessian. Each eigenvalue enters by its magnitude, so at a
+    saddle, at a free point of a harmonic potential or at a degenerate
+    minimum the step still descends (Hessian modification; Nocedal and
+    Wright, Numerical Optimization, 2006, sec. 3.4). Each move is capped
+    at 0.05 * (set radius) and backtracked to an Armijo decrease, so the
+    polish can only improve the value and stays near the grid argmin; it
+    can miss a deeper neighbouring basin, so the value is an upper bound
+    of the minimum, not a certificate.
     """
     if np.all(sums == np.inf):
         raise CoincidentPointsError("every grid point coincides with a point")
     i0 = int(np.argmin(sums))
     x0, u0 = grid[i0], float(sums[i0])
-
-    def value_forces(X):
-        value, gradient = probe_potential_gradient(spec, X[0], points)
-        return value, -gradient[None, :]
-
-    X, val, *_ = _projected_lbfgs(E, value_forces, x0[None, :], _POLISH_STEPS,
-                                  0.05 * E.enclosing_radius, _POLISH_TOL)
-    return (X[0], val) if val <= u0 else (x0, u0)
+    cap = 0.05 * E.enclosing_radius
+    target = float(np.sqrt(_POLISH_TOL))
+    eye = np.eye(E.dim)
+    x = project_to_set(E, x0)
+    val, gradient, H = probe_potential_derivatives(spec, x, points)
+    F = -gradient
+    for _ in range(_POLISH_STEPS):
+        held, normals, radius = _active_face(E, x[None], F[None])
+        P = _restrict(F[None], held, normals)[0]
+        if np.sqrt(P @ P) <= target * np.sqrt(F @ F):
+            break
+        if normals is None:
+            T = np.diag(np.where(held[0], 0.0, 1.0))
+            curvature = 0.0
+        else:
+            T = eye - np.outer(normals[0], normals[0])
+            # the Riemannian Hessian on a sphere of radius rho adds
+            # (F . nu) / rho times the tangent projector
+            curvature = (F @ normals[0]) / radius
+        w, V = np.linalg.eigh(T @ H @ T + curvature * T + (eye - T))
+        w = np.abs(w)
+        # the floor keeps a zero eigenvalue finite; restricting again
+        # keeps held coordinates exactly on their face
+        d = _restrict((V @ ((V.T @ P) / np.maximum(w, 1e-12 * w.max())))[None], held, normals)[0]
+        move = float(np.sqrt(d @ d))
+        if move > cap:
+            d *= cap / move
+        t = 1.0
+        for _ in range(_BACKTRACKS):
+            xt = project_to_set(E, x + t * d)
+            vt, gradient, Ht = probe_potential_derivatives(spec, xt, points)
+            if vt < val and vt <= val - _ARMIJO * float(F @ (xt - x)):
+                break
+            t *= 0.5
+        else:
+            # a failed line search takes no step
+            break
+        x, val, F, H = xt, vt, -gradient, Ht
+    return (x, val) if val <= u0 else (x0, u0)
 
 
 def leja_sequence(
@@ -300,8 +351,9 @@ def leja_sequence(
     from a boundary xi0 it gives the sphere's sequence; xi0 may lie inside.
     One seeded candidate grid serves the whole sequence. Its prefix
     potential is kept and gains one kernel column per new point, so a
-    step costs O(candidate_count), not O(candidate_count * k). The grid's
-    seed names no length, so a prefix of the output coincides with the
+    step costs O(candidate_count), not O(candidate_count * k), and its
+    point is the grid argmin polished by projected Newton with the exact
+    Hessian (``_potential_min``). The grid's seed names no length, so a prefix of the output coincides with the
     shorter run at the same seed. A very small grid gives poor sequences:
     the argmin then starts the polish far from the greedy minimizer.
     """

@@ -476,8 +476,9 @@ def sup_potential_deficit(oracle: EquilibriumOracle, X: PointConfig) -> float:
     """W - min over S of U^{tau(X)}, for the oracle's set E and kernel, where
     S is the boundary sphere of a ball and E itself for a sphere, box or
     union (``_min_surface``). The minimum is ``_potential_min`` on a
-    ``_MIN_GRID``-point (4096) grid of S at a fixed seed: the polished grid
-    minimum, so the value is a lower bound of the supremum, not a certificate.
+    ``_MIN_GRID``-point (4096) grid of S at a fixed seed: the grid minimum
+    polished by projected Newton with the exact Hessian, so the value is a
+    lower bound of the supremum, not a certificate.
 
     On a ball or sphere B this is sup over R^d of U^{mu_E} - U^{tau(X)}
     wherever the points lie: off the sphere the difference is subharmonic

@@ -9,8 +9,9 @@ Four array primitives carry all the pair and probe work:
   caller owns;
 - ``potential_sums``: per probe, the kernel summed over the points
   (potentials, the greedy objective);
-- ``probe_potential_gradient``: the potential at one probe and its
-  gradient from one pass over the points (the greedy polish).
+- ``probe_potential_derivatives``: the potential at one probe, its
+  gradient and its Hessian from one pass over the points (the greedy
+  polish, a projected Newton method with the exact Hessian).
 
 ``pair_terms`` and ``potential_sums`` take their distances from
 ``_distances``, which subtracts, squares and adds the coordinate planes
@@ -187,19 +188,27 @@ def potential_sums(spec: KernelSpec, probes: np.ndarray, points: np.ndarray) -> 
     return out
 
 
-def probe_potential_gradient(spec: KernelSpec, x: np.ndarray, points: np.ndarray):
-    """Potential at one probe x (dim,) of the points (n, dim), and its
-    gradient in x, from one pass over the displacements.
+def probe_potential_derivatives(spec: KernelSpec, x: np.ndarray, points: np.ndarray):
+    """Potential at one probe x (dim,) of the points (n, dim), with its
+    gradient and Hessian in x, from one pass over the displacements.
 
-    Returns ``(value, gradient)``: the value is bitwise
-    ``potential_sums(spec, x[None], points)[0]``, and the gradient sums
-    e * r**(e - 2) * (x - point) over the points, e = alpha - dim. A probe
-    sitting on a point gives value +inf (the gradient is then meaningless).
+    Returns ``(value, gradient, hessian)``: the value is bitwise
+    ``potential_sums(spec, x[None], points)[0]``; with e = alpha - dim and
+    delta = x - point, the gradient sums e * r**(e - 2) * delta and the
+    Hessian sums e * r**(e - 2) * I + e * (e - 2) * r**(e - 4) * delta
+    delta^T over the points, made exactly symmetric. A probe sitting on
+    a point gives value +inf (the derivatives are then meaningless).
     """
     disp = x - points
-    r = np.sqrt(np.add.reduce(disp * disp, axis=1, keepdims=True))
+    r2 = np.add.reduce(disp * disp, axis=1, keepdims=True)
+    r = np.sqrt(r2)
     expo = spec.exponent
     with np.errstate(divide="ignore", invalid="ignore"):
         value = float(np.add.reduce(_kernel_of_distance(r[:, 0], expo, None)))
-        gradient = (expo * r ** (expo - 2.0) * disp).sum(axis=0)
-    return value, gradient
+        w = expo * r ** (expo - 2.0)
+        gradient = (w * disp).sum(axis=0)
+        outer = (disp * ((expo - 2.0) * w / r2)).T @ disp
+    hessian = outer + outer.T
+    hessian *= 0.5
+    hessian.flat[::len(x) + 1] += np.add.reduce(w[:, 0])
+    return value, gradient, hessian

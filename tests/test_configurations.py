@@ -23,10 +23,10 @@ from rieszpoints import (
 )
 from rieszpoints import configurations
 from rieszpoints.discrepancy import equilibrium_oracle, potential_error, sphere_probe_rule
-from rieszpoints.kernel import potential_sums
+from rieszpoints.kernel import potential_sums, probe_potential_derivatives
 from rieszpoints.oracles import reference_energy
 from rieszpoints.seeding import substream
-from rieszpoints.sets import MEMBERSHIP_TOL, project_to_set, random_rotation, sample_uniform
+from rieszpoints.sets import MEMBERSHIP_TOL, _nearest_ball, project_to_set, random_rotation, sample_uniform
 
 SPEC = KernelSpec(2.0, 3)
 UNIT_SPHERE = sphere_surface([0.0, 0.0, 0.0], 1.0)
@@ -174,7 +174,7 @@ def _next_point(E, prefix_pts, grid, spec=SPEC):
 
 def test_leja_next_antipode_of_single_point():
     nxt = _next_point(UNIT_SPHERE, np.array([[0.0, 0.0, 1.0]]), sample_candidates(UNIT_SPHERE, 4096, seed=1))
-    np.testing.assert_allclose(nxt, [0.0, 0.0, -1.0], atol=1e-6)
+    np.testing.assert_allclose(nxt, [0.0, 0.0, -1.0], atol=1e-12)
 
 
 def test_leja_next_equator_after_antipodal_pair():
@@ -371,6 +371,43 @@ def test_ball_leja_polish_is_near_a_dense_boundary_minimum(monkeypatch):
         excess.append(u / dense_sums.min() - 1.0)
     assert max(excess[:99]) <= 1e-8
     assert max(excess) <= 1e-3
+
+
+@pytest.mark.parametrize("E,S", [(UNIT_SPHERE, UNIT_SPHERE),
+                                 (ball(*BALL_AND_SPHERE[1]), configurations._min_surface(ball(*BALL_AND_SPHERE[1]))),
+                                 (LEJA_SETS[3], LEJA_SETS[3]), (LEJA_SETS[4], LEJA_SETS[4])],
+                         ids=["sphere", "ball-boundary", "box", "union"])
+def test_potential_min_returns_a_stationary_point(E, S):
+    """Wherever the polish moves off the grid argmin, it ends where the
+    force along the active face is at most sqrt(_POLISH_TOL) times the
+    force: 5 grid seeds, prefixes of 5 to 100 random points of E."""
+    spec = KernelSpec(2.0, E.dim)
+    rng = np.random.default_rng(11)
+    target = np.sqrt(configurations._POLISH_TOL)
+    for seed in range(5):
+        prefix_pts = sample_uniform(E, int(rng.integers(5, 101)), rng)
+        grid = sample_candidates(S, 4096, seed=seed)
+        sums = potential_sums(spec, grid, prefix_pts)
+        x, _ = configurations._potential_min(S, spec, prefix_pts, grid, sums)
+        if np.array_equal(x, grid[np.argmin(sums)]):
+            continue
+        _, gradient, _ = probe_potential_derivatives(spec, x, prefix_pts)
+        F = -gradient[None]
+        held, normals, _ = configurations._active_face(S, x[None], F)
+        P = configurations._restrict(F, held, normals)
+        assert np.linalg.norm(P) <= target * np.linalg.norm(F), seed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_leja_polish_stays_on_the_ball_of_its_grid_argmin(seed, monkeypatch):
+    """Each polish move is capped at 0.05 * (set radius), so on two
+    tangent unit balls no polished point crosses to the other ball than
+    the one of its grid argmin."""
+    E = LEJA_SETS[4]
+    _, steps = _recorded_leja_states(monkeypatch, E, 200, seed=seed)
+    for k, (_, grid, sums, x) in enumerate(steps, start=1):
+        start = grid[np.argmin(sums)]
+        assert np.array_equal(_nearest_ball(E, start[None])[2], _nearest_ball(E, x[None])[2]), k
 
 
 def test_leja_sequence_refuses_nonnewtonian_even_at_one_point():

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist, pdist
 
 import rieszpoints
 from rieszpoints import CoincidentPointsError, KernelSpec, SingularityError, UnsupportedOracleError
-from rieszpoints.kernel import (_ENTRIES, pair_energy_forces, pair_terms, potential_sums, probe_potential_gradient,
+from rieszpoints.kernel import (_ENTRIES, pair_energy_forces, pair_terms, potential_sums, probe_potential_derivatives,
                                 require_newtonian)
 
 
@@ -261,17 +261,37 @@ def test_potential_sums_warm_call_allocates_no_probe_by_point_array():
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
-def test_probe_potential_gradient_matches_the_two_primitives_bitwise(d):
+def test_probe_potential_derivatives_matches_the_two_primitives_bitwise(d):
     rng = np.random.default_rng(20 + d)
     points = rng.normal(size=(300, d))
     for alpha in (2.0, 0.7):
         spec = KernelSpec(alpha, d)
         for x in rng.normal(size=(5, d)):
-            value, gradient = probe_potential_gradient(spec, x, points)
+            value, gradient, _ = probe_potential_derivatives(spec, x, points)
             assert value == potential_sums(spec, x[None], points)[0]
             assert np.array_equal(gradient, kernel_gradient(spec, x - points).sum(axis=0))
-        value, _ = probe_potential_gradient(spec, points[3].copy(), points)
+        value, _, _ = probe_potential_derivatives(spec, points[3].copy(), points)
         assert value == np.inf
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_probe_potential_hessian(d):
+    """The Hessian is the central difference of the primitive's own
+    gradient, exactly symmetric, and at alpha = 2 trace-free: the
+    Newtonian potential is harmonic off the points."""
+    rng = np.random.default_rng(40 + d)
+    points = rng.normal(size=(300, d))
+    h = 1e-5
+    for alpha in (2.0, 0.7):
+        spec = KernelSpec(alpha, d)
+        for x in rng.normal(size=(5, d)):
+            _, _, H = probe_potential_derivatives(spec, x, points)
+            assert np.array_equal(H, H.T)
+            diff = np.array([probe_potential_derivatives(spec, x + h * e, points)[1]
+                             - probe_potential_derivatives(spec, x - h * e, points)[1] for e in np.eye(d)]) / (2 * h)
+            np.testing.assert_allclose(H, diff, rtol=0.0, atol=1e-6 * np.abs(H).max())
+            if alpha == 2.0:
+                assert abs(np.trace(H)) <= 1e-12 * np.abs(H).sum()
 
 
 def test_only_kernel_and_oracles_import_scipy_distance():
