@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 from .acceptance import DEFAULT_SEED, run_criteria, verdict_json
 from .configurations import FeketeSearchParams, fekete_search_run, leja_sequence, random_config
-from .discrepancy import (closeness_m_E, discrepancy_bound, equilibrium_oracle, moment_distance, phi_for_potential,
+from .discrepancy import (discrepancy_bound, equilibrium_oracle, moment_distance, phi_for_potential,
                           potential_error, sup_potential_deficit)
 from .errors import (
     CoincidentPointsError,
@@ -214,7 +214,7 @@ def cmd_study(args) -> int:
             "n": n,
             "energy": rep.energy,
             "energy_gap": rep.energy - W,
-            "m_E": closeness_m_E(config, oracle),
+            "m_E": rep.m_term / 2.0,
             "moment_distance": moment_distance(config, oracle),
             "sup_deficit": sup_potential_deficit(oracle, config),
             "lhs": rep.lhs,

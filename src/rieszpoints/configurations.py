@@ -1,26 +1,29 @@
 """Low-energy configuration generators.
 
-Approximate Fekete points come from a projected L-BFGS (Nocedal, Math.
-Comp. 35, 1980) on the n-fold product of the set, with seeded random
-restarts. On a sphere it is a Riemannian method whose vector transport is
-the tangent projection (Absil, Mahony and Sepulchre, Optimization
-Algorithms on Matrix Manifolds, 2008); on balls, boxes and unions it
-holds the active boundary each iteration, as L-BFGS-B does. A run
-converges when the largest per-point projected force is at most sqrt(tol)
-times the mean force magnitude. Greedy (Leja) points come from an argmin
-over one seeded candidate grid per sequence, whose prefix potential gains
-one column per step (the discrete Leja points of Bos, De Marchi, Sommariva
-and Vianello, SIAM J. Numer. Anal. 48, 2010); projected Newton with the
-exact Hessian then polishes the new point in the prefix's potential, on
-the same active face as the L-BFGS, with the sphere's curvature term of
-the Riemannian Hessian (Absil, Mahony and Sepulchre, ch. 6). That
-argmin-and-polish step is one private helper,
-``_potential_min``, the minimum over a set of a configuration's
-potential; ``discrepancy.sup_potential_deficit`` calls it too. On a ball
-both search the boundary sphere (``_min_surface``): a potential is
-superharmonic, so by the minimum principle (Landkof, Foundations of Modern
-Potential Theory, 1972) its minimum over a ball lies there. A seeded
-uniform baseline rounds out the benchmark trio.
+Fekete and greedy (Leja) points come from one monotone projected descent
+(``_projected_descent``) with two direction rules. The descent holds each
+iterate's active face (held box coordinates, or points held to their
+ball's sphere), caps each point's move and backtracks to an Armijo
+decrease on projected trial points (Nocedal and Wright, Numerical
+Optimization, 2006, ch. 3); it converges when the largest per-point
+projected force is at most sqrt(tol) times the mean force magnitude.
+Approximate Fekete points take L-BFGS directions (Nocedal, Math. Comp.
+35, 1980) on the n-fold product of the set, with seeded random restarts:
+on a sphere a Riemannian method whose vector transport is the tangent
+projection (Absil, Mahony and Sepulchre, Optimization Algorithms on
+Matrix Manifolds, 2008), elsewhere an active-set method like L-BFGS-B.
+A greedy step takes the argmin over one seeded candidate grid per
+sequence, whose prefix potential gains one column per step (the discrete
+Leja points of Bos, De Marchi, Sommariva and Vianello, SIAM J. Numer.
+Anal. 48, 2010), and polishes it by Newton directions from the exact
+Hessian, with a held sphere's curvature term (Absil, Mahony and
+Sepulchre, ch. 6). That step is ``_potential_min``, the minimum over a
+set of a configuration's potential; ``discrepancy.sup_potential_deficit``
+calls it too. On a ball both search the boundary sphere
+(``_min_surface``): a potential is superharmonic, so by the minimum
+principle (Landkof, Foundations of Modern Potential Theory, 1972) its
+minimum lies there. A seeded uniform baseline rounds out the benchmark
+trio.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .seeding import child_seed, substream
 
 @dataclass(frozen=True)
 class FeketeSearchParams:
-    """Knobs of the projected L-BFGS energy minimizer.
+    """Knobs of the Fekete solve: the projected descent with L-BFGS directions.
 
     tol is the relative energy accuracy of the result. The energy error
     of a configuration is quadratic in its gradient, so a run converges
@@ -148,86 +151,90 @@ def _relative_force(P, F):
     return float(_norms(P).max()) / mean
 
 
-def _lbfgs_direction(P, pairs, gamma):
-    """Two-loop recursion: the inverse-Hessian estimate applied to the
-    projected force P, from the (s, y, 1 / s.y) pairs, oldest first, and
-    the initial scaling gamma."""
-    q = P.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * np.vdot(s, q)
-        q -= a * y
-        alphas.append(a)
-    q *= gamma
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * np.vdot(y, q)) * s
-    return q
+def _projected_descent(E, evaluate, X, direction, cap, max_steps, tol):
+    """Monotone projected descent from X; returns (X, value, steps, converged, grad_norm).
 
-
-def _projected_lbfgs(E, energy_forces, X0, max_iters, step0, tol):
-    """Monotone projected L-BFGS from X0; returns (X, energy, iters, converged, grad_norm).
-
-    ``energy_forces(X)`` gives the objective at an (n, dim) configuration
-    and its forces, minus its gradient. Each trial point is the
-    projection of X + t * d onto E, accepted when the energy strictly
-    decreases by at least the Armijo fraction of the full force along
-    the actual move."""
-    X = project_to_set(E, X0)
-    energy, F = energy_forces(X)
-    held, normals, _ = _active_face(E, X, F)
-    P = _restrict(F, held, normals)
-    pairs = deque(maxlen=_MEMORY)
-    gamma = None
-    max_move = 2.0 * E.enclosing_radius
+    ``evaluate(X)`` gives the objective at an (n, dim) X, its forces (minus
+    its gradient) and data for ``direction(X, F, P, face, data)``, the step
+    from X, with ``face`` X's ``_active_face`` and P the forces on it. A
+    run converges when ``_relative_force(P, F)`` is at most sqrt(tol). No
+    point moves farther than ``cap`` in a step; a trial, the projection of
+    X + t * d onto E, is accepted on a strict Armijo decrease along the
+    actual move, and a failed line search takes no step and ends the run."""
+    X = project_to_set(E, X)
+    value, F, data = evaluate(X)
     target = float(np.sqrt(tol))
-    converged = False
-    it = 0
+    steps = 0
     while True:
+        face = _active_face(E, X, F)
+        P = _restrict(F, face[0], face[1])
         grad_norm = _relative_force(P, F)
-        if grad_norm <= target:
-            converged = True
+        if grad_norm <= target or steps == max_steps:
             break
-        if it == max_iters:
-            break
-        it += 1
-        if gamma is None:
-            d = P * (step0 / float(_norms(P).max()))
-        else:
-            d = _restrict(_lbfgs_direction(P, pairs, gamma), held, normals)
-            if not np.vdot(d, P) > 0.0:
-                pairs.clear()
-                d = gamma * P
-        # cap the largest single-point move at one diameter
+        d = direction(X, F, P, face, data)
         move = float(_norms(d).max())
-        if move > max_move:
-            d *= max_move / move
+        if move > cap:
+            d = d * (cap / move)
         t = 1.0
         for _ in range(_BACKTRACKS):
             Xt = project_to_set(E, X + t * d)
-            # each trial's forces come with its energy; the accepted
-            # trial's forces drive the next iteration
-            Et, Ft = energy_forces(Xt)
-            if Et < energy and Et <= energy - _ARMIJO * np.vdot(F, Xt - X):
+            # each trial's forces come with its value; the accepted
+            # trial's forces drive the next step
+            vt, Ft, data_t = evaluate(Xt)
+            if vt < value and vt <= value - _ARMIJO * np.vdot(F, Xt - X):
                 break
             t *= 0.5
         else:
-            # a failed line search takes no step
-            it -= 1
             break
-        held_t, normals_t, _ = _active_face(E, Xt, Ft)
-        Pt = _restrict(Ft, held_t, normals_t)
-        if np.array_equal(held_t, held):
-            # old vectors reach the new tangent space by projection
-            s = _restrict(Xt - X, held_t, normals_t)
-            y = _restrict(P, held_t, normals_t) - Pt
-            sy = float(np.vdot(s, y))
-            if sy > 0.0:
-                pairs.append((s, y, 1.0 / sy))
-                gamma = sy / float(np.vdot(y, y))
-        else:
+        steps += 1
+        X, value, F, data = Xt, vt, Ft, data_t
+    return X, value, steps, grad_norm <= target, grad_norm
+
+
+def _lbfgs_rule(step0):
+    """The L-BFGS direction rule of the Fekete solve: step0 along P for the
+    point under the largest projected force until a curvature pair is
+    stored, then the two-loop recursion on the face. Each call first stores
+    the (s, y) pair of the step since the last call; a change of face
+    clears the memory."""
+    pairs = deque(maxlen=_MEMORY)
+    gamma = None
+    last = None
+
+    def direction(X, F, P, face, data):
+        nonlocal gamma, last
+        held, normals, _ = face
+        if last is not None:
+            X0, P0, held0 = last
+            if np.array_equal(held, held0):
+                # old vectors reach the new tangent space by projection
+                s = _restrict(X - X0, held, normals)
+                y = _restrict(P0, held, normals) - P
+                sy = float(np.vdot(s, y))
+                if sy > 0.0:
+                    pairs.append((s, y, 1.0 / sy))
+                    gamma = sy / float(np.vdot(y, y))
+            else:
+                pairs.clear()
+        last = X, P, held
+        if gamma is None:
+            return P * (step0 / float(_norms(P).max()))
+        q = P.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            a = rho * np.vdot(s, q)
+            q -= a * y
+            alphas.append(a)
+        q *= gamma
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q += (a - rho * np.vdot(y, q)) * s
+        d = _restrict(q, held, normals)
+        if not np.vdot(d, P) > 0.0:
             pairs.clear()
-        X, energy, F, held, normals, P = Xt, Et, Ft, held_t, normals_t, Pt
-    return X, energy, it, converged, grad_norm
+            d = gamma * P
+        return d
+
+    return direction
 
 
 def _one_restart(E, spec, params, step0, r):
@@ -240,7 +247,9 @@ def _one_restart(E, spec, params, step0, r):
     while raw0 == np.inf:
         X0 = project_to_set(E, X0 + rng.normal(size=X0.shape) * 1e-6 * radius)
         raw0, _ = pair_energy_forces(spec, X0, work)
-    return _projected_lbfgs(E, lambda X: pair_energy_forces(spec, X, work), X0, params.max_iters, step0, params.tol)
+    # the move cap is one diameter
+    return _projected_descent(E, lambda X: (*pair_energy_forces(spec, X, work), None), X0, _lbfgs_rule(step0),
+                              2.0 * radius, params.max_iters, params.tol)
 
 
 def fekete_search_run(E: CompactSetModel, spec: KernelSpec, params: FeketeSearchParams) -> FeketeRun:
@@ -280,33 +289,29 @@ def _potential_min(E: CompactSetModel, spec: KernelSpec, points: np.ndarray, gri
     """Minimum over E of the potential of ``points`` (exponent 2-d), as
     ``(x, value)``: the grid point with the smallest of ``sums``, the
     points' potential at each grid point (ties to the lowest index),
-    polished by projected Newton with the exact Hessian on the point's
-    active face (``_active_face``), for at most 60 steps. On a held
-    sphere the face's Hessian carries the curvature term of the
-    Riemannian Hessian. Each eigenvalue enters by its magnitude, so at a
-    saddle, at a free point of a harmonic potential or at a degenerate
-    minimum the step still descends (Hessian modification; Nocedal and
-    Wright, Numerical Optimization, 2006, sec. 3.4). Each move is capped
-    at 0.05 * (set radius) and backtracked to an Armijo decrease, so the
-    polish can only improve the value and stays near the grid argmin; it
-    can miss a deeper neighbouring basin, so the value is an upper bound
-    of the minimum, not a certificate.
+    polished by ``_projected_descent`` with a Newton direction rule: the
+    exact Hessian on the point's active face, plus the curvature term of
+    the Riemannian Hessian on a held sphere, for at most 60 steps of at
+    most 0.05 * (set radius) each. Each eigenvalue enters by its
+    magnitude, so at a saddle, at a free point of a harmonic potential or
+    at a degenerate minimum the step still descends (Hessian
+    modification; Nocedal and Wright, sec. 3.4). The polish can only
+    improve the value and stays near the grid argmin; it can miss a
+    deeper neighbouring basin, so the value is an upper bound of the
+    minimum, not a certificate.
     """
     if np.all(sums == np.inf):
         raise CoincidentPointsError("every grid point coincides with a point")
     i0 = int(np.argmin(sums))
     x0, u0 = grid[i0], float(sums[i0])
-    cap = 0.05 * E.enclosing_radius
-    target = float(np.sqrt(_POLISH_TOL))
     eye = np.eye(E.dim)
-    x = project_to_set(E, x0)
-    val, gradient, H = probe_potential_derivatives(spec, x, points)
-    F = -gradient
-    for _ in range(_POLISH_STEPS):
-        held, normals, radius = _active_face(E, x[None], F[None])
-        P = _restrict(F[None], held, normals)[0]
-        if np.sqrt(P @ P) <= target * np.sqrt(F @ F):
-            break
+
+    def evaluate(X):
+        val, gradient, H = probe_potential_derivatives(spec, X[0], points)
+        return val, -gradient[None], H
+
+    def newton(X, F, P, face, H):
+        held, normals, radius = face
         if normals is None:
             T = np.diag(np.where(held[0], 0.0, 1.0))
             curvature = 0.0
@@ -314,27 +319,16 @@ def _potential_min(E: CompactSetModel, spec: KernelSpec, points: np.ndarray, gri
             T = eye - np.outer(normals[0], normals[0])
             # the Riemannian Hessian on a sphere of radius rho adds
             # (F . nu) / rho times the tangent projector
-            curvature = (F @ normals[0]) / radius
+            curvature = (F[0] @ normals[0]) / radius
         w, V = np.linalg.eigh(T @ H @ T + curvature * T + (eye - T))
         w = np.abs(w)
         # the floor keeps a zero eigenvalue finite; restricting again
         # keeps held coordinates exactly on their face
-        d = _restrict((V @ ((V.T @ P) / np.maximum(w, 1e-12 * w.max())))[None], held, normals)[0]
-        move = float(np.sqrt(d @ d))
-        if move > cap:
-            d *= cap / move
-        t = 1.0
-        for _ in range(_BACKTRACKS):
-            xt = project_to_set(E, x + t * d)
-            vt, gradient, Ht = probe_potential_derivatives(spec, xt, points)
-            if vt < val and vt <= val - _ARMIJO * float(F @ (xt - x)):
-                break
-            t *= 0.5
-        else:
-            # a failed line search takes no step
-            break
-        x, val, F, H = xt, vt, -gradient, Ht
-    return (x, val) if val <= u0 else (x0, u0)
+        return _restrict((V @ ((V.T @ P[0]) / np.maximum(w, 1e-12 * w.max())))[None], held, normals)
+
+    X, val, *_ = _projected_descent(E, evaluate, x0[None], newton, 0.05 * E.enclosing_radius, _POLISH_STEPS,
+                                    _POLISH_TOL)
+    return (X[0], val) if val <= u0 else (x0, u0)
 
 
 def leja_sequence(

@@ -33,8 +33,8 @@ from .sets import (
     _vec,
     box,
     distance_to_set,
-    random_directions,
     sample_candidates,
+    sample_uniform,
     sphere_surface,
 )
 from .seeding import substream
@@ -98,8 +98,7 @@ def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOr
         return float(out) if out.ndim == 0 else out
 
     def sampler(count, seed):
-        rng = substream(seed, "equilibrium-sampler")
-        return c + R * random_directions(rng, count, d)
+        return sample_uniform(sphere_surface(c, R), count, substream(seed, "equilibrium-sampler"))
 
     # uniform measure on the sphere: E[x] = c, E[x x^T] = c c^T + (R^2/d) I
     second = np.outer(c, c) + (R * R / d) * np.eye(d)
@@ -159,6 +158,11 @@ def equilibrium_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracl
     return _quadrature_backed_oracle(E, spec)
 
 
+def _require_config_dim(X: PointConfig, spec: KernelSpec) -> None:
+    if X.dim != spec.dim:
+        raise ValueError(f"config dimension {X.dim} != kernel dimension {spec.dim}")
+
+
 def closeness_m_E(X: PointConfig, oracle: EquilibriumOracle) -> float:
     """Average of the Green function over configuration points outside
     the oracle's set E.
@@ -176,6 +180,7 @@ def moment_distance(X: PointConfig, oracle: EquilibriumOracle) -> float:
     closeness through a fixed finite test family; the unit sphere's
     octahedron, which matches every equilibrium moment of degree <= 2,
     reads 0."""
+    _require_config_dim(X, oracle.spec)
     return float(np.max(np.abs(_monomials(X.points).mean(axis=0) - oracle.moments)))
 
 
@@ -373,6 +378,7 @@ def discrepancy_bound(
     """
     spec = oracle.spec
     require_newtonian(spec, "discrepancy bound")
+    _require_config_dim(X, spec)
     if not 0 < r < np.inf:  # NaN fails too
         raise ValueError("r must be positive and finite")
     if not np.isfinite(oracle.robin_constant):
@@ -490,8 +496,7 @@ def sup_potential_deficit(oracle: EquilibriumOracle, X: PointConfig) -> float:
     """
     E, spec = oracle.set_model, oracle.spec
     require_newtonian(spec, "potential deficit")
-    if X.dim != spec.dim:
-        raise ValueError(f"config dimension {X.dim} != kernel dimension {spec.dim}")
+    _require_config_dim(X, spec)
     S = _min_surface(E)
     grid = sample_candidates(S, _MIN_GRID, 0)
     _, u = _potential_min(S, spec, X.points, grid, potential_sums(spec, grid, X.points))

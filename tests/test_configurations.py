@@ -130,6 +130,53 @@ def test_fekete_reports_the_iteration_cap():
     assert run.grad_norm > np.sqrt(params.tol)
 
 
+DRIVER_BOX = box([0.0, 0, 0], [1.0, 2.0, 1.0])
+
+
+def _linear(pull):
+    """evaluate(X) of ``_projected_descent`` for the objective -sum(pull * X),
+    whose forces are the constant ``pull``."""
+    return lambda X: (-float(np.sum(pull * X)), pull, None)
+
+
+def test_projected_descent_caps_every_move_of_every_point():
+    """With a step ten times the projected force, every accepted move of
+    any point is at most the cap, and the run ends at the box corners the
+    constant forces point to."""
+    rng = np.random.default_rng(3)
+    pull = rng.normal(size=(6, 3))
+    iterates = []
+
+    def direction(X, F, P, face, data):
+        iterates.append(X)
+        return 10.0 * P
+
+    cap = 0.1
+    X, _, steps, converged, _ = configurations._projected_descent(
+        DRIVER_BOX, _linear(pull), sample_uniform(DRIVER_BOX, 6, rng), direction, cap, 200, 1e-13)
+    iterates.append(X)
+    assert converged
+    assert steps == len(iterates) - 1 > 20
+    moves = [np.linalg.norm(b - a, axis=1).max() for a, b in zip(iterates, iterates[1:])]
+    assert max(moves) <= cap * (1.0 + 1e-12)
+    np.testing.assert_array_equal(X, np.where(pull > 0, DRIVER_BOX.high, DRIVER_BOX.low))
+
+
+def test_projected_descent_takes_no_uphill_step():
+    """A direction against the force fails every Armijo trial: the run
+    returns the projected start, unconverged, after 0 steps."""
+    rng = np.random.default_rng(4)
+    pull = rng.normal(size=(6, 3))
+    X0 = 3.0 * rng.normal(size=(6, 3))
+    X, value, steps, converged, grad_norm = configurations._projected_descent(
+        DRIVER_BOX, _linear(pull), X0, lambda X, F, P, face, data: -P, 0.1, 200, 1e-13)
+    start = project_to_set(DRIVER_BOX, X0)
+    np.testing.assert_array_equal(X, start)
+    assert value == -float(np.sum(pull * start))
+    assert (steps, converged) == (0, False)
+    assert grad_norm > 0.0
+
+
 @pytest.fixture(scope="module")
 def sphere_minimizers():
     return {

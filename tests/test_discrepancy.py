@@ -21,6 +21,7 @@ from rieszpoints import (
     sup_potential_deficit,
     discrepancy_bound,
     discrete_energy,
+    moment_distance,
     potential_error,
     unit_sphere_area,
 )
@@ -362,11 +363,18 @@ def test_sup_deficit_closed_forms(E, points, expected):
     assert sup_potential_deficit(oracle, PointConfig(points)) == pytest.approx(expected, rel=0.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("points", [[[0.0, 1.0]], [[0.0, 0, 0, 1.0]]], ids=["2d", "4d"])
-def test_sup_deficit_rejects_points_of_another_dimension(points):
+@pytest.mark.parametrize("measure,points", [
+    (sup_potential_deficit, [[0.0, 1.0]]),
+    (sup_potential_deficit, [[0.0, 0, 0, 1.0]]),
+    (lambda oracle, X: moment_distance(X, oracle), np.eye(4)),
+    (lambda oracle, X: discrepancy_bound(oracle, X, radial_hat([0.5, 0, 0], radius=2.0), r=0.5), np.eye(4)),
+], ids=["2d", "4d", "moment-distance-4d", "discrepancy-bound-4d"])
+def test_sup_deficit_rejects_points_of_another_dimension(measure, points):
+    """Every measure of a configuration against an oracle refuses one of
+    another dimension with the same one-line message."""
     oracle = equilibrium_oracle(UNIT_SPHERE, SPEC)
-    with pytest.raises(ValueError, match="config dimension .* != kernel dimension 3"):
-        sup_potential_deficit(oracle, PointConfig(points))
+    with pytest.raises(ValueError, match="^config dimension .* != kernel dimension 3$"):
+        measure(oracle, PointConfig(points))
 
 
 def _probe_max_deficit(oracle, X, seed):

@@ -91,6 +91,19 @@ def test_no_import_inside_a_function():
     assert offenders == []
 
 
+def test_one_function_runs_the_line_search():
+    """``configurations._BACKTRACKS`` is read in one function, the shared
+    projected descent, so no second line search grows beside it."""
+    readers = []
+    for name, tree in _package_sources().items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                readers += [f"{name}.{func.name}" for node in ast.walk(func)
+                            if isinstance(node, ast.Name) and node.id == "_BACKTRACKS"
+                            and isinstance(node.ctx, ast.Load)]
+    assert readers == ["configurations._projected_descent"]
+
+
 def _package_imports(tree):
     """The package modules a module imports: ``from .x import ...`` gives x,
     and ``from . import y`` gives y."""
