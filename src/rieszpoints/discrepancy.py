@@ -114,12 +114,30 @@ def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOr
     )
 
 
+# (support, W_hat) of each quadrature-backed oracle solved in this
+# process, keyed by _support_key
+_SUPPORTS: dict = {}
+
+
+def _support_key(E: CompactSetModel, spec: KernelSpec) -> tuple:
+    """What the support solve reads of E and the kernel: the shape and its
+    exact parameters, not ``holder_s``."""
+    def exact(a):
+        return None if a is None else a.tobytes()
+    balls = None if E.balls is None else tuple((exact(c), r) for c, r in E.balls)
+    return spec, E.kind, exact(E.center), E.radius, exact(E.low), exact(E.high), balls
+
+
 def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
     # The equilibrium measure is approximated by a dense low-energy
     # configuration on E and its discrete potential; documented as
-    # approximate, never used by the acceptance bounds.
-    run = fekete_search_run(E, spec, FeketeSearchParams(n=400, restarts=1, tol=1e-10, seed=20406))
-    support, W_hat = run.config, run.energy
+    # approximate, never used by the acceptance bounds. The solve is
+    # deterministic, so each geometry is solved once per process.
+    key = _support_key(E, spec)
+    if key not in _SUPPORTS:
+        run = fekete_search_run(E, spec, FeketeSearchParams(n=400, restarts=1, tol=1e-10, seed=20406))
+        _SUPPORTS[key] = run.config, run.energy
+    support, W_hat = _SUPPORTS[key]
 
     def potential(x):
         return discrete_potential(support, spec, x)
@@ -146,9 +164,10 @@ def equilibrium_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracl
     Balls and spheres get the exact Newtonian closed forms (classical:
     the equilibrium measure is the uniform surface measure, so
     W = R**(2-d) and U(x) = max(|x-c|, R)**(2-d)). Boxes and unions get
-    the approximate quadrature-backed oracle. Either records E and the
-    kernel as ``set_model`` and ``spec``. Non-Newtonian kernels have no
-    fallback and raise.
+    the approximate quadrature-backed oracle, whose read-only 400-point
+    support is solved once per process for each geometry and kernel.
+    Either records E and the kernel as ``set_model`` and ``spec``.
+    Non-Newtonian kernels have no fallback and raise.
     """
     if E.dim != spec.dim:
         raise ValueError(f"set dimension {E.dim} != kernel dimension {spec.dim}")

@@ -5,8 +5,8 @@ Four array primitives carry all the pair and probe work:
 
 - ``pair_terms``: the kernel over every pair j < k (energies);
 - ``pair_energy_forces``: the pair sum and minus its gradient together
-  (the Fekete optimizer), every n-by-n intermediate in a workspace the
-  caller owns;
+  (the Fekete optimizer), every n-by-n intermediate in a C-contiguous
+  workspace the caller owns, r**2 and the forces einsum reductions;
 - ``potential_sums``: per probe, the kernel summed over the points
   (potentials, the greedy objective);
 - ``probe_potential_derivatives``: the potential at one probe, its
@@ -22,9 +22,10 @@ call holds memory bounded by that budget, not by n**2 or m * n, and
 each row sums in the same order as an unblocked evaluation; a
 4096-probe column against one point is a single block.
 
-Callers choose their own summation of ``pair_terms``. ``oracles.py``
-deliberately does not use this module's array primitives: its
-reference paths are the independent second opinion.
+Callers choose their own summation of ``pair_terms``. The einsum sums
+of ``pair_energy_forces`` repeat bitwise on one machine, not across
+CPUs. ``oracles.py`` deliberately does not use this module's array
+primitives: its reference paths are the independent second opinion.
 """
 
 from __future__ import annotations
@@ -119,27 +120,29 @@ def pair_energy_forces(spec: KernelSpec, points: np.ndarray, work: np.ndarray):
     Returns ``(energy, forces)``: the kernel summed over every pair j < k,
     and minus its gradient with respect to each point, shape (n, dim).
     An exact coincidence gives energy +inf (the forces are then
-    meaningless). ``work`` is a caller-owned float64 array of shape
-    (dim + 2, n, n) that receives every n-by-n intermediate, so a warm
-    call allocates nothing of size n**2; it must not be shared between
-    concurrent calls. The energy sums the full symmetric matrix, so it can
-    differ from ``pair_terms(...).sum()`` in the last bits.
+    meaningless). ``work`` is a caller-owned C-contiguous float64 array of
+    shape (dim + 2, n, n), not shared between concurrent calls; a warm
+    call allocates nothing of size n**2. It is left holding the coordinate
+    differences x_i - x_j (``work[:dim]``), the force weights r**(e - 2)
+    and the kernel terms r**e (e = alpha - dim, both 0 on the diagonal).
+    r**2 and the forces are einsum reductions, whose summation loop
+    follows the memory layout: the bits repeat on one machine, not across
+    CPUs. The energy sums the full symmetric matrix, so it can differ from
+    ``pair_terms(...).sum()`` in the last bits.
     """
     n, dim = points.shape
     if dim != spec.dim:
         raise ValueError(f"config dimension {dim} != kernel dimension {spec.dim}")
-    if work.shape != (dim + 2, n, n):
-        raise ValueError(f"workspace has shape {work.shape}, expected {(dim + 2, n, n)}")
+    if work.shape != (dim + 2, n, n) or work.dtype != np.float64 or not work.flags.c_contiguous:
+        raise ValueError(f"workspace must be C-contiguous float64 of shape {(dim + 2, n, n)}, got {work.dtype} "
+                         f"{work.shape} with strides {work.strides}")
     diff, r2, t = work[:dim], work[dim], work[dim + 1]
-    coords = points.T
-    for k in range(dim):
-        np.subtract(coords[k][:, None], coords[k][None, :], out=diff[k])
-    np.multiply(diff[0], diff[0], out=r2)
-    for k in range(1, dim):
-        np.multiply(diff[k], diff[k], out=t)
-        r2 += t
+    coords = np.ascontiguousarray(points.T)
+    diff[...] = coords[:, :, None]
+    np.subtract(diff, coords[:, None, :], out=diff)
+    np.einsum("kij,kij->ij", diff, diff, out=r2)
     # an infinite self-distance gives the diagonal zero energy and weight
-    np.fill_diagonal(r2, np.inf)
+    r2.flat[::n + 1] = np.inf
     expo = spec.exponent
     with np.errstate(divide="ignore", invalid="ignore"):
         # t gets the kernel terms r**expo; r2 is overwritten with the force
@@ -154,12 +157,9 @@ def pair_energy_forces(spec: KernelSpec, points: np.ndarray, work: np.ndarray):
             np.power(r2, expo / 2.0, out=t)
             np.divide(t, r2, out=r2)
         energy = 0.5 * float(np.add.reduce(t, axis=None))
-        forces = np.empty((dim, n))
-        for k in range(dim):
-            diff[k] *= r2
-            np.add.reduce(diff[k], axis=1, out=forces[k])
+        forces = np.einsum("kij,ij->ik", diff, r2)
     forces *= -expo
-    return energy, forces.T
+    return energy, forces
 
 
 def _kernel_of_distance(r, expo, out):

@@ -1,0 +1,62 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def _run(wall, setup=0.3, **operations):
+    return {"correct": True, "attempted": 2, "failed": 0,
+            "metrics": {"setup_s": setup, "wall_s": wall, "peak_rss_mib": 60.0},
+            "operations": operations}
+
+
+def _pair(i, parent, change, workload="fekete-sphere", trace=0):
+    return {"pair": i, "workload": workload, "seed": 1, "trace": trace,
+            "first": "parent" if i % 2 == 0 else "change", "parent": parent, "change": change}
+
+
+@pytest.mark.parametrize("values", [[3.0], [2.0, 1.0], [5.0, 1.0, 4.0, 2.0], list(np.linspace(0.1, 2.3, 11)[::-1])])
+def test_percentile_is_numpy_linear(values):
+    for q in (0, 25, 50, 75, 100):
+        assert bench_pairs.percentile(values, q) == pytest.approx(float(np.percentile(values, q)), rel=1e-15)
+
+
+def test_summarize_counts_wins_medians_and_quartiles():
+    parent = [0.40, 0.38, 0.41, 0.39, 0.42]
+    change = [0.31, 0.39, 0.30, 0.32, 0.33]
+    pairs = [_pair(i, _run(p, **{"fekete_s.n40": 2 * p}), _run(c, **{"fekete_s.n40": 2 * c}))
+             for i, (p, c) in enumerate(zip(parent, change))]
+    entry = bench_pairs.summarize(pairs)["fekete-sphere seed 1"]
+    assert entry["pairs"] == 5 and entry["errors"] == 0
+    wall = entry["metrics"]["wall_s"]
+    # pair 1 is a loss: 0.39 against 0.38
+    assert wall["change_wins"] == 4
+    assert wall["parent"] == pytest.approx({"median": 0.40, "q1": 0.39, "q3": 0.41, "n": 5})
+    assert wall["change"]["median"] == pytest.approx(0.32)
+    assert wall["median_difference"] == pytest.approx(0.08)
+    assert wall["parent_interquartile"] == pytest.approx(0.02)
+    assert entry["metrics"]["operations.fekete_s.n40"]["change_wins"] == 4
+    # equal values are not a win
+    assert entry["metrics"]["setup_s"]["change_wins"] == 0
+
+
+def test_summarize_groups_by_workload_and_trace_and_skips_failed_runs():
+    pairs = [_pair(0, _run(1.0), _run(0.9)),
+             _pair(1, _run(1.0), {"error": "exit 1: worker ran past the deadline"}),
+             _pair(2, _run(2.0), _run(2.5), workload="leja-study-ball"),
+             _pair(3, {"correct": True, "attempted": 1, "failed": 0, "metrics": {"kernel.calls": 5.0}},
+                   {"correct": True, "attempted": 1, "failed": 0, "metrics": {"kernel.calls": 4.0}}, trace=1)]
+    summary = bench_pairs.summarize(pairs)
+    assert set(summary) == {"fekete-sphere seed 1", "leja-study-ball seed 1", "fekete-sphere seed 1 traced"}
+    assert summary["fekete-sphere seed 1"]["pairs"] == 1 and summary["fekete-sphere seed 1"]["errors"] == 1
+    assert summary["fekete-sphere seed 1"]["metrics"]["wall_s"]["change_wins"] == 1
+    assert summary["leja-study-ball seed 1"]["metrics"]["wall_s"]["change_wins"] == 0
+    assert list(summary["fekete-sphere seed 1 traced"]["metrics"]) == ["kernel.calls"]
+    every_pair_failed = bench_pairs.summarize(pairs[1:2])["fekete-sphere seed 1"]
+    assert every_pair_failed == {"pairs": 0, "errors": 1, "metrics": {}}

@@ -25,6 +25,7 @@ from rieszpoints import (
     potential_error,
     unit_sphere_area,
 )
+from rieszpoints import discrepancy
 from rieszpoints.configurations import FeketeSearchParams, fekete_search_run, leja_sequence, random_config
 from rieszpoints.discrepancy import TestFunction, max_green_on_shell
 from rieszpoints.kernel import potential_sums
@@ -125,6 +126,31 @@ def test_max_green_on_shell_exact(E, offset):
     oracle = equilibrium_oracle(E, SPEC)
     g = max_green_on_shell(oracle, offset=offset)
     assert abs(g - (1.0 / E.radius - 1.0 / (E.radius + offset))) <= 1e-15
+
+
+def test_quadrature_backed_support_is_solved_once_per_geometry(monkeypatch):
+    """The support solve reads the geometry and the kernel, not the
+    declared Holder exponent: a cube with and without one shares a solve,
+    and each oracle still records its caller's set. A different box
+    solves again."""
+    solved = []
+
+    def small_solve(E, spec, params):
+        solved.append(E)
+        return fekete_search_run(E, spec, dataclasses.replace(params, n=40))
+
+    monkeypatch.setattr(discrepancy, "_SUPPORTS", {})
+    monkeypatch.setattr(discrepancy, "fekete_search_run", small_solve)
+    bare, declared = box([0.0, 0, 0], [1.0, 1, 1]), box([0.0, 0, 0], [1.0, 1, 1], holder_s=0.5)
+    first, second = equilibrium_oracle(bare, SPEC), equilibrium_oracle(declared, SPEC)
+    assert len(solved) == 1
+    assert first.set_model is bare and second.set_model is declared
+    assert first.robin_constant == second.robin_constant
+    assert first.moments.tobytes() == second.moments.tobytes()
+    (support, _), = discrepancy._SUPPORTS.values()
+    assert not support.points.flags.writeable
+    equilibrium_oracle(box([0.0, 0, 0], [1.0, 2, 1]), SPEC)
+    assert len(solved) == 2
 
 
 def test_discrepancy_bound_composite_term_antipodal_pair():

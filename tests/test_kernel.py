@@ -145,6 +145,70 @@ def test_pair_energy_forces_reused_workspace_is_bitwise_fresh():
     assert forces.tobytes() == fresh_forces.tobytes()
 
 
+def _plane_by_plane(spec, X):
+    """Reference: the pair sum and forces built one coordinate plane at a
+    time, with numpy's pairwise row sums."""
+    n, dim = X.shape
+    diff = [X[:, k, None] - X[None, :, k] for k in range(dim)]
+    r2 = diff[0] * diff[0]
+    for k in range(1, dim):
+        r2 += diff[k] * diff[k]
+    np.fill_diagonal(r2, np.inf)
+    with np.errstate(divide="ignore"):
+        if spec.exponent == -1.0:
+            terms = 1.0 / np.sqrt(r2)
+            weights = terms * terms * terms
+        else:
+            terms = r2 ** (spec.exponent / 2.0)
+            weights = terms / r2
+    forces = np.stack([np.add.reduce(diff[k] * weights, axis=1) for k in range(dim)], axis=1)
+    return 0.5 * float(np.add.reduce(terms, axis=None)), -spec.exponent * forces
+
+
+def _offset_workspace(spec, n, offset):
+    """A C-contiguous workspace that starts ``offset`` floats into a larger buffer."""
+    return np.empty((spec.dim + 2) * n * n + offset)[offset:].reshape(spec.dim + 2, n, n)
+
+
+@pytest.mark.parametrize("alpha,dim", [(2.0, 3), (1.5, 3), (2.0, 4), (3.5, 5)])
+@pytest.mark.parametrize("n", [2, 7, 40, 129])
+def test_pair_energy_forces_match_the_plane_by_plane_formula(alpha, dim, n):
+    spec = KernelSpec(alpha, dim)
+    X = np.random.default_rng(n * dim).normal(size=(n, dim))
+    before = X.copy()
+    energy, forces = _energy_forces(spec, X)
+    assert forces.shape == (n, dim)
+    assert np.array_equal(X, before)
+    ref_energy, ref_forces = _plane_by_plane(spec, X)
+    assert energy == pytest.approx(ref_energy, rel=1e-15, abs=0.0)
+    np.testing.assert_allclose(forces, ref_forces, rtol=0.0, atol=1e-14 * np.abs(ref_forces).max())
+
+
+@pytest.mark.parametrize("n", [5, 40, 200])
+def test_pair_energy_forces_repeat_bitwise_across_workspaces(n):
+    """Fresh, reused and offset workspaces give the same bits."""
+    spec = KernelSpec(2.0, 3)
+    X = np.random.default_rng(n).normal(size=(n, 3))
+    energy, forces = _energy_forces(spec, X)
+    for work in (_workspace(spec, n), _offset_workspace(spec, n, 1), _offset_workspace(spec, n, 3)):
+        for _ in range(2):
+            again, again_forces = pair_energy_forces(spec, X, work)
+            assert again == energy
+            assert again_forces.tobytes() == forces.tobytes()
+
+
+def test_pair_energy_forces_rejects_a_bad_workspace():
+    """A float32 workspace rounds the planes, and a strided one changes
+    the einsum loops: both are refused, not silently used."""
+    spec = KernelSpec(2.0, 3)
+    n = 10
+    X = np.random.default_rng(0).normal(size=(n, 3))
+    for work in (np.empty((5, n, n), dtype=np.float32), np.empty((5, n, 2 * n))[:, :, ::2],
+                 np.empty((5, n, n), order="F"), np.empty((5, n + 1, n))):
+        with pytest.raises(ValueError, match="workspace must be C-contiguous float64"):
+            pair_energy_forces(spec, X, work)
+
+
 def test_pair_energy_forces_warm_call_allocates_no_pair_array():
     """Fresh n-by-n temporaries on every call cost page faults and system
     time as the heap is trimmed and regrown; a warm workspace avoids them."""
