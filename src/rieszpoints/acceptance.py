@@ -47,22 +47,8 @@ class CriterionResult:
     details: dict
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def _result(name: str, passed: bool, **details) -> CriterionResult:
-    return CriterionResult(name=name, passed=bool(passed), details=_jsonable(details))
+    return CriterionResult(name=name, passed=bool(passed), details=details)
 
 
 _SPEC3 = KernelSpec(alpha=2.0, dim=3)
@@ -303,12 +289,12 @@ def criterion_converse_witness(seed: int, ctx: dict) -> CriterionResult:
     return _result("converse_witness", ok, values=values)
 
 
-def criterion_provenance(seed: int, ctx: dict, ledger_path=None) -> CriterionResult:
-    """Replay the committed oracle ledger; every row must reproduce
-    bitwise in every field. Each mismatch names the fields that differ,
-    with their committed and recomputed values, and for floats their
-    distance in ulp."""
-    path = ledger_path or find_default_ledger()
+def criterion_provenance(seed: int, ctx: dict) -> CriterionResult:
+    """Replay the oracle ledger at ``ctx["ledger_path"]``, or the committed
+    one; every row must reproduce bitwise in every field. Each mismatch
+    names the fields that differ, with their committed and recomputed
+    values, and for floats their distance in ulp."""
+    path = ctx.get("ledger_path") or find_default_ledger()
     if path is None or not Path(path).exists():
         return _result("provenance", False, error="oracle ledger not found")
     try:
@@ -355,26 +341,22 @@ def _select(only):
 
 
 def _run_pass(names, seed, ledger_path=None):
-    ctx: dict = {}
-    results = []
+    # the inputs the criteria share: the ledger path and the cached runs
+    ctx: dict = {"ledger_path": ledger_path}
     lookup = dict(CRITERIA)
-    for name in names:
-        func = lookup[name]
-        if name == "provenance":
-            results.append(func(seed, ctx, ledger_path=ledger_path))
-        else:
-            results.append(func(seed, ctx))
-    return results
+    return [lookup[name](seed, ctx) for name in names]
 
 
 def verdict_json(results, seed: int) -> str:
+    """The verdict as sorted, indented JSON; numpy scalars and arrays in
+    the details serialize as their Python values."""
     payload = {
         "tool_version": __version__,
         "seed": seed,
         "all_passed": all(r.passed for r in results),
         "criteria": [{"name": r.name, "passed": r.passed, "details": r.details} for r in results],
     }
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(payload, sort_keys=True, indent=2, default=lambda v: v.tolist())
 
 
 def run_criteria(seed: int = DEFAULT_SEED, only=None, ledger_path=None):

@@ -301,24 +301,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="size of the one candidate grid per leja sequence (default 4096); "
                             "a very small grid gives poor sequences")
         p.add_argument("--xi0", default=None, help="start point for leja, e.g. '1,0,0'")
+        p.add_argument("--method", required=True, choices=["fekete", "leja", "random"])
+        p.add_argument("--out", required=True)
+        p.add_argument("--manifest", default=None)
 
     g = sub.add_parser("generate", help="write a configuration CSV and manifest")
     common_gen(g)
-    g.add_argument("--method", required=True, choices=["fekete", "leja", "random"])
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--out", required=True)
-    g.add_argument("--manifest", default=None)
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("study", help="convergence study: one CSV row per n")
     common_gen(s)
-    s.add_argument("--method", required=True, choices=["fekete", "leja", "random"])
     s.add_argument("--schedule", required=True, help="comma-separated n values")
-    s.add_argument("--out", required=True)
     s.add_argument("--probe", default=None, help="exterior probe point (default: distance 1 along +e1)")
     s.add_argument("--r-c", dest="r_c", type=float, default=1.0)
     s.add_argument("--r-a", dest="r_a", type=float, default=None, help="smoothing decay r_n = c*n^-a (default 1/d)")
-    s.add_argument("--manifest", default=None)
     s.set_defaults(func=cmd_study)
 
     q = sub.add_parser("potential", help="single-point deficit query")

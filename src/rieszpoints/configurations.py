@@ -2,11 +2,12 @@
 
 Fekete and greedy (Leja) points come from one monotone projected descent
 (``_projected_descent``) with two direction rules. The descent holds each
-iterate's active face (held box coordinates, or points held to their
-ball's sphere), caps each point's move and backtracks to an Armijo
-decrease on projected trial points (Nocedal and Wright, Numerical
-Optimization, 2006, ch. 3); it converges when the largest per-point
-projected force is at most sqrt(tol) times the mean force magnitude.
+iterate's active face (``sets._active_face``: held box coordinates, or
+points held to their ball's sphere), caps each point's move and
+backtracks to an Armijo decrease on projected trial points (Nocedal and
+Wright, Numerical Optimization, 2006, ch. 3); it converges when the
+largest per-point projected force is at most sqrt(tol) times the mean
+force magnitude.
 Approximate Fekete points take L-BFGS directions (Nocedal, Math. Comp.
 35, 1980) on the n-fold product of the set, with seeded random restarts:
 on a sphere a Riemannian method whose vector transport is the tangent
@@ -20,7 +21,7 @@ Hessian, with a held sphere's curvature term (Absil, Mahony and
 Sepulchre, ch. 6). That step is ``_potential_min``, the minimum over a
 set of a configuration's potential; ``discrepancy.sup_potential_deficit``
 calls it too. On a ball both search the boundary sphere
-(``_min_surface``): a potential is superharmonic, so by the minimum
+(``sets._min_surface``): a potential is superharmonic, so by the minimum
 principle (Landkof, Foundations of Modern Potential Theory, 1972) its
 minimum lies there. A seeded uniform baseline rounds out the benchmark
 trio.
@@ -37,8 +38,8 @@ import numpy as np
 from .errors import CoincidentPointsError, InfeasiblePointError
 from .kernel import KernelSpec, pair_energy_forces, potential_sums, probe_potential_derivatives, require_newtonian
 from .measures import PointConfig, discrete_energy
-from .sets import (MEMBERSHIP_TOL, CompactSetModel, _nearest_ball, _norms, distance_to_set, project_to_set,
-                   sample_candidates, sample_uniform, sphere_surface)
+from .sets import (MEMBERSHIP_TOL, CompactSetModel, _active_face, _min_surface, _norms, _restrict, distance_to_set,
+                   project_to_set, sample_candidates, sample_uniform)
 from .seeding import child_seed, substream
 
 
@@ -93,54 +94,9 @@ _MEMORY = 8
 # Armijo sufficient-decrease constant and the halvings a line search may try
 _ARMIJO = 1e-4
 _BACKTRACKS = 40
-# a ball point within this fraction of the radius of its sphere is on it
-_ON_SPHERE = 1e-12
 # relative accuracy and iteration cap of the greedy polish
 _POLISH_TOL = 1e-13
 _POLISH_STEPS = 60
-
-
-def _rowdot(A, B):
-    return np.einsum("ij,ij->i", A, B)
-
-
-def _active_face(E, X, F):
-    """The face of the n-fold product of E that a step from X stays on.
-
-    Returns ``(held, normals, radius)``. On a box ``held`` is an (n, dim)
-    mask of the coordinates on a face whose force points out of it, and
-    ``normals`` and ``radius`` are None. Otherwise ``held`` is an (n,)
-    mask of the points held to their ball's sphere: every point of a
-    sphere, and boundary points of a ball or union whose force points out
-    of their ball; ``normals`` holds their unit outward normals (zero rows
-    for the rest) and ``radius`` the sphere's radius, per point on a
-    union. Two faces at the same X are equal when their ``held`` are."""
-    if E.kind == "box":
-        held = ((X <= E.low) & (F < 0.0)) | ((X >= E.high) & (F > 0.0))
-        return held, None, None
-    if E.kind == "union":
-        centers, radii, j = _nearest_ball(E, X)
-        center, radius = centers[j], radii[j]
-    else:
-        center, radius = E.center, E.radius
-    V = X - center
-    rho = _norms(V)[:, None]
-    U = V / rho if rho.all() else np.divide(V, rho, out=np.zeros_like(V), where=rho > 0)
-    if E.kind == "sphere":
-        held = np.ones(len(X), dtype=bool)
-    else:
-        held = (rho[:, 0] >= (1.0 - _ON_SPHERE) * radius) & (_rowdot(F, U) > 0.0)
-    N = U if held.all() else np.where(held[:, None], U, 0.0)
-    return held, N, radius
-
-
-def _restrict(V, held, normals):
-    """The component of an (n, dim) array V along the face (held, normals)
-    of ``_active_face``: held box coordinates are zeroed, and the rows of
-    held sphere points keep only their part tangent to the sphere."""
-    if normals is None:
-        return np.where(held, 0.0, V)
-    return V - normals * _rowdot(V, normals)[:, None]
 
 
 def _relative_force(P, F):
@@ -277,11 +233,6 @@ def fekete_search_run(E: CompactSetModel, spec: KernelSpec, params: FeketeSearch
         converged=converged,
         grad_norm=grad_norm,
     )
-
-
-def _min_surface(E: CompactSetModel) -> CompactSetModel:
-    """Where a potential's minimum over E lies: a ball's boundary sphere, E otherwise."""
-    return sphere_surface(E.center, E.radius) if E.kind == "ball" else E
 
 
 def _potential_min(E: CompactSetModel, spec: KernelSpec, points: np.ndarray, grid: np.ndarray,

@@ -25,13 +25,15 @@ import numpy as np
 from .errors import MissingHolderDataError, UnsupportedOracleError
 from .kernel import KernelSpec, potential_sums, require_newtonian
 from .measures import PointConfig, discrete_energy, discrete_potential
-from .configurations import FeketeSearchParams, _min_surface, _potential_min, fekete_search_run
+from .configurations import FeketeSearchParams, _potential_min, fekete_search_run
 from .sets import (
     CompactSetModel,
     MEMBERSHIP_TOL,
+    _min_surface,
     _radius,
+    _shape_key,
     _vec,
-    box,
+    _widened_grid,
     distance_to_set,
     sample_candidates,
     sample_uniform,
@@ -56,7 +58,7 @@ def _monomials(points: np.ndarray) -> np.ndarray:
     return np.column_stack([points] + quad)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumOracle:
     """Equilibrium data for the set ``set_model`` under the kernel
     ``spec``, which fix mu_E: Robin constant W(E), the equilibrium
@@ -115,17 +117,9 @@ def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOr
 
 
 # (support, W_hat) of each quadrature-backed oracle solved in this
-# process, keyed by _support_key
+# process, keyed by the kernel and the shape (``sets._shape_key``): the
+# solve does not read ``holder_s``
 _SUPPORTS: dict = {}
-
-
-def _support_key(E: CompactSetModel, spec: KernelSpec) -> tuple:
-    """What the support solve reads of E and the kernel: the shape and its
-    exact parameters, not ``holder_s``."""
-    def exact(a):
-        return None if a is None else a.tobytes()
-    balls = None if E.balls is None else tuple((exact(c), r) for c, r in E.balls)
-    return spec, E.kind, exact(E.center), E.radius, exact(E.low), exact(E.high), balls
 
 
 def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
@@ -133,7 +127,7 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> Equilibri
     # configuration on E and its discrete potential; documented as
     # approximate, never used by the acceptance bounds. The solve is
     # deterministic, so each geometry is solved once per process.
-    key = _support_key(E, spec)
+    key = spec, _shape_key(E)
     if key not in _SUPPORTS:
         run = fekete_search_run(E, spec, FeketeSearchParams(n=400, restarts=1, tol=1e-10, seed=20406))
         _SUPPORTS[key] = run.config, run.energy
@@ -212,7 +206,7 @@ def unit_sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestFunction:
     """A continuous compactly supported test function.
 
@@ -330,21 +324,14 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
 
 def max_green_on_shell(oracle: EquilibriumOracle, offset: float) -> float:
     """Max of the oracle's Green function over {x : d_E(x) <= offset}, read
-    on fixed probes of a compact D that holds it: the ``_MIN_GRID``-point
-    grid (seed 0) of each ball's sphere widened by ``offset`` (ball, sphere,
-    union) or of the widened box. g_E is 0 on E and subharmonic off it, so
-    its max over D lies on the boundary of D and bounds the slab's. Exact up
-    to rounding on a ball or sphere, W - (R + offset)**(2-d); high on a box,
-    whose widened corners reach past the slab; a grid estimate on a union."""
-    E = oracle.set_model
-    if E.kind == "box":
-        probes = sample_candidates(box(E.low - offset, E.high + offset), _MIN_GRID, 0)
-    else:
-        probes = np.concatenate([
-            sample_candidates(sphere_surface(c, r + offset), _MIN_GRID, 0)
-            for c, r in E.balls or ((E.center, E.radius),)
-        ])
-    return float(np.max(oracle.green(probes)))
+    on fixed probes of a compact D that holds it (``sets._widened_grid``):
+    the ``_MIN_GRID``-point grid (seed 0) of each ball's sphere widened by
+    ``offset`` (ball, sphere, union) or of the widened box. g_E is 0 on E
+    and subharmonic off it, so its max over D lies on the boundary of D
+    and bounds the slab's. Exact up to rounding on a ball or sphere,
+    W - (R + offset)**(2-d); high on a box, whose widened corners reach
+    past the slab; a grid estimate on a union."""
+    return float(np.max(oracle.green(_widened_grid(oracle.set_model, offset, _MIN_GRID))))
 
 
 @dataclass(frozen=True)

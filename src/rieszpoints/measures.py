@@ -12,7 +12,7 @@ from .errors import SingularityError
 from .kernel import KernelSpec, pair_terms, potential_sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointConfig:
     """An ordered n-tuple of points in R^d with its counting measure.
 

@@ -5,6 +5,13 @@ Shipped shapes: solid ball, sphere surface, axis-aligned box, finite
 union of balls. Their equilibrium data (Robin constant, potential, Green
 function) live with the bound machinery, in ``discrepancy``.
 
+This is the one module that reads a shape's fields. A ball, a sphere and
+a union share one list of (center, radius) pairs (``_balls``). The other
+layers ask it for the active face of a descent step (``_active_face``),
+the surface a potential's minimum is searched on (``_min_surface``), the
+widened probe grid of the Green function's maximum (``_widened_grid``)
+and the support cache's key (``_shape_key``).
+
 Candidate grids on balls, boxes, unions and spheres outside d = 3 come
 from one seeded Kronecker lattice, shifted at random (``_lattice``); the
 2-sphere in R^3 keeps a rotated Fibonacci lattice.
@@ -12,7 +19,7 @@ from one seeded Kronecker lattice, shifted at random (``_lattice``); the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import NormalDist
 from typing import Optional
 
@@ -26,7 +33,7 @@ from .seeding import child_seed, substream
 MEMBERSHIP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompactSetModel:
     """A compact set E: its shape's parameters and an optional Holder
     exponent. The geometric queries are this module's functions.
@@ -55,32 +62,33 @@ class CompactSetModel:
 
     @property
     def diameter(self) -> float:
-        if self.kind in ("ball", "sphere"):
-            return 2.0 * self.radius
         if self.kind == "box":
             return float(np.linalg.norm(self.high - self.low))
+        balls = _balls(self)
         best = 0.0
-        for i, (ci, ri) in enumerate(self.balls):
-            for cj, rj in self.balls[i:]:
+        for i, (ci, ri) in enumerate(balls):
+            for cj, rj in balls[i:]:
                 best = max(best, float(np.linalg.norm(ci - cj)) + ri + rj)
         return best
 
     @property
     def enclosing_center(self) -> np.ndarray:
-        if self.kind in ("ball", "sphere"):
-            return self.center
         if self.kind == "box":
             return 0.5 * (self.low + self.high)
-        return np.mean([c for c, _ in self.balls], axis=0)
+        return np.mean([c for c, _ in _balls(self)], axis=0)
 
     @property
     def enclosing_radius(self) -> float:
-        if self.kind in ("ball", "sphere"):
-            return float(self.radius)
         if self.kind == "box":
             return float(np.linalg.norm(self.high - self.low)) / 2.0
         m = self.enclosing_center
-        return max(float(np.linalg.norm(c - m)) + r for c, r in self.balls)
+        return max(float(np.linalg.norm(c - m)) + r for c, r in _balls(self))
+
+
+def _balls(E: CompactSetModel) -> tuple:
+    """The ``(center, radius)`` pairs of a ball, sphere or union: one
+    pair for a ball or sphere."""
+    return E.balls or ((E.center, E.radius),)
 
 
 def _vec(x, dim, name="point"):
@@ -142,6 +150,17 @@ def union_of_balls(balls_list, holder_s=None) -> CompactSetModel:
     return CompactSetModel(dim=dim, kind="union", balls=tuple(packed), holder_s=holder_s)
 
 
+def _shape_key(E: CompactSetModel) -> tuple:
+    """E's shape as a hashable key: every field but ``holder_s``, with
+    arrays by their bytes, so two sets share a key when they are the same
+    shape with the same parameters."""
+    def exact(v):
+        if isinstance(v, np.ndarray):
+            return v.tobytes()
+        return tuple(map(exact, v)) if isinstance(v, tuple) else v
+    return tuple(exact(getattr(E, f.name)) for f in fields(E) if f.name != "holder_s")
+
+
 # ---------------------------------------------------------------------------
 # distance and projection
 # ---------------------------------------------------------------------------
@@ -152,18 +171,12 @@ def distance_to_set(E: CompactSetModel, x):
     Exact for all shipped shapes; vectorized over leading axes.
     """
     p = _vec(x, E.dim)
-    if E.kind == "ball":
-        rho = np.linalg.norm(p - E.center, axis=-1)
-        out = np.maximum(rho - E.radius, 0.0)
-    elif E.kind == "sphere":
-        rho = np.linalg.norm(p - E.center, axis=-1)
-        out = np.abs(rho - E.radius)
+    if E.kind == "sphere":
+        out = np.abs(np.linalg.norm(p - E.center, axis=-1) - E.radius)
     elif E.kind == "box":
-        g = np.clip(p, E.low, E.high)
-        out = np.linalg.norm(p - g, axis=-1)
+        out = np.linalg.norm(p - np.clip(p, E.low, E.high), axis=-1)
     else:
-        ds = [np.maximum(np.linalg.norm(p - c, axis=-1) - r, 0.0) for c, r in E.balls]
-        out = np.minimum.reduce(ds)
+        out = np.minimum.reduce([np.maximum(np.linalg.norm(p - c, axis=-1) - r, 0.0) for c, r in _balls(E)])
     return float(out) if out.ndim == 0 else out
 
 
@@ -205,7 +218,7 @@ def _project_to_ball(q, center, radius):
 def _nearest_ball(E: CompactSetModel, q):
     """Centers and radii of E's balls (a ball or sphere is one), and each
     row's nearest: least signed gap |x - c| - r, lowest index on ties."""
-    balls = E.balls or ((E.center, E.radius),)
+    balls = _balls(E)
     centers = np.array([c for c, _ in balls])
     radii = np.array([r for _, r in balls])
     gaps = np.linalg.norm(q[:, None, :] - centers, axis=2) - radii
@@ -218,9 +231,7 @@ def project_to_set(E: CompactSetModel, x):
     p = _vec(x, E.dim)
     scalar = p.ndim == 1
     q = p[None, :] if scalar else p
-    if E.kind == "ball":
-        out = _project_to_ball(q, E.center, E.radius)
-    elif E.kind == "sphere":
+    if E.kind == "sphere":
         out = _project_to_sphere_shell(q, E.center, E.radius)
     elif E.kind == "box":
         out = np.clip(q, E.low, E.high)
@@ -228,6 +239,58 @@ def project_to_set(E: CompactSetModel, x):
         centers, radii, j = _nearest_ball(E, q)
         out = _project_to_ball(q, centers[j], radii[j, None])
     return out[0] if scalar else out
+
+
+# a ball point within this fraction of the radius of its sphere is on it
+_ON_SPHERE = 1e-12
+
+
+def _rowdot(A, B):
+    return np.einsum("ij,ij->i", A, B)
+
+
+def _active_face(E: CompactSetModel, X, F):
+    """The face of the n-fold product of E that a step from X stays on.
+
+    Returns ``(held, normals, radius)``. On a box ``held`` is an (n, dim)
+    mask of the coordinates on a face whose force points out of it, and
+    ``normals`` and ``radius`` are None. Otherwise ``held`` is an (n,)
+    mask of the points held to their ball's sphere: every point of a
+    sphere, and boundary points of a ball or union whose force points out
+    of their ball; ``normals`` holds their unit outward normals (zero rows
+    for the rest) and ``radius`` the sphere's radius, per point on a
+    union. Two faces at the same X are equal when their ``held`` are."""
+    if E.kind == "box":
+        held = ((X <= E.low) & (F < 0.0)) | ((X >= E.high) & (F > 0.0))
+        return held, None, None
+    if E.kind == "union":
+        centers, radii, j = _nearest_ball(E, X)
+        center, radius = centers[j], radii[j]
+    else:
+        center, radius = E.center, E.radius
+    V = X - center
+    rho = _norms(V)[:, None]
+    U = V / rho if rho.all() else np.divide(V, rho, out=np.zeros_like(V), where=rho > 0)
+    if E.kind == "sphere":
+        held = np.ones(len(X), dtype=bool)
+    else:
+        held = (rho[:, 0] >= (1.0 - _ON_SPHERE) * radius) & (_rowdot(F, U) > 0.0)
+    N = U if held.all() else np.where(held[:, None], U, 0.0)
+    return held, N, radius
+
+
+def _restrict(V, held, normals):
+    """The component of an (n, dim) array V along the face (held, normals)
+    of ``_active_face``: held box coordinates are zeroed, and the rows of
+    held sphere points keep only their part tangent to the sphere."""
+    if normals is None:
+        return np.where(held, 0.0, V)
+    return V - normals * _rowdot(V, normals)[:, None]
+
+
+def _min_surface(E: CompactSetModel) -> CompactSetModel:
+    """Where a potential's minimum over E lies: a ball's boundary sphere, E otherwise."""
+    return sphere_surface(E.center, E.radius) if E.kind == "ball" else E
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +406,16 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
         if k > 0
     ]
     return np.concatenate(parts)
+
+
+def _widened_grid(E: CompactSetModel, offset: float, count: int) -> np.ndarray:
+    """The ``count``-point candidate grid (seed 0) of the box widened by
+    ``offset``, or of each ball's sphere widened by it (ball, sphere,
+    union): probes of the boundary of a compact set that holds
+    {x : d_E(x) <= offset}."""
+    if E.kind == "box":
+        return sample_candidates(box(E.low - offset, E.high + offset), count, 0)
+    return np.concatenate([sample_candidates(sphere_surface(c, r + offset), count, 0) for c, r in _balls(E)])
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ everything once)."""
 
 import sys
 
+import numpy as np
 import pytest
 
-from rieszpoints.acceptance import ALL_NAMES, DEFAULT_SEED, run_criteria
+from rieszpoints.acceptance import ALL_NAMES, DEFAULT_SEED, CriterionResult, run_criteria, verdict_json
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +112,13 @@ def test_provenance_ledger(verdicts):
     assert r.details["mismatched"] == [], (
         "ledger rows do not replay bitwise:\n" + "\n".join(r.details["mismatched"]))
     assert r.passed
+
+
+def test_verdict_json_writes_numpy_values_as_their_python_values():
+    """numpy scalars and arrays in a criterion's details give the bytes
+    of the same details in plain Python types."""
+    numpy_details = {"x": np.float64(0.1), "k": np.int64(7), "ok": np.bool_(True),
+                     "v": np.array([1.5, -0.0]), "pair": (np.float64(2.0), 3), "nested": {"m": [np.int64(1)]}}
+    plain_details = {"x": 0.1, "k": 7, "ok": True, "v": [1.5, -0.0], "pair": [2.0, 3], "nested": {"m": [1]}}
+    as_numpy = verdict_json([CriterionResult("c", True, numpy_details)], 5)
+    assert as_numpy == verdict_json([CriterionResult("c", True, plain_details)], 5)

@@ -26,7 +26,8 @@ from rieszpoints.discrepancy import equilibrium_oracle, potential_error, sphere_
 from rieszpoints.kernel import potential_sums, probe_potential_derivatives
 from rieszpoints.oracles import reference_energy
 from rieszpoints.seeding import substream
-from rieszpoints.sets import MEMBERSHIP_TOL, _nearest_ball, project_to_set, random_rotation, sample_uniform
+from rieszpoints.sets import (MEMBERSHIP_TOL, _active_face, _min_surface, _nearest_ball, _restrict, project_to_set,
+                              random_rotation, sample_uniform)
 
 SPEC = KernelSpec(2.0, 3)
 UNIT_SPHERE = sphere_surface([0.0, 0.0, 0.0], 1.0)
@@ -219,19 +220,19 @@ def _next_point(E, prefix_pts, grid, spec=SPEC):
     return x
 
 
-def test_leja_next_antipode_of_single_point():
+def test_potential_min_antipode_of_single_point():
     nxt = _next_point(UNIT_SPHERE, np.array([[0.0, 0.0, 1.0]]), sample_candidates(UNIT_SPHERE, 4096, seed=1))
     np.testing.assert_allclose(nxt, [0.0, 0.0, -1.0], atol=1e-12)
 
 
-def test_leja_next_equator_after_antipodal_pair():
+def test_potential_min_equator_after_antipodal_pair():
     nxt = _next_point(UNIT_SPHERE, np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
                       sample_candidates(UNIT_SPHERE, 10_000, seed=2))
     assert abs(nxt[0]) < 1e-4
     assert np.linalg.norm(nxt) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_leja_next_candidates_equal_prefix_raises():
+def test_potential_min_grid_equal_to_the_points_raises():
     prefix_pts = np.array([[0.0, 0, 1.0], [1.0, 0, 0]])
     with pytest.raises(CoincidentPointsError):
         _next_point(UNIT_SPHERE, prefix_pts, prefix_pts.copy())
@@ -389,7 +390,7 @@ def test_ball_potential_minimum_lies_on_the_sphere(center, radius):
     minimum on the sphere (smallest relative margin 4.5e-4 at both
     centres)."""
     E = ball(center, radius)
-    S = configurations._min_surface(E)
+    S = _min_surface(E)
     assert S.kind == "sphere" and S.radius == radius
     lattice = sample_candidates(E, 20_000, seed=1)
     grid = sample_candidates(S, 4096, seed=0)
@@ -421,7 +422,7 @@ def test_ball_leja_polish_is_near_a_dense_boundary_minimum(monkeypatch):
 
 
 @pytest.mark.parametrize("E,S", [(UNIT_SPHERE, UNIT_SPHERE),
-                                 (ball(*BALL_AND_SPHERE[1]), configurations._min_surface(ball(*BALL_AND_SPHERE[1]))),
+                                 (ball(*BALL_AND_SPHERE[1]), _min_surface(ball(*BALL_AND_SPHERE[1]))),
                                  (LEJA_SETS[3], LEJA_SETS[3]), (LEJA_SETS[4], LEJA_SETS[4])],
                          ids=["sphere", "ball-boundary", "box", "union"])
 def test_potential_min_returns_a_stationary_point(E, S):
@@ -440,8 +441,8 @@ def test_potential_min_returns_a_stationary_point(E, S):
             continue
         _, gradient, _ = probe_potential_derivatives(spec, x, prefix_pts)
         F = -gradient[None]
-        held, normals, _ = configurations._active_face(S, x[None], F)
-        P = configurations._restrict(F, held, normals)
+        held, normals, _ = _active_face(S, x[None], F)
+        P = _restrict(F, held, normals)
         assert np.linalg.norm(P) <= target * np.linalg.norm(F), seed
 
 

@@ -19,6 +19,7 @@ from rieszpoints import (
     radial_hat,
     sphere_surface,
     sup_potential_deficit,
+    union_of_balls,
     discrepancy_bound,
     discrete_energy,
     moment_distance,
@@ -131,8 +132,9 @@ def test_max_green_on_shell_exact(E, offset):
 def test_quadrature_backed_support_is_solved_once_per_geometry(monkeypatch):
     """The support solve reads the geometry and the kernel, not the
     declared Holder exponent: a cube with and without one shares a solve,
-    and each oracle still records its caller's set. A different box
-    solves again."""
+    and each oracle still records its caller's set. A box that differs
+    only in ``high``, and a union that differs only in one radius, solve
+    again."""
     solved = []
 
     def small_solve(E, spec, params):
@@ -151,6 +153,12 @@ def test_quadrature_backed_support_is_solved_once_per_geometry(monkeypatch):
     assert not support.points.flags.writeable
     equilibrium_oracle(box([0.0, 0, 0], [1.0, 2, 1]), SPEC)
     assert len(solved) == 2
+    pair = [([0.0, 0, 0], 1.0), ([2.5, 0, 0], 1.0)]
+    equilibrium_oracle(union_of_balls(pair), SPEC)
+    equilibrium_oracle(union_of_balls(pair, holder_s=0.5), SPEC)
+    assert len(solved) == 3
+    equilibrium_oracle(union_of_balls([pair[0], ([2.5, 0, 0], 0.5)]), SPEC)
+    assert len(solved) == 4
 
 
 def test_discrepancy_bound_composite_term_antipodal_pair():

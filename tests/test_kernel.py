@@ -358,7 +358,7 @@ def test_probe_potential_hessian(d):
                 assert abs(np.trace(H)) <= 1e-12 * np.abs(H).sum()
 
 
-def test_only_kernel_and_oracles_import_scipy_distance():
+def test_no_module_imports_scipy_distance():
     """Pair and probe distances belong to the kernel layer, which computes
     them itself: the allowance kernel.py and oracles.py once held is
     empty, and no package module imports scipy.spatial.distance."""

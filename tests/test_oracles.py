@@ -277,7 +277,7 @@ def test_provenance_names_a_drifted_column(tmp_path, field, drift):
     path = tmp_path / "oracle_ledger.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-    r = criterion_provenance(1, {}, ledger_path=path)
+    r = criterion_provenance(1, {"ledger_path": path})
     assert not r.passed
     [line] = r.details["mismatched"]
     assert line.startswith(f"{rows[2][0]}: {field} committed ")

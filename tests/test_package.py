@@ -8,9 +8,11 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rieszpoints
+from rieszpoints import KernelSpec, PointConfig, ball, equilibrium_oracle, radial_hat
 
 
 def test_all_lists_public_names_not_modules():
@@ -53,7 +55,7 @@ def test_all_drops_the_greedy_step_and_the_dead_kernel_api():
     assert not hasattr(rieszpoints.configurations, "leja_next")
 
 
-def test_only_oracles_imports_scipy_stats():
+def test_no_module_imports_scipy():
     """No package module imports any scipy module, oracles.py included,
     which once held the scipy.stats allowance: numpy is the only runtime
     dependency, the kernel computes its own distances and the standard
@@ -102,6 +104,42 @@ def test_one_function_runs_the_line_search():
                             if isinstance(node, ast.Name) and node.id == "_BACKTRACKS"
                             and isinstance(node.ctx, ast.Load)]
     assert readers == ["configurations._projected_descent"]
+
+
+_SHAPE_FIELDS = {"kind", "center", "radius", "low", "high", "balls"}
+
+
+def test_only_sets_reads_a_set_shape():
+    """sets.py decides what a set's shape means. Outside it and the
+    independent reference paths of oracles.py, the shape fields are read
+    only by the closed-form oracle of a ball or sphere: its builder, the
+    dispatch to it, and the radial hat's equilibrium mean."""
+    allowed = {"discrepancy._analytic_ball_oracle", "discrepancy.equilibrium_oracle", "discrepancy.radial_hat"}
+    offenders = []
+    for name, tree in _package_sources().items():
+        if name in ("sets", "oracles"):
+            continue
+        for top in tree.body:
+            where = f"{name}.{getattr(top, 'name', '<module>')}"
+            offenders += [f"{where}:{node.lineno}" for node in ast.walk(top)
+                          if isinstance(node, ast.Attribute) and node.attr in _SHAPE_FIELDS
+                          and isinstance(node.ctx, ast.Load) and where not in allowed]
+    assert offenders == []
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    """A set, a configuration, an oracle and a test function hold arrays,
+    so they compare and hash by identity: ``==`` gives a bool and each can
+    be a dict key. The kernel keeps value equality."""
+    spec = KernelSpec(2.0, 3)
+    E = ball([0.0, 0, 0], 1.0)
+    pairs = [(PointConfig(np.eye(3)), PointConfig(np.eye(3))), (E, ball([0.0, 0, 0], 1.0)),
+             (equilibrium_oracle(E, spec), equilibrium_oracle(E, spec)),
+             (radial_hat([0.5, 0, 0], 2.0), radial_hat([0.5, 0, 0], 2.0))]
+    for a, b in pairs:
+        assert (a == a) is True and (a == b) is False
+        assert {a: 1, b: 2}[a] == 1
+    assert KernelSpec(2.0, 3) == spec and hash(KernelSpec(2.0, 3)) == hash(spec)
 
 
 def _package_imports(tree):
