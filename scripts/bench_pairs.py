@@ -11,9 +11,11 @@ appended to the ``--out`` JSON file (created when missing), and its
 ``summary`` is rebuilt over all its pairs, one entry per workload, seed
 and trace setting: per metric, the medians and quartiles of each side,
 how many pairs the change won (lower is better for every metric the
-benchmark reports), the parent median minus the change median and the
-parent's interquartile distance. Quartiles are linear percentiles 25 and
-75, as numpy's default. Standard library only.
+benchmark reports), the parent median minus the change median, the
+parent's interquartile distance, and ``claim_met``: whether the change
+won at least nine tenths of the pairs and the median difference exceeds
+that interquartile distance. Quartiles are linear percentiles 25 and 75,
+as numpy's default. Standard library only.
 """
 
 from __future__ import annotations
@@ -76,8 +78,10 @@ def summarize(pairs: list) -> dict:
     """Per workload, seed and trace setting, per metric that both sides of
     a pair report: each side's median and quartiles over the pairs, the
     change's wins (strictly lower), the parent median minus the change
-    median, and the parent's interquartile distance. Pairs where a side
-    failed to run count in ``errors`` only."""
+    median, the parent's interquartile distance, and whether a gain is
+    shown (``claim_met``: wins in at least nine tenths of the pairs and a
+    median difference above that distance). Pairs where a side failed to
+    run count in ``errors`` only."""
     groups: dict = {}
     for p in pairs:
         key = f"{p['workload']} seed {p['seed']}" + (" traced" if p["trace"] else "")
@@ -91,12 +95,15 @@ def summarize(pairs: list) -> dict:
             parent = [_values(p["parent"])[name] for p in ok]
             change = [_values(p["change"])[name] for p in ok]
             ps, cs = _stats(parent), _stats(change)
+            wins = sum(c < q for q, c in zip(parent, change))
+            difference, spread = ps["median"] - cs["median"], ps["q3"] - ps["q1"]
             entry["metrics"][name] = {
                 "parent": ps,
                 "change": cs,
-                "change_wins": sum(c < q for q, c in zip(parent, change)),
-                "median_difference": ps["median"] - cs["median"],
-                "parent_interquartile": ps["q3"] - ps["q1"],
+                "change_wins": wins,
+                "median_difference": difference,
+                "parent_interquartile": spread,
+                "claim_met": 10 * wins >= 9 * len(ok) and difference > spread,
             }
         summary[key] = entry
     return summary

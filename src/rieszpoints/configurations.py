@@ -13,6 +13,15 @@ Approximate Fekete points take L-BFGS directions (Nocedal, Math. Comp.
 on a sphere a Riemannian method whose vector transport is the tangent
 projection (Absil, Mahony and Sepulchre, Optimization Algorithms on
 Matrix Manifolds, 2008), elsewhere an active-set method like L-BFGS-B.
+L-BFGS converges only linearly, so once the relative projected force is
+at most 1e-3 and every point is held to one sphere, a solve with at most
+96 tangent unknowns (n <= 48 on the 2-sphere) takes Riemannian Newton
+steps from the exact pair Hessian (``_newton_rule``; Absil, Mahony and
+Sepulchre, ch. 6), which converge quadratically. The cutoff is the
+largest system whose Cholesky factor and solve keep their bits from 1
+to 2 OpenBLAS threads; beyond it the dense Hessian also costs more than
+the steps it saves. Where the factorization fails, near a saddle, L-BFGS
+takes the steps until the force has dropped tenfold.
 A greedy step takes the argmin over one seeded candidate grid per
 sequence, whose prefix potential gains one column per step (the discrete
 Leja points of Bos, De Marchi, Sommariva and Vianello, SIAM J. Numer.
@@ -36,16 +45,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPointsError, InfeasiblePointError
-from .kernel import KernelSpec, pair_energy_forces, potential_sums, probe_potential_derivatives, require_newtonian
+from .kernel import (KernelSpec, pair_energy_forces, pair_hessian, potential_sums, probe_potential_derivatives,
+                     require_newtonian)
 from .measures import PointConfig, discrete_energy
-from .sets import (MEMBERSHIP_TOL, CompactSetModel, _active_face, _min_surface, _norms, _restrict, distance_to_set,
-                   project_to_set, sample_candidates, sample_uniform)
+from .sets import (MEMBERSHIP_TOL, CompactSetModel, _active_face, _min_surface, _norms, _restrict, _rowdot,
+                   distance_to_set, project_to_set, sample_candidates, sample_uniform)
 from .seeding import child_seed, substream
 
 
 @dataclass(frozen=True)
 class FeketeSearchParams:
-    """Knobs of the Fekete solve: the projected descent with L-BFGS directions.
+    """Knobs of the Fekete solve: the projected descent with L-BFGS
+    directions and, at small n on a sphere, a Newton tail.
 
     tol is the relative energy accuracy of the result. The energy error
     of a configuration is quadratic in its gradient, so a run converges
@@ -91,6 +102,12 @@ class FeketeRun:
 _FORCE_FLOOR = 1e-300
 # number of (s, y) pairs the L-BFGS direction remembers
 _MEMORY = 8
+# the Newton tail of the Fekete solve: the most tangent unknowns it
+# serves, n * (dim - 1), so n <= 48 on the 2-sphere (the largest size
+# whose Cholesky factor and solve keep their bits from 1 to 2 OpenBLAS
+# threads), and the relative projected force at which it starts
+_NEWTON_UNKNOWNS = 96
+_NEWTON_FORCE = 1e-3
 # Armijo sufficient-decrease constant and the halvings a line search may try
 _ARMIJO = 1e-4
 _BACKTRACKS = 40
@@ -111,12 +128,13 @@ def _projected_descent(E, evaluate, X, direction, cap, max_steps, tol):
     """Monotone projected descent from X; returns (X, value, steps, converged, grad_norm).
 
     ``evaluate(X)`` gives the objective at an (n, dim) X, its forces (minus
-    its gradient) and data for ``direction(X, F, P, face, data)``, the step
-    from X, with ``face`` X's ``_active_face`` and P the forces on it. A
-    run converges when ``_relative_force(P, F)`` is at most sqrt(tol). No
-    point moves farther than ``cap`` in a step; a trial, the projection of
-    X + t * d onto E, is accepted on a strict Armijo decrease along the
-    actual move, and a failed line search takes no step and ends the run."""
+    its gradient) and data for ``direction(X, F, P, face, data, force)``,
+    the step from X, with ``face`` X's ``_active_face``, P the forces on
+    it and ``force`` their ``_relative_force(P, F)``. A run converges
+    when that force is at most sqrt(tol). No point moves farther than
+    ``cap`` in a step; a trial, the projection of X + t * d onto E, is
+    accepted on a strict Armijo decrease along the actual move, and a
+    failed line search takes no step and ends the run."""
     X = project_to_set(E, X)
     value, F, data = evaluate(X)
     target = float(np.sqrt(tol))
@@ -127,7 +145,7 @@ def _projected_descent(E, evaluate, X, direction, cap, max_steps, tol):
         grad_norm = _relative_force(P, F)
         if grad_norm <= target or steps == max_steps:
             break
-        d = direction(X, F, P, face, data)
+        d = direction(X, F, P, face, data, grad_norm)
         move = float(_norms(d).max())
         if move > cap:
             d = d * (cap / move)
@@ -147,17 +165,18 @@ def _projected_descent(E, evaluate, X, direction, cap, max_steps, tol):
     return X, value, steps, grad_norm <= target, grad_norm
 
 
-def _lbfgs_rule(step0):
+def _lbfgs_rule(step0, newton):
     """The L-BFGS direction rule of the Fekete solve: step0 along P for the
     point under the largest projected force until a curvature pair is
     stored, then the two-loop recursion on the face. Each call first stores
     the (s, y) pair of the step since the last call; a change of face
-    clears the memory."""
+    clears the memory. The ``newton`` rule is asked next, and its
+    direction, unless None, is taken without the two-loop recursion."""
     pairs = deque(maxlen=_MEMORY)
     gamma = None
     last = None
 
-    def direction(X, F, P, face, data):
+    def direction(X, F, P, face, data, force):
         nonlocal gamma, last
         held, normals, _ = face
         if last is not None:
@@ -173,6 +192,9 @@ def _lbfgs_rule(step0):
             else:
                 pairs.clear()
         last = X, P, held
+        d = newton(X, F, P, face, data, force)
+        if d is not None:
+            return d
         if gamma is None:
             return P * (step0 / float(_norms(P).max()))
         q = P.copy()
@@ -193,6 +215,61 @@ def _lbfgs_rule(step0):
     return direction
 
 
+def _tangent_bases(normals):
+    """Per row of the (n, dim) unit ``normals``, an orthonormal basis of
+    its orthogonal complement, shape (n, dim, dim - 1): columns 1 to
+    dim - 1 of the Householder reflection that maps e_1 to -+ the normal."""
+    u = normals.copy()
+    u[:, 0] += np.where(normals[:, 0] < 0.0, -1.0, 1.0)
+    scale = 1.0 / (1.0 + np.abs(normals[:, 0]))
+    return np.eye(normals.shape[1])[:, 1:] - u[:, :, None] * (u[:, None, 1:] * scale[:, None, None])
+
+
+def _newton_rule(spec):
+    """The Fekete solve's Newton tail: once the relative projected force
+    is at most ``_NEWTON_FORCE`` and every point is held to one sphere of
+    radius R, with at most ``_NEWTON_UNKNOWNS`` tangent unknowns, the
+    Riemannian Newton direction (Absil, Mahony and Sepulchre, 2008,
+    ch. 6), else None. ``work`` is the workspace of the last
+    ``pair_energy_forces`` call, at X. In a tangent basis of each point
+    the pair Hessian gains (F_i . nu_i) / R on each diagonal block
+    and (s / n) G G^T, with G the rotation generators (nu_i)_b e_a -
+    (nu_i)_a e_b, a < b, and s the largest diagonal entry: the energy is
+    invariant along G, so the force is orthogonal to it, and the shift
+    lifts the rotations' near-zero curvature. A failed Cholesky
+    factorization marks a saddle: the rule then returns None until the
+    relative force has dropped tenfold."""
+    start = _NEWTON_FORCE
+
+    def newton(X, F, P, face, work, force):
+        nonlocal start
+        held, normals, radius = face
+        n, dim = X.shape
+        m = n * (dim - 1)
+        # a union's held points can lie on different spheres
+        if force > start or m > _NEWTON_UNKNOWNS or normals is None or np.ndim(radius) or not held.all():
+            return None
+        Q = _tangent_bases(normals)
+        # Q_i^T H_ij Q_j, as batches of small products
+        QH = Q.transpose(0, 2, 1) @ pair_hessian(spec, work).reshape(n, dim, n * dim)
+        A = (QH.reshape(m, n, dim).transpose(1, 0, 2) @ Q).transpose(1, 0, 2).reshape(m, m)
+        A.flat[::m + 1] += np.repeat(_rowdot(F, normals) / radius, dim - 1)
+        a, b = np.triu_indices(dim, 1)
+        G = (Q[:, a] * normals[:, b, None] - Q[:, b] * normals[:, a, None]).transpose(1, 0, 2).reshape(len(a), m)
+        A += (A.diagonal().max() / n) * np.einsum("kx,ky->xy", G, G)
+        # the factor only tests positive definiteness: numpy has no
+        # triangular solve, and one LU solve costs less than two
+        try:
+            np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            start = force / 10.0
+            return None
+        z = np.linalg.solve(A, np.einsum("iap,ia->ip", Q, P).ravel())
+        return np.einsum("iap,ip->ia", Q, z.reshape(n, dim - 1))
+
+    return newton
+
+
 def _one_restart(E, spec, params, step0, r):
     radius = E.enclosing_radius
     rng = substream(params.seed, "fekete-init", r)
@@ -203,9 +280,10 @@ def _one_restart(E, spec, params, step0, r):
     while raw0 == np.inf:
         X0 = project_to_set(E, X0 + rng.normal(size=X0.shape) * 1e-6 * radius)
         raw0, _ = pair_energy_forces(spec, X0, work)
-    # the move cap is one diameter
-    return _projected_descent(E, lambda X: (*pair_energy_forces(spec, X, work), None), X0, _lbfgs_rule(step0),
-                              2.0 * radius, params.max_iters, params.tol)
+    # the move cap is one diameter; the workspace, left at the accepted
+    # point, is the data of the Newton tail
+    return _projected_descent(E, lambda X: (*pair_energy_forces(spec, X, work), work), X0,
+                              _lbfgs_rule(step0, _newton_rule(spec)), 2.0 * radius, params.max_iters, params.tol)
 
 
 def fekete_search_run(E: CompactSetModel, spec: KernelSpec, params: FeketeSearchParams) -> FeketeRun:
@@ -261,7 +339,7 @@ def _potential_min(E: CompactSetModel, spec: KernelSpec, points: np.ndarray, gri
         val, gradient, H = probe_potential_derivatives(spec, X[0], points)
         return val, -gradient[None], H
 
-    def newton(X, F, P, face, H):
+    def newton(X, F, P, face, H, force):
         held, normals, radius = face
         if normals is None:
             T = np.diag(np.where(held[0], 0.0, 1.0))

@@ -1,12 +1,14 @@
 """Riesz kernel family k(x) = |x|**(alpha - dim): the one library
 implementation of every kernel quantity the toolkit reports.
 
-Four array primitives carry all the pair and probe work:
+Five array primitives carry all the pair and probe work:
 
 - ``pair_terms``: the kernel over every pair j < k (energies);
 - ``pair_energy_forces``: the pair sum and minus its gradient together
   (the Fekete optimizer), every n-by-n intermediate in a C-contiguous
   workspace the caller owns, r**2 and the forces einsum reductions;
+- ``pair_hessian``: the pair sum's Hessian, read from the workspace that
+  ``pair_energy_forces`` left (the Fekete solve's Newton tail);
 - ``potential_sums``: per probe, the kernel summed over the points
   (potentials, the greedy objective);
 - ``probe_potential_derivatives``: the potential at one probe, its
@@ -160,6 +162,44 @@ def pair_energy_forces(spec: KernelSpec, points: np.ndarray, work: np.ndarray):
         forces = np.einsum("kij,ij->ik", diff, r2)
     forces *= -expo
     return energy, forces
+
+
+def pair_hessian(spec: KernelSpec, work: np.ndarray) -> np.ndarray:
+    """Hessian of the pair sum at the points of the last
+    ``pair_energy_forces(spec, points, work)`` call, as an (n * dim,
+    n * dim) array in the row-major order of ``points``.
+
+    With e = alpha - dim and delta = x_i - x_j, the block (i, j != i) is
+    -(e * r**(e - 2) * I + e * (e - 2) * r**(e - 4) * delta delta^T) and
+    the block (i, i) is minus the sum of the others in its row, so every
+    block row sums to zero up to rounding (translations are a null
+    space). r**(e - 4) is read off the workspace as r**(e - 2) squared
+    over r**e. The result is made exactly symmetric; ``work`` is not
+    changed, and a workspace of coincident points gives a meaningless
+    Hessian.
+    """
+    dim = work.shape[0] - 2
+    n = work.shape[1]
+    diff, w, t = work[:dim], work[dim], work[dim + 1]
+    expo = spec.exponent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = w * w / t
+    # the diagonal's 0 / 0
+    v.flat[::n + 1] = 0.0
+    v *= expo * (expo - 2.0)
+    # blocks[i, :, j, :] is the pair (i, j)'s own second derivative
+    blocks = np.einsum("aij,bij->iajb", diff * v, diff)
+    ew = expo * w
+    for a in range(dim):
+        blocks[:, a, :, a] += ew
+    rows = np.arange(n)
+    row_sums = blocks.sum(axis=2)
+    np.negative(blocks, out=blocks)
+    blocks[rows, :, rows, :] = row_sums
+    H = blocks.reshape(n * dim, n * dim)
+    H = H + H.T
+    H *= 0.5
+    return H
 
 
 def _kernel_of_distance(r, expo, out):

@@ -75,14 +75,19 @@ class CompactSetModel:
     def enclosing_center(self) -> np.ndarray:
         if self.kind == "box":
             return 0.5 * (self.low + self.high)
-        return np.mean([c for c, _ in _balls(self)], axis=0)
+        if self.kind == "union":
+            return np.mean([c for c, _ in self.balls], axis=0)
+        # the mean of one center, without the reduction
+        return self.center.copy()
 
     @property
     def enclosing_radius(self) -> float:
         if self.kind == "box":
             return float(np.linalg.norm(self.high - self.low)) / 2.0
-        m = self.enclosing_center
-        return max(float(np.linalg.norm(c - m)) + r for c, r in _balls(self))
+        if self.kind == "union":
+            m = self.enclosing_center
+            return max(float(np.linalg.norm(c - m)) + r for c, r in self.balls)
+        return self.radius
 
 
 def _balls(E: CompactSetModel) -> tuple:
@@ -235,6 +240,8 @@ def project_to_set(E: CompactSetModel, x):
         out = _project_to_sphere_shell(q, E.center, E.radius)
     elif E.kind == "box":
         out = np.clip(q, E.low, E.high)
+    elif E.kind == "ball":
+        out = _project_to_ball(q, E.center, E.radius)
     else:
         centers, radii, j = _nearest_ball(E, q)
         out = _project_to_ball(q, centers[j], radii[j, None])

@@ -44,6 +44,25 @@ def test_summarize_counts_wins_medians_and_quartiles():
     assert entry["metrics"]["operations.fekete_s.n40"]["change_wins"] == 4
     # equal values are not a win
     assert entry["metrics"]["setup_s"]["change_wins"] == 0
+    # 4 wins of 5 are fewer than nine tenths
+    assert wall["claim_met"] is False
+
+
+@pytest.mark.parametrize("change, met", [
+    # 9 wins of 10, median difference 0.10 against an interquartile distance of 0.035
+    ([0.30] * 9 + [0.50], True),
+    # 8 wins of 10
+    ([0.30] * 8 + [0.50] * 2, False),
+    # 10 wins, but a median difference of 0.01 within the spread
+    ([0.35, 0.36, 0.37, 0.38, 0.39, 0.39, 0.40, 0.41, 0.42, 0.43], False),
+    # 9 wins, but a median difference of 0.03 within the spread
+    ([0.35, 0.365] + [0.37] * 7 + [0.50], False),
+])
+def test_claim_met_needs_nine_tenths_of_the_wins_and_a_difference_beyond_the_spread(change, met):
+    parent = [0.36, 0.37, 0.38, 0.39, 0.40, 0.40, 0.41, 0.42, 0.43, 0.44]
+    pairs = [_pair(i, _run(p), _run(c)) for i, (p, c) in enumerate(zip(parent, change))]
+    wall = bench_pairs.summarize(pairs)["fekete-sphere seed 1"]["metrics"]["wall_s"]
+    assert wall["claim_met"] is met
 
 
 def test_summarize_groups_by_workload_and_trace_and_skips_failed_runs():

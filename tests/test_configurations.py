@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +26,13 @@ from rieszpoints import (
     sphere_surface,
     union_of_balls,
 )
+import rieszpoints
 from rieszpoints import configurations
+from rieszpoints.acceptance import DEFAULT_SEED, THOMSON_40_NORMALIZED
 from rieszpoints.discrepancy import equilibrium_oracle, potential_error, sphere_probe_rule
 from rieszpoints.kernel import potential_sums, probe_potential_derivatives
 from rieszpoints.oracles import reference_energy
-from rieszpoints.seeding import substream
+from rieszpoints.seeding import child_seed, substream
 from rieszpoints.sets import (MEMBERSHIP_TOL, _active_face, _min_surface, _nearest_ball, _restrict, project_to_set,
                               random_rotation, sample_uniform)
 
@@ -131,6 +138,86 @@ def test_fekete_reports_the_iteration_cap():
     assert run.grad_norm > np.sqrt(params.tol)
 
 
+def _sweep_params(n, **changes):
+    """The acceptance suite's pinned sphere solve at n."""
+    return replace(FeketeSearchParams(n=n, restarts=6, tol=1e-14, seed=child_seed(DEFAULT_SEED, "fekete", "sphere", n)),
+                   **changes)
+
+
+def test_newton_tail_reaches_thomson_40_in_fewer_steps():
+    """The pinned n = 40 solve matches the published Thomson optimum within
+    1e-9, in fewer accepted steps than the 80 that L-BFGS alone takes."""
+    run = fekete_search_run(UNIT_SPHERE, SPEC, _sweep_params(40))
+    assert run.converged
+    assert abs(run.energy - THOMSON_40_NORMALIZED) <= 1e-9
+    assert run.iterations < 80
+
+
+def test_newton_tail_falls_back_to_lbfgs_at_a_saddle(monkeypatch):
+    """Restart 0 of the pinned n = 10 solve first reaches a relative force
+    of 1e-3 near a saddle (8.1e-4, shifted tangent Hessian eigenvalue
+    -0.068): the factorization fails, L-BFGS takes the steps until the
+    force has dropped tenfold, Newton then resumes, and the run converges
+    to the n = 10 Thomson minimum, 32.716949460 (Wales and Ulker, 2006)."""
+    step0 = 0.1 / np.sqrt(10)
+    _, _, _, _, start = configurations._one_restart(UNIT_SPHERE, SPEC, _sweep_params(10, tol=1e-6), step0, 0)
+    assert 8e-4 < start < 1e-3
+    log = []
+    relative_force, cholesky = configurations._relative_force, np.linalg.cholesky
+
+    def recording_force(P, F):
+        log.append(relative_force(P, F))
+        return log[-1]
+
+    def recording_cholesky(A):
+        force = log[-1]
+        try:
+            L = cholesky(A)
+        except np.linalg.LinAlgError:
+            log.append(("failed", force, np.linalg.eigvalsh(A)[0]))
+            raise
+        log.append(("factored", force))
+        return L
+
+    monkeypatch.setattr(configurations, "_relative_force", recording_force)
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    _, raw, _, converged, _ = configurations._one_restart(UNIT_SPHERE, SPEC, _sweep_params(10), step0, 0)
+    attempts = [entry for entry in log if isinstance(entry, tuple)]
+    assert attempts[0][:2] == ("failed", start)
+    assert attempts[0][2] == pytest.approx(-0.068, abs=1e-3)
+    assert attempts[1][0] == "factored" and attempts[1][1] <= start / 10.0
+    assert converged
+    assert raw == pytest.approx(32.716949460, abs=1e-8)
+
+
+_BITS_OF_SOLVES = """
+import hashlib, sys
+from rieszpoints import FeketeSearchParams, KernelSpec, fekete_search_run, sphere_surface
+from rieszpoints.acceptance import DEFAULT_SEED
+from rieszpoints.seeding import child_seed
+for n in map(int, sys.argv[1:]):
+    params = FeketeSearchParams(n=n, restarts=6, tol=1e-14, seed=child_seed(DEFAULT_SEED, "fekete", "sphere", n))
+    run = fekete_search_run(sphere_surface([0.0, 0.0, 0.0], 1.0), KernelSpec(2.0, 3), params)
+    print(n, run.iterations, hashlib.sha256(run.config.points.tobytes()).hexdigest())
+"""
+
+
+def test_newton_tail_bits_do_not_depend_on_the_blas_thread_count():
+    """The largest n with a Newton tail on the 2-sphere and the n = 40
+    solve give bitwise the same points under 1 and 2 OpenBLAS threads:
+    their Cholesky factor and solve stay below the size where the
+    threaded LAPACK path changes the bits."""
+    n_max = configurations._NEWTON_UNKNOWNS // 2
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(rieszpoints.__file__).resolve().parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        argv = [sys.executable, "-c", _BITS_OF_SOLVES, str(n_max), "40"]
+        outputs.append(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+    assert outputs[0] == outputs[1]
+    assert [line.split()[0] for line in outputs[0].splitlines()] == [str(n_max), "40"]
+
+
 DRIVER_BOX = box([0.0, 0, 0], [1.0, 2.0, 1.0])
 
 
@@ -148,7 +235,7 @@ def test_projected_descent_caps_every_move_of_every_point():
     pull = rng.normal(size=(6, 3))
     iterates = []
 
-    def direction(X, F, P, face, data):
+    def direction(X, F, P, face, data, force):
         iterates.append(X)
         return 10.0 * P
 
@@ -170,7 +257,7 @@ def test_projected_descent_takes_no_uphill_step():
     pull = rng.normal(size=(6, 3))
     X0 = 3.0 * rng.normal(size=(6, 3))
     X, value, steps, converged, grad_norm = configurations._projected_descent(
-        DRIVER_BOX, _linear(pull), X0, lambda X, F, P, face, data: -P, 0.1, 200, 1e-13)
+        DRIVER_BOX, _linear(pull), X0, lambda X, F, P, face, data, force: -P, 0.1, 200, 1e-13)
     start = project_to_set(DRIVER_BOX, X0)
     np.testing.assert_array_equal(X, start)
     assert value == -float(np.sum(pull * start))
@@ -249,7 +336,7 @@ LEJA_SET_IDS = ["ball", "sphere-d3", "sphere-d4", "box", "union"]
 
 
 @pytest.mark.parametrize("E", LEJA_SETS, ids=LEJA_SET_IDS)
-def test_leja_next_refinement_never_worse_than_grid(E):
+def test_potential_min_never_worse_than_grid(E):
     spec = KernelSpec(2.0, E.dim)
     rng = np.random.default_rng(17)
     for trial in range(20):

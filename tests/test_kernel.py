@@ -9,7 +9,8 @@ from scipy.spatial.distance import cdist, pdist
 
 import rieszpoints
 from rieszpoints import CoincidentPointsError, KernelSpec, SingularityError, UnsupportedOracleError
-from rieszpoints.kernel import (_ENTRIES, pair_energy_forces, pair_terms, potential_sums, probe_potential_derivatives,
+from rieszpoints.kernel import (_ENTRIES, pair_energy_forces, pair_hessian, pair_terms, potential_sums,
+                               probe_potential_derivatives,
                                 require_newtonian)
 
 
@@ -356,6 +357,36 @@ def test_probe_potential_hessian(d):
             np.testing.assert_allclose(H, diff, rtol=0.0, atol=1e-6 * np.abs(H).max())
             if alpha == 2.0:
                 assert abs(np.trace(H)) <= 1e-12 * np.abs(H).sum()
+
+
+@pytest.mark.parametrize("alpha, dim", [(2.0, 3), (1.0, 3), (0.5, 3), (2.0, 4), (2.5, 4)])
+@pytest.mark.parametrize("n", [2, 3, 7, 20, 48])
+def test_pair_hessian_is_the_central_difference_of_the_forces(alpha, dim, n):
+    """Against central differences of ``pair_energy_forces``' forces; and
+    exactly symmetric, with every block row summing to zero (a common
+    translation of all points changes nothing) up to rounding."""
+    spec = KernelSpec(alpha, dim)
+    X = np.random.default_rng(7 * n + dim).normal(size=(n, dim))
+    work = np.empty((dim + 2, n, n))
+    pair_energy_forces(spec, X, work)
+    kept = work.copy()
+    H = pair_hessian(spec, work)
+    assert H.shape == (n * dim, n * dim)
+    assert np.array_equal(work, kept)
+    assert np.array_equal(H, H.T)
+    scale = np.abs(H).max()
+    row_sums = H.reshape(n, dim, n, dim).sum(axis=2)
+    assert np.abs(row_sums).max() <= 1e-14 * n * scale
+    h = 1e-5
+    fresh = np.empty_like(work)
+    columns = []
+    for k in range(n * dim):
+        step = np.zeros(n * dim)
+        step[k] = h
+        Fp = pair_energy_forces(spec, X + step.reshape(n, dim), fresh)[1]
+        Fm = pair_energy_forces(spec, X - step.reshape(n, dim), fresh)[1]
+        columns.append(-(Fp - Fm).ravel() / (2 * h))
+    np.testing.assert_allclose(H, np.array(columns).T, rtol=0.0, atol=1e-7 * scale)
 
 
 def test_no_module_imports_scipy_distance():

@@ -70,6 +70,24 @@ def test_ball_projection_matches_radial_reference_bitwise():
         assert np.array_equal(project_to_set(E, row), want)
 
 
+@pytest.mark.parametrize("center, radius", [([0.0, 0, 0], 1.0), ([0.5, -1.0, 2.0], 2.5), ([0.1, 0.2, -0.3, 0.4], 0.7)])
+def test_ball_and_sphere_reads_are_the_balls_path_bitwise(center, radius):
+    """The ball's and the sphere's own branches give bitwise what the
+    general (center, radius) list gives: the mean of one center, the
+    largest |c - m| + r, and a one-ball union's projection."""
+    union = union_of_balls([(center, radius)])
+    for E in (ball(center, radius), sphere_surface(center, radius)):
+        assert np.array_equal(E.enclosing_center, union.enclosing_center)
+        assert E.enclosing_radius == union.enclosing_radius
+        assert E.enclosing_radius == max(float(np.linalg.norm(c - union.enclosing_center)) + r for c, r in union.balls)
+    rng = np.random.default_rng(5)
+    x = np.vstack([np.asarray(center) + rng.normal(scale=radius, size=(300, len(center))), center])
+    E = ball(center, radius)
+    assert np.array_equal(project_to_set(E, x), project_to_set(union, x))
+    for row in x[::30]:
+        assert np.array_equal(project_to_set(E, row), project_to_set(union, row))
+
+
 def test_projection_realizes_distance():
     rng = np.random.default_rng(1)
     shapes = [
