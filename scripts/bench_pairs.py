@@ -14,8 +14,13 @@ how many pairs the change won (lower is better for every metric the
 benchmark reports), the parent median minus the change median, the
 parent's interquartile distance, and ``claim_met``: whether the change
 won at least nine tenths of the pairs and the median difference exceeds
-that interquartile distance. Quartiles are linear percentiles 25 and 75,
-as numpy's default. Standard library only.
+that interquartile distance. Each end-to-end metric of ``BENCHMARK.json``
+(read only, from the root of this repository) also gets
+``within_bound``: whether the change's median is at most the parent's
+median times 1 + its ``bound``, and ``unresolved``: whether the parent's
+interquartile distance over its median exceeds that bound, so the pairs
+cannot tell a regression from noise. Quartiles are linear percentiles 25
+and 75, as numpy's default. Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +33,12 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def end_to_end_bounds() -> dict:
+    """The ``bound`` of each end-to-end metric of ``BENCHMARK.json``, by name."""
+    return {m["name"]: m["bound"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -74,14 +85,20 @@ def _values(run: dict) -> dict:
     return out
 
 
-def summarize(pairs: list) -> dict:
+def summarize(pairs: list, bounds: dict = None) -> dict:
     """Per workload, seed and trace setting, per metric that both sides of
     a pair report: each side's median and quartiles over the pairs, the
     change's wins (strictly lower), the parent median minus the change
     median, the parent's interquartile distance, and whether a gain is
     shown (``claim_met``: wins in at least nine tenths of the pairs and a
-    median difference above that distance). Pairs where a side failed to
-    run count in ``errors`` only."""
+    median difference above that distance). A metric named in ``bounds``
+    (name -> relative bound) also gets ``within_bound`` (the change's
+    median at most the parent's times 1 + bound) and ``unresolved`` (the
+    parent's interquartile distance above bound times its median); by
+    default the bounds are ``BENCHMARK.json``'s. Pairs where a side failed
+    to run count in ``errors`` only."""
+    if bounds is None:
+        bounds = end_to_end_bounds()
     groups: dict = {}
     for p in pairs:
         key = f"{p['workload']} seed {p['seed']}" + (" traced" if p["trace"] else "")
@@ -105,6 +122,9 @@ def summarize(pairs: list) -> dict:
                 "parent_interquartile": spread,
                 "claim_met": 10 * wins >= 9 * len(ok) and difference > spread,
             }
+            if name in bounds:
+                entry["metrics"][name]["within_bound"] = cs["median"] <= ps["median"] * (1.0 + bounds[name])
+                entry["metrics"][name]["unresolved"] = spread > bounds[name] * ps["median"]
         summary[key] = entry
     return summary
 

@@ -9,7 +9,6 @@ from .errors import (
     MissingHolderDataError,
     RieszPointsError,
     SetDefinitionError,
-    SingularityError,
     UnsupportedOracleError,
 )
 from .kernel import KernelSpec
@@ -50,7 +49,6 @@ from .discrepancy import (
     sup_potential_deficit,
     discrepancy_bound,
     potential_error,
-    unit_sphere_area,
 )
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "MissingHolderDataError",
     "RieszPointsError",
     "SetDefinitionError",
-    "SingularityError",
     "UnsupportedOracleError",
     # kernel
     "KernelSpec",
@@ -98,5 +95,4 @@ __all__ = [
     "sup_potential_deficit",
     "discrepancy_bound",
     "potential_error",
-    "unit_sphere_area",
 ]

@@ -49,7 +49,6 @@ from .errors import (
     InfeasiblePointError,
     MissingHolderDataError,
     SetDefinitionError,
-    SingularityError,
     UnsupportedOracleError,
 )
 from .kernel import KernelSpec
@@ -68,7 +67,6 @@ _EXIT_CODES = {
     SetDefinitionError: EXIT_PARSE_ERROR,
     ValueError: EXIT_PARSE_ERROR,
     OSError: EXIT_PARSE_ERROR,
-    SingularityError: EXIT_PARSE_ERROR,
     CoincidentPointsError: EXIT_PARSE_ERROR,
     FloatingPointError: EXIT_PARSE_ERROR,
     OverflowError: EXIT_PARSE_ERROR,
@@ -192,7 +190,7 @@ def cmd_study(args) -> int:
     # after the cheap checks: on a box or union this builds a Fekete support
     oracle = equilibrium_oracle(E, spec)  # exit 4 when unsupported
     W = oracle.robin_constant
-    phi = phi_for_potential(E, probe, spec)
+    phi = phi_for_potential(E, probe)
 
     # Leja rows are the n-point prefixes of one greedy sequence: leja_sequence
     # guarantees a prefix equals the shorter run, and the seed names no n, so
@@ -284,9 +282,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _OneLineParser(argparse.ArgumentParser):
+    def error(self, message):  # one line, not the usage block; subparsers share the class
+        self.exit(EXIT_PARSE_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rieszpoints", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _OneLineParser(prog="rieszpoints", description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

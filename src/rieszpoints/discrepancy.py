@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -228,17 +228,16 @@ class TestFunction:
     __test__ = False  # not a pytest class despite the name
 
 
-def phi_for_potential(E: CompactSetModel, y, spec: KernelSpec) -> TestFunction:
-    """Truncated-kernel test function tied to an exterior probe point.
+def phi_for_potential(E: CompactSetModel, y) -> TestFunction:
+    """Truncated Newtonian-kernel test function tied to an exterior probe.
 
-    phi(x) = max((|y-x| + d_E(x))**(2-d) - R**(2-d), 0) with
+    phi(x) = max((|y-x| + d_E(x))**(2-d) - R**(2-d), 0) with d = E.dim and
     R = diam(E) + d_E(y) + 1. On E it reduces to |y-x|**(2-d) - R**(2-d),
     so its mean against a configuration in E recovers the discrete
     potential at y up to the constant truncation, and its mean against
     mu_E, which lives on E, is exactly U^{mu_E}(y) - R**(2-d).
     """
-    require_newtonian(spec, "potential test function")
-    d = spec.dim
+    d = E.dim
     yv = np.asarray(y, dtype=float)
     dEy = float(distance_to_set(E, yv))
     if dEy <= 0.0:
@@ -324,13 +323,13 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
 
 def max_green_on_shell(oracle: EquilibriumOracle, offset: float) -> float:
     """Max of the oracle's Green function over {x : d_E(x) <= offset}, read
-    on fixed probes of a compact D that holds it (``sets._widened_grid``):
-    the ``_MIN_GRID``-point grid (seed 0) of each ball's sphere widened by
-    ``offset`` (ball, sphere, union) or of the widened box. g_E is 0 on E
+    on ``_MIN_GRID`` fixed probes of the boundary of a compact D that holds
+    it (``sets._widened_grid``): each ball's sphere widened by ``offset``
+    (ball, sphere, union), or the faces of the widened box. g_E is 0 on E
     and subharmonic off it, so its max over D lies on the boundary of D
     and bounds the slab's. Exact up to rounding on a ball or sphere,
-    W - (R + offset)**(2-d); high on a box, whose widened corners reach
-    past the slab; a grid estimate on a union."""
+    W - (R + offset)**(2-d); high on a box, whose widened edges and
+    corners reach past the slab; a grid estimate on a union."""
     return float(np.max(oracle.green(_widened_grid(oracle.set_model, offset, _MIN_GRID))))
 
 
@@ -340,10 +339,11 @@ class DiscrepancyReport:
 
     ``lhs`` is |mean of phi over X - phi_integral|, with ``phi_integral``
     the exact integral of phi against mu_E (``phi.equilibrium_mean``);
-    ``rhs`` is omega_term + sqrt(D[phi]/((d-2) omega_d)) * sqrt(max(I_value, 0));
-    ``vacuous`` flags a negative I_value (possible under numerical noise),
-    in which case the inequality is not asserted. ``energy`` is the
-    configuration's ``discrete_energy``, computed once here for callers.
+    ``rhs`` is omega_term + sqrt(D[phi]/((d-2) omega_d)) * sqrt(max(I_value, 0)).
+    ``I_value`` bounds the energy of tau_r - mu_E, which is >= 0 (the
+    Newtonian kernel is positive definite), so a correct run has
+    I_value >= 0 and lhs <= rhs. ``energy`` is the configuration's
+    ``discrete_energy``, computed once here for callers.
     """
 
     lhs: float
@@ -357,8 +357,6 @@ class DiscrepancyReport:
     I_value: float
     rhs: float
     r: float
-    vacuous: bool
-    bound_satisfied: Optional[bool]
     n: int
 
 
@@ -380,7 +378,8 @@ def discrepancy_bound(
             + 2 max over {d_E <= 2r} of g_E (``max_green_on_shell``),
 
     the last read on fixed probes, so the report depends on
-    (oracle, X, phi, r) alone.
+    (oracle, X, phi, r) alone. A negative I or lhs > rhs comes only from
+    a wrong oracle or input, and warns.
     """
     spec = oracle.spec
     require_newtonian(spec, "discrepancy bound")
@@ -405,11 +404,9 @@ def discrepancy_bound(
     omega_term = float(phi.modulus_model(r))
     D = float(phi.dirichlet)
     rhs = omega_term + math.sqrt(D / ((d - 2) * unit_sphere_area(d))) * math.sqrt(max(I_value, 0.0))
-    vacuous = I_value < 0.0
-    bound_satisfied = None if vacuous else bool(lhs <= rhs)
-    if bound_satisfied is False:
+    if I_value < 0.0 or lhs > rhs:
         warnings.warn(
-            f"discrepancy bound violated (lhs={lhs:.6g}, rhs={rhs:.6g}); "
+            f"discrepancy bound violated (lhs={lhs:.6g}, rhs={rhs:.6g}, I_value={I_value:.6g}); "
             "this indicates a bug somewhere in the inputs",
             RuntimeWarning,
         )
@@ -425,8 +422,6 @@ def discrepancy_bound(
         I_value=I_value,
         rhs=rhs,
         r=r,
-        vacuous=vacuous,
-        bound_satisfied=bound_satisfied,
         n=n,
     )
 

@@ -5,16 +5,9 @@ class RieszPointsError(Exception):
     """Base class for all toolkit errors."""
 
 
-class SingularityError(RieszPointsError):
-    """Kernel or potential evaluated at a zero displacement.
-
-    Self-pairs must be excluded structurally by the caller; a silent
-    infinity would corrupt optimizer gradients and energy orderings.
-    """
-
-
 class CoincidentPointsError(RieszPointsError):
-    """Two configuration points coincide, so pair energies are undefined.
+    """Two points, or a probe and a point, coincide, so the kernel between
+    them is undefined.
 
     Distinguishable from floating-point overflow: near-coincident points
     give huge finite energies, exactly coincident points raise this.

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import CoincidentPointsError
 from .kernel import KernelSpec, pair_terms, potential_sums
 
 
@@ -88,6 +88,6 @@ def discrete_potential(X: PointConfig, spec: KernelSpec, y):
     scalar = yv.ndim == 1
     u = potential_sums(spec, yv[None, :] if scalar else yv, X.points)
     if np.any(u == np.inf):
-        raise SingularityError("potential evaluated at a configuration point")
+        raise CoincidentPointsError("potential evaluated at a configuration point")
     u /= X.n
     return float(u[0]) if scalar else u

@@ -363,23 +363,27 @@ def sample_uniform(E: CompactSetModel, count: int, rng: np.random.Generator) -> 
     """``count`` i.i.d. draws from the natural uniform measure on E
     (volume measure for solids, surface measure for the sphere shell).
 
-    A union first picks each draw's ball with probability proportional to
-    its volume; spheres, balls and unions then share one direction draw
-    and one radius draw, in that order (choice, normal, random)."""
+    Spheres, balls and unions share one path: a union's ball chosen in
+    proportion to its volume, one direction draw and one radius draw
+    (choice, normal, random). A union's draw from ball i that lies in a
+    ball j < i is drawn again the same way, so an overlap is not drawn
+    twice as often; a disjoint union draws nothing more."""
     d = E.dim
     if E.kind == "box":
         return E.low + rng.random((count, d)) * (E.high - E.low)
-    if E.kind == "union":
-        vols = np.array([r ** d for _, r in E.balls])
-        idx = rng.choice(len(E.balls), size=count, p=vols / vols.sum())
-        center = np.array([c for c, _ in E.balls])[idx]
-        radius = np.array([r for _, r in E.balls])[idx, None]
-    else:
-        center, radius = E.center, E.radius
-    v = random_directions(rng, count, d)
-    if E.kind == "sphere":
-        return center + radius * v
-    return center + radius * rng.random((count, 1)) ** (1.0 / d) * v
+    balls = _balls(E)
+    centers, radii = np.array([c for c, _ in balls]), np.array([r for _, r in balls])
+    vols = np.array([r ** d for _, r in balls])
+    out, todo = np.empty((count, d)), np.arange(count)
+    while todo.size:
+        k = todo.size
+        idx = rng.choice(len(balls), size=k, p=vols / vols.sum()) if E.kind == "union" else np.zeros(k, dtype=int)
+        v = random_directions(rng, k, d)
+        scale = radii[idx, None] if E.kind == "sphere" else radii[idx, None] * rng.random((k, 1)) ** (1.0 / d)
+        out[todo] = centers[idx] + scale * v
+        inside = np.linalg.norm(out[todo, None, :] - centers, axis=2) < radii
+        todo = todo[(inside & (np.arange(len(balls)) < idx[:, None])).any(axis=1)]
+    return out
 
 
 def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
@@ -416,13 +420,20 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
 
 
 def _widened_grid(E: CompactSetModel, offset: float, count: int) -> np.ndarray:
-    """The ``count``-point candidate grid (seed 0) of the box widened by
-    ``offset``, or of each ball's sphere widened by it (ball, sphere,
-    union): probes of the boundary of a compact set that holds
-    {x : d_E(x) <= offset}."""
-    if E.kind == "box":
-        return sample_candidates(box(E.low - offset, E.high + offset), count, 0)
-    return np.concatenate([sample_candidates(sphere_surface(c, r + offset), count, 0) for c, r in _balls(E)])
+    """Probes of the boundary of a compact set that holds
+    {x : d_E(x) <= offset}: the ``count``-point candidate grid (seed 0) of
+    each ball's sphere widened by ``offset`` (ball, sphere, union), or
+    ``count`` lattice points on the faces of the widened box, whose last
+    coordinate picks a face by its area."""
+    if E.kind != "box":
+        return np.concatenate([sample_candidates(sphere_surface(c, r + offset), count, 0) for c, r in _balls(E)])
+    low, side = E.low - offset, E.high - E.low + 2.0 * offset
+    u = _lattice(child_seed(0, "widened-box"), E.dim + 1, count)
+    area = np.repeat(np.prod(side) / side, 2)  # faces low_0, high_0, low_1, ...
+    face = np.searchsorted(np.cumsum(area)[:-1] / area.sum(), u[:, -1], side="right")
+    out = low + u[:, :-1] * side
+    out[np.arange(count), face // 2] = low[face // 2] + (face % 2) * side[face // 2]
+    return out
 
 
 # ---------------------------------------------------------------------------

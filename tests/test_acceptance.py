@@ -70,6 +70,9 @@ def test_criterion_06_test_function_bound_matrix(verdicts):
     assert len(r.details["trials"]) == 30
     bad = [t for t in r.details["trials"] if not t["ok"]]
     assert not bad, f"bound violated in trials: {bad}"
+    # no trial is excused: each has a composite term >= 0 and lhs <= rhs
+    assert all(t["I_value"] >= 0.0 and t["lhs"] <= t["rhs"] for t in r.details["trials"])
+    assert set(r.details) == {"trials"}
     assert r.passed
 
 

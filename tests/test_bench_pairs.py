@@ -79,3 +79,39 @@ def test_summarize_groups_by_workload_and_trace_and_skips_failed_runs():
     assert list(summary["fekete-sphere seed 1 traced"]["metrics"]) == ["kernel.calls"]
     every_pair_failed = bench_pairs.summarize(pairs[1:2])["fekete-sphere seed 1"]
     assert every_pair_failed == {"pairs": 0, "errors": 1, "metrics": {}}
+
+
+@pytest.mark.parametrize("change, within", [
+    # medians 0.29 and 0.31 against 0.24 * 1.25 = 0.30
+    ([0.29] * 5, True),
+    ([0.31] * 5, False),
+    # a faster change is within its bound
+    ([0.20] * 5, True),
+])
+def test_within_bound_compares_the_change_median_with_the_parent_median_times_one_plus_bound(change, within):
+    parent = [0.23, 0.235, 0.24, 0.245, 0.25]
+    pairs = [_pair(i, _run(1.0, setup=p), _run(1.0, setup=c)) for i, (p, c) in enumerate(zip(parent, change))]
+    metrics = bench_pairs.summarize(pairs, {"setup_s": 0.25})["fekete-sphere seed 1"]["metrics"]
+    assert metrics["setup_s"]["within_bound"] is within
+    assert metrics["setup_s"]["unresolved"] is False
+    # a metric without a bound gets neither flag
+    assert "within_bound" not in metrics["wall_s"] and "unresolved" not in metrics["wall_s"]
+
+
+def test_unresolved_when_the_parent_spread_exceeds_the_bound():
+    # parent median 0.40, interquartile distance 0.12: 0.3 of the median
+    # exceeds a 0.25 bound, but not a 0.35 one
+    parent = [0.30, 0.34, 0.40, 0.46, 0.50]
+    pairs = [_pair(i, _run(p), _run(p)) for i, p in enumerate(parent)]
+    wall = bench_pairs.summarize(pairs, {"wall_s": 0.25})["fekete-sphere seed 1"]["metrics"]["wall_s"]
+    assert wall["parent_interquartile"] == pytest.approx(0.12)
+    assert wall["unresolved"] is True and wall["within_bound"] is True
+    wall = bench_pairs.summarize(pairs, {"wall_s": 0.35})["fekete-sphere seed 1"]["metrics"]["wall_s"]
+    assert wall["unresolved"] is False
+
+
+def test_summarize_reads_the_benchmark_bounds_by_default():
+    pairs = [_pair(i, _run(0.4), _run(0.45)) for i in range(3)]
+    metrics = bench_pairs.summarize(pairs)["fekete-sphere seed 1"]["metrics"]
+    assert {name for name, m in metrics.items() if "within_bound" in m} == {"setup_s", "wall_s", "peak_rss_mib"}
+    assert metrics["wall_s"]["within_bound"] is True

@@ -112,6 +112,20 @@ def test_generate_missing_set_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--r-c=abc", "--method=foo"])
+def test_argument_error_is_one_line(sphere_file, tmp_path, capsys, flag):
+    """An argument argparse rejects exits 2 with one 'error:' line on
+    stderr, not the usage block."""
+    argv = ["study", "--set", str(sphere_file), "--method", "random", "--schedule", "5",
+            "--out", str(tmp_path / "s.csv"), flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert flag.split("=")[0] in err
+
+
 def test_generate_unreadable_set_exits_2(tmp_path):
     code = main(["generate", "--set", str(tmp_path / "missing.txt"), "--method", "random",
                  "--n", "5", "--out", str(tmp_path / "x.csv")])

@@ -24,11 +24,10 @@ from rieszpoints import (
     discrete_energy,
     moment_distance,
     potential_error,
-    unit_sphere_area,
 )
 from rieszpoints import discrepancy
 from rieszpoints.configurations import FeketeSearchParams, fekete_search_run, leja_sequence, random_config
-from rieszpoints.discrepancy import TestFunction, max_green_on_shell
+from rieszpoints.discrepancy import TestFunction, max_green_on_shell, unit_sphere_area
 from rieszpoints.kernel import potential_sums
 from rieszpoints.seeding import child_seed, substream
 from rieszpoints.sets import random_directions, sample_candidates
@@ -46,7 +45,7 @@ def test_unit_sphere_area_values():
 
 def test_phi_for_potential_values():
     y = np.array([2.0, 0, 0])
-    phi = phi_for_potential(UNIT_BALL, y, SPEC)
+    phi = phi_for_potential(UNIT_BALL, y)
     assert phi.support_radius == 4.0
     assert phi.evaluator(y) == pytest.approx(0.75)
     assert phi.evaluator(np.array([1.0, 0, 0])) == pytest.approx(0.75)
@@ -56,7 +55,7 @@ def test_phi_for_potential_values():
 
 def test_phi_support():
     y = np.array([2.0, 0, 0])
-    phi = phi_for_potential(UNIT_BALL, y, SPEC)
+    phi = phi_for_potential(UNIT_BALL, y)
     rng = np.random.default_rng(1)
     dirs = rng.normal(size=(1000, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -66,7 +65,7 @@ def test_phi_support():
 
 def test_phi_rejects_inside_probe():
     with pytest.raises(ValueError):
-        phi_for_potential(UNIT_BALL, np.array([0.5, 0, 0]), SPEC)
+        phi_for_potential(UNIT_BALL, np.array([0.5, 0, 0]))
 
 
 def test_phi_lipschitz_certificate():
@@ -75,7 +74,7 @@ def test_phi_lipschitz_certificate():
     function, min(r/a, 1) for the hat."""
     lip = 2 * (3 - 2) * math.sqrt(3) * 1.0 ** (1 - 3)
     cases = [
-        (phi_for_potential(UNIT_BALL, np.array([2.0, 0, 0]), SPEC), lambda r: lip * r),
+        (phi_for_potential(UNIT_BALL, np.array([2.0, 0, 0])), lambda r: lip * r),
         (radial_hat([0.5, 0, 0], radius=2.0), lambda r: min(r / 2.0, 1.0)),
     ]
     for f, model in cases:
@@ -91,7 +90,7 @@ def test_phi_lipschitz_certificate():
 
 def test_modulus_model_value():
     y = np.array([2.0, 0, 0])
-    phi = phi_for_potential(UNIT_BALL, y, SPEC)
+    phi = phi_for_potential(UNIT_BALL, y)
     # d_E(y) = 1, d = 3: slope 2 * 1 * sqrt(3)
     assert phi.modulus_model(0.1) == pytest.approx(2 * math.sqrt(3) * 0.1, rel=1e-12)
 
@@ -107,7 +106,7 @@ def test_dirichlet_hat_exact_and_mc():
 
 def test_dirichlet_mc_self_consistency_for_potential_phi():
     y = np.array([2.0, 0, 0])
-    phi = phi_for_potential(UNIT_BALL, y, SPEC)
+    phi = phi_for_potential(UNIT_BALL, y)
     coarse = dirichlet_integral_mc(phi, samples=200_000, seed=5)
     fine = dirichlet_integral_mc(phi, samples=1_000_000, seed=6)
     assert coarse == pytest.approx(fine, rel=0.2)
@@ -171,8 +170,7 @@ def test_discrepancy_bound_composite_term_antipodal_pair():
     assert rep.m_term == 0.0
     assert rep.smoothing_term == pytest.approx(0.5)
     assert rep.energy_gap == pytest.approx(0.25 - 1.0)
-    assert not rep.vacuous
-    assert rep.bound_satisfied
+    assert rep.lhs <= rep.rhs
 
 
 def test_discrepancy_bound_zero_phi():
@@ -191,10 +189,11 @@ def test_discrepancy_bound_zero_phi():
     assert rep.lhs <= rep.rhs
 
 
-def test_discrepancy_bound_vacuous_flag():
-    # an artificially negative composite term must flag, not crash: feed an
-    # oracle whose Robin constant overstates the energy scale by 9, with its
-    # potential raised by 9 too, so that g = W - U is unchanged
+def test_discrepancy_bound_warns_on_a_negative_composite_term():
+    # the composite term bounds a Newtonian energy, which is >= 0, so a
+    # negative one comes only from a wrong oracle and must warn, not pass:
+    # feed an oracle whose Robin constant overstates the energy scale by 9,
+    # with its potential raised by 9 too, so that g = W - U is unchanged
     base = equilibrium_oracle(UNIT_SPHERE, SPEC)
     inflated = dataclasses.replace(
         base,
@@ -204,30 +203,30 @@ def test_discrepancy_bound_vacuous_flag():
     )
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     phi = radial_hat([0.5, 0, 0], radius=2.0)
-    rep = discrepancy_bound(inflated, X, phi, r=0.1)
+    with pytest.warns(RuntimeWarning, match="discrepancy bound violated"):
+        rep = discrepancy_bound(inflated, X, phi, r=0.1)
     assert rep.I_value < 0
-    assert rep.vacuous
-    assert rep.bound_satisfied is None
 
 
 def test_discrepancy_bound_reads_the_oracle_potential():
     # phi_for_potential's equilibrium mean is U^{mu_E}(y) - R**(2-d), so an
     # oracle whose potential is off by +10 puts the lhs near 10. The shift
     # zeroes the derived Green function too: at r = 0.5 the composite term
-    # turns negative (about -0.11) and the bound is vacuous; at r = 0.25 it
-    # is about 0.22 and the rhs, about 2.75, sits below the lhs
+    # turns negative (about -0.11), which no correct oracle gives; at
+    # r = 0.25 it is about 0.22 and the rhs, about 2.75, sits below the lhs.
+    # Both warn
     base = equilibrium_oracle(UNIT_SPHERE, SPEC)
     shifted = dataclasses.replace(base, potential=lambda x: base.potential(x) + 10.0)
     X = PointConfig(np.vstack([np.eye(3), -np.eye(3)]))
-    phi = phi_for_potential(UNIT_SPHERE, np.array([2.0, 0, 0]), SPEC)
-    rep = discrepancy_bound(shifted, X, phi, r=0.5)
+    phi = phi_for_potential(UNIT_SPHERE, np.array([2.0, 0, 0]))
+    with pytest.warns(RuntimeWarning, match="discrepancy bound violated"):
+        rep = discrepancy_bound(shifted, X, phi, r=0.5)
     assert rep.green_term == 0.0
-    assert rep.vacuous and rep.bound_satisfied is None
+    assert rep.I_value < 0
     with pytest.warns(RuntimeWarning, match="discrepancy bound violated"):
         rep = discrepancy_bound(shifted, X, phi, r=0.25)
     assert rep.I_value > 0
     assert rep.lhs > rep.rhs
-    assert rep.bound_satisfied is False
 
 
 def test_bound_and_shell_search_take_no_seed():
@@ -251,7 +250,7 @@ def test_discrepancy_bound_hat_off_ball_is_unsupported():
 @pytest.mark.parametrize("probe", [1.5, 2.0, 3.0])
 def test_phi_for_potential_mean_matches_quadrature(E, probe):
     y = np.array([probe, 0.0, 0.0])
-    phi = phi_for_potential(E, y, SPEC)
+    phi = phi_for_potential(E, y)
     q, err = sphere_potential_quadrature(1.0, SPEC, y, return_error=True)
     mean = phi.equilibrium_mean(equilibrium_oracle(E, SPEC))
     assert abs(mean - (q - 1.0 / phi.support_radius)) <= err
@@ -259,8 +258,8 @@ def test_phi_for_potential_mean_matches_quadrature(E, probe):
 
 @pytest.mark.parametrize("E", [UNIT_SPHERE, UNIT_BALL, ball([0.3, -0.2, 0.1], 1.5)], ids=["sphere", "ball", "ball-off"])
 @pytest.mark.parametrize("make_phi", [
-    lambda E: phi_for_potential(E, E.center + E.radius * np.array([1.5, 0.0, 0.0]), SPEC),
-    lambda E: phi_for_potential(E, E.center + E.radius * np.array([0.0, 3.0, 2.0]), SPEC),
+    lambda E: phi_for_potential(E, E.center + E.radius * np.array([1.5, 0.0, 0.0])),
+    lambda E: phi_for_potential(E, E.center + E.radius * np.array([0.0, 3.0, 2.0])),
     lambda E: radial_hat(E.center + E.radius * np.array([0.5, 0.0, 0.0]), radius=2.0 * E.radius),
     lambda E: radial_hat(E.center + E.radius * np.array([0.5, 0.0, 0.0]), radius=E.radius),
     lambda E: radial_hat(E.center + E.radius * np.array([1.2, 0.3, 0.0]), radius=0.6 * E.radius),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 import rieszpoints
-from rieszpoints import CoincidentPointsError, KernelSpec, SingularityError, UnsupportedOracleError
+from rieszpoints import CoincidentPointsError, KernelSpec, UnsupportedOracleError
 from rieszpoints.kernel import (_ENTRIES, pair_energy_forces, pair_hessian, pair_terms, potential_sums,
                                probe_potential_derivatives,
                                 require_newtonian)
@@ -16,11 +16,11 @@ from rieszpoints.kernel import (_ENTRIES, pair_energy_forces, pair_hessian, pair
 
 def kernel_value(spec, displacement):
     """Reference: |displacement|**(alpha - dim) for one vector or a batch;
-    a zero displacement raises SingularityError."""
+    a zero displacement raises CoincidentPointsError."""
     disp = np.asarray(displacement, dtype=float)
     r = np.linalg.norm(disp, axis=-1)
     if np.any(r == 0.0):
-        raise SingularityError("kernel evaluated at zero displacement")
+        raise CoincidentPointsError("kernel evaluated at zero displacement")
     out = r ** spec.exponent
     return float(out) if out.ndim == 0 else out
 
@@ -30,7 +30,7 @@ def kernel_gradient(spec, displacement):
     disp = np.asarray(displacement, dtype=float)
     r = np.linalg.norm(disp, axis=-1, keepdims=True)
     if np.any(r == 0.0):
-        raise SingularityError("kernel gradient at zero displacement")
+        raise CoincidentPointsError("kernel gradient at zero displacement")
     return spec.exponent * r ** (spec.exponent - 2.0) * disp
 
 
@@ -51,16 +51,16 @@ def test_alpha_one_distance_four():
 
 def test_zero_displacement_raises():
     spec = KernelSpec(alpha=2.0, dim=3)
-    with pytest.raises(SingularityError):
+    with pytest.raises(CoincidentPointsError):
         kernel_value(spec, [0.0, 0.0, 0.0])
-    with pytest.raises(SingularityError):
+    with pytest.raises(CoincidentPointsError):
         kernel_gradient(spec, np.zeros(3))
 
 
 def test_batch_with_zero_row_raises():
     spec = KernelSpec(alpha=2.0, dim=3)
     batch = np.array([[1.0, 0, 0], [0, 0, 0]])
-    with pytest.raises(SingularityError):
+    with pytest.raises(CoincidentPointsError):
         kernel_value(spec, batch)
 
 

@@ -8,7 +8,6 @@ from rieszpoints import (
     CoincidentPointsError,
     KernelSpec,
     PointConfig,
-    SingularityError,
     ball,
     closeness_m_E,
     discrete_energy,
@@ -117,7 +116,7 @@ def test_potential_rejects_a_probe_of_another_dimension(y):
 
 def test_potential_singular_at_config_point():
     X = PointConfig([[1.0, 0, 0], [-1.0, 0, 0]])
-    with pytest.raises(SingularityError):
+    with pytest.raises(CoincidentPointsError):
         discrete_potential(X, SPEC, [1.0, 0, 0])
 
 

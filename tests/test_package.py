@@ -24,11 +24,12 @@ def test_all_lists_public_names_not_modules():
 def test_all_drops_the_estimators_and_the_grid_budget_error():
     """The bound machinery exports only paths that yield bounds, and no
     search budget needs an error class of its own."""
-    for gone in ("modulus_of_continuity", "dirichlet_integral", "GridBudgetError"):
+    for gone in ("modulus_of_continuity", "dirichlet_integral", "GridBudgetError", "SingularityError",
+                 "unit_sphere_area"):
         assert gone not in rieszpoints.__all__
         assert not hasattr(rieszpoints, gone)
-    assert len(rieszpoints.__all__) == 39
-    assert _public_parameter_count() == 108
+    assert len(rieszpoints.__all__) == 37
+    assert _public_parameter_count() == 104
 
 
 def _public_parameter_count():

@@ -25,7 +25,7 @@ from rieszpoints import (
 )
 from rieszpoints.discrepancy import _monomials, max_green_on_shell
 from rieszpoints.oracles import equilibrium_mean_mc, sphere_potential_quadrature
-from rieszpoints.sets import _lattice, _lattice_ball, sample_uniform
+from rieszpoints.sets import _lattice, _lattice_ball, _widened_grid, sample_uniform
 from rieszpoints.seeding import substream
 
 SPEC = KernelSpec(2.0, 3)
@@ -229,6 +229,39 @@ def test_candidates_deterministic(E):
     assert not np.array_equal(a, c)
 
 
+def test_union_draws_are_uniform_on_the_overlap():
+    """Unit balls one apart: their lens holds 5/27 of the union's volume
+    (lens 5 pi / 12, union 27 pi / 12), and the draws' fraction in it sits
+    within 4 standard errors of that, not at the 5/16 a per-ball draw
+    would give."""
+    lapped = union_of_balls([([0.0, 0, 0], 1.0), ([1.0, 0, 0], 1.0)])
+    x = sample_uniform(lapped, 400_000, np.random.default_rng(0))
+    assert np.all(distance_to_set(lapped, x) == 0.0)
+    lens = np.mean((np.linalg.norm(x, axis=1) <= 1.0) & (np.linalg.norm(x - [1.0, 0, 0], axis=1) <= 1.0))
+    p = 5.0 / 27.0
+    assert abs(lens - p) <= 4.0 * np.sqrt(p * (1.0 - p) / x.shape[0]), lens
+
+
+@pytest.mark.parametrize("E", [union_of_balls([([0.0, 0, 0], 1.0), ([2.5, 0, 0], 1.0)]),
+                               union_of_balls([([0.0, 0, 0], 1.0), ([4.0, 0, 0], 2.0), ([0.0, 5.0, 0], 0.5)])],
+                         ids=["two", "three"])
+def test_disjoint_union_draws_keep_their_bits(E):
+    """A disjoint union rejects nothing, so its draws are bitwise one
+    volume-weighted ball choice, one direction draw and one radius draw,
+    and the generator is left where those three leave it."""
+    got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = sample_uniform(E, 1000, got_rng)
+    vols = np.array([r ** 3 for _, r in E.balls])
+    idx = ref_rng.choice(len(E.balls), size=1000, p=vols / vols.sum())
+    center = np.array([c for c, _ in E.balls])[idx]
+    radius = np.array([r for _, r in E.balls])[idx, None]
+    v = ref_rng.normal(size=(1000, 3))
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    want = center + radius * ref_rng.random((1000, 1)) ** (1.0 / 3.0) * v
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.random() == ref_rng.random()
+
+
 def test_candidates_feasible_all_shapes():
     shapes = [UNIT_BALL, UNIT_SPHERE, box([0.0, 0, 0], [1.0, 2, 1]),
               union_of_balls([([0.0, 0, 0], 1.0), ([4.0, 0, 0], 2.0)])]
@@ -362,20 +395,38 @@ def test_quadrature_backed_oracle_for_box():
     # Green vanishes on the set and grows away from it
     assert oracle.green(np.array([0.5, 0.5, 0.5])) == 0.0
     assert oracle.green(np.array([5.0, 5.0, 5.0])) > 0
-    # the widened box's grid holds the slab, so its maximum is at least the
-    # Green function at points at distance t: the clip onto the cube of a
-    # point outside it, plus t along the outward normal there
+    # the widened box's faces bound a set that holds the slab, so their
+    # maximum is at least the Green function at points at distance t, even
+    # below the probes' spacing: the clip onto the cube of a point outside
+    # it, plus t along the outward normal there
     v = np.random.default_rng(11).normal(size=(512, 3))
     far = 0.5 + 2.0 * v / np.linalg.norm(v, axis=1, keepdims=True)
     near = np.clip(far, 0.0, 1.0)
     normal = (far - near) / np.linalg.norm(far - near, axis=1, keepdims=True)
-    for t in (0.1, 0.6):
+    for t in (0.02, 0.1, 0.6):
         shell = near + t * normal
         np.testing.assert_allclose(distance_to_set(B, shell), t, rtol=1e-14)
-        assert max_green_on_shell(oracle, t) >= np.max(oracle.green(shell)), t
+        assert max_green_on_shell(oracle, t) >= np.max(oracle.green(shell)) > 0.0, t
     # the exact moments are the support's means; its sampler draws the support
     mc, stderr = equilibrium_mean_mc(oracle, _monomials, seed=3)
     assert np.all(np.abs(oracle.moments - mc) <= 4.0 * stderr)
+
+
+def test_box_probes_lie_on_the_faces_of_the_widened_box():
+    """The box's probes of the Green function's maximum lie on the faces
+    of the box widened by the offset, so even a slab thinner than the
+    lattice spacing is read; each face holds about its share of the area."""
+    B = box([0.0, 0, 0], [1.0, 2, 1])
+    for t in (0.02, 0.1):
+        probes = _widened_grid(B, t, 4096)
+        assert probes.shape == (4096, 3)
+        assert np.all((probes >= B.low - t) & (probes <= B.high + t))
+        low, high = np.isclose(probes, B.low - t, rtol=0, atol=1e-15), np.isclose(probes, B.high + t, rtol=0, atol=1e-15)
+        assert np.all((low | high).sum(axis=1) >= 1)
+        side = B.high - B.low + 2 * t
+        share = np.prod(side) / side / (2 * (np.prod(side) / side).sum())
+        np.testing.assert_allclose(low.mean(axis=0), share, atol=0.01)
+        np.testing.assert_allclose(high.mean(axis=0), share, atol=0.01)
 
 
 def test_dimension_four_sphere_candidates_and_oracle():
