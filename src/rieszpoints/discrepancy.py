@@ -328,8 +328,11 @@ def max_green_on_shell(oracle: EquilibriumOracle, offset: float) -> float:
     (ball, sphere, union), or the faces of the widened box. g_E is 0 on E
     and subharmonic off it, so its max over D lies on the boundary of D
     and bounds the slab's. Exact up to rounding on a ball or sphere,
-    W - (R + offset)**(2-d); high on a box, whose widened edges and
-    corners reach past the slab; a grid estimate on a union."""
+    W - (R + offset)**(2-d). On a box the probes include the widened
+    box's corners, where that max lies: g_E of a convex E has convex
+    sublevel sets (Lewis, 1977), so the read is the max over D, which
+    exceeds the slab's since the corners lie past it. A grid estimate on
+    a union."""
     return float(np.max(oracle.green(_widened_grid(oracle.set_model, offset, _MIN_GRID))))
 
 

@@ -15,6 +15,14 @@ every numpy build; other powers are Python's scalar ``**`` and every sum
 is ``math.fsum``, so their ledgered values replay bitwise across numpy
 builds. Single-threaded by design: determinism outranks speed for ground
 truth.
+
+Their working memory is bounded: the energy sum, the quadrature and the
+ledger's covering radius stream their squared distances through blocks
+of at most ``_PAIRS`` (one row of n - 1 pairs when that is more), and
+each block's terms go straight into one ``math.fsum``, which is exact
+rounded and so returns the same bits in any order of its terms. Beyond
+the input, only the quadrature rules (cached, read-only (count, dim)
+arrays) grow with the problem.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -34,6 +43,11 @@ from .kernel import KernelSpec, require_newtonian
 from .measures import PointConfig
 from .sets import sample_candidates, sphere_surface
 from .seeding import substream
+
+# The most squared distances one block of a reference path holds: pairs in
+# reference_energy, nodes in the quadrature, probe-candidate pairs in the
+# ledger's covering radius.
+_PAIRS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -48,32 +62,50 @@ class OracleRecord:
     seed: int
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) squared distances between the rows of ``a`` and
+    of ``b``, summed coordinate by coordinate with elementwise subtract,
+    multiply and add, which round exactly."""
+    r2 = np.zeros((len(a), len(b)))
+    with np.errstate(over="ignore"):  # like Python floats: inf, no warning
+        for c in range(a.shape[1]):
+            t = a[:, c, None] - b[None, :, c]
+            r2 += t * t
+    return r2
+
+
 def reference_energy(X: PointConfig, spec: KernelSpec) -> float:
     """Ground-truth discrete energy, sharing no code with the library's
     kernel path.
 
-    Squared distances over the pairs j < k are accumulated coordinate by
-    coordinate with elementwise subtract, multiply and add, which round
-    exactly; each pair's power is Python's scalar ``float ** float`` and
-    the sum is exact-rounded (math.fsum), so the value replays bitwise
-    across numpy builds.
+    The pairs j < k are taken in blocks of consecutive rows j, each against
+    the points after its first row, so a block holds at most ``_PAIRS``
+    squared distances (one row, when n - 1 exceeds it). Each pair's
+    power is Python's scalar ``float ** float`` and one exact-rounded
+    ``math.fsum`` takes every block's terms, so the value does not depend
+    on the block size and replays bitwise across numpy builds.
     """
     n = X.n
     if n < 2:
         raise ValueError("reference energy needs n >= 2")
     pts = np.asarray(X.points, dtype=float)
-    j, k = np.triu_indices(n, 1)
-    r2 = np.zeros(len(j))
-    with np.errstate(over="ignore"):  # like Python floats: inf, no warning
-        for c in range(pts.shape[1]):
-            t = pts[j, c] - pts[k, c]
-            r2 += t * t
-    hit = np.flatnonzero(r2 == 0.0)
-    if hit.size:
-        p = hit[0]
-        raise CoincidentPointsError(f"points {j[p]} and {k[p]} coincide")
     half_expo = (spec.alpha - spec.dim) / 2.0
-    return 2.0 * math.fsum(v ** half_expo for v in r2.tolist()) / (n * (n - 1))
+
+    def blocks():
+        j = 0
+        while j < n - 1:
+            later = pts[j + 1:]
+            rows = pts[j:j + max(1, _PAIRS // len(later))]
+            r2 = _squared_distances(rows, later)
+            upper = ~np.tri(len(rows), len(later), -1, dtype=bool)  # k > j
+            hit = upper & (r2 == 0.0)
+            if hit.any():
+                a, b = np.unravel_index(np.argmax(hit), hit.shape)
+                raise CoincidentPointsError(f"points {j + a} and {j + 1 + b} coincide")
+            yield map(pow, r2[upper].tolist(), repeat(half_expo))
+            j += len(rows)
+
+    return 2.0 * math.fsum(chain.from_iterable(blocks())) / (n * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -102,33 +134,44 @@ def simplex_energy(spec: KernelSpec, n: int) -> float:
 # spherical quadrature for equilibrium potentials
 # ---------------------------------------------------------------------------
 
-def _sphere_nodes(count: int, dim: int) -> tuple:
-    """Quasi-uniform unit directions in R^dim as a tuple of coordinate tuples.
+@functools.lru_cache(maxsize=4)
+def _sphere_nodes(count: int, dim: int) -> np.ndarray:
+    """Quasi-uniform unit directions in R^dim as a read-only (count, dim)
+    array, built with scalar ``math`` calls only, so the ledgered
+    quadrature values do not depend on how a numpy build vectorizes sin,
+    cos or sqrt.
 
-    The d = 3 rule is a Fibonacci lattice built with scalar ``math`` calls
-    only, so the ledgered quadrature values do not depend on how a numpy
-    build vectorizes sin, cos or sqrt. For d > 3 the directions are the
-    seed-0 candidate grid of the unit sphere in R^dim, a Kronecker
-    lattice mapped through the Gaussian ppf (``sets.sample_candidates``).
+    The d = 3 rule is a Fibonacci lattice. For d > 3 the directions are
+    Richtmyer's Kronecker lattice, u_j = frac((i + 1/2) sqrt(p_j)) over
+    the first primes p_j, two coordinates at a time mapped to a Gaussian
+    pair by the Box-Muller transform and normalized.
     """
     if dim == 3:
         golden = math.pi * (3.0 - math.sqrt(5.0))
-        nodes = []
-        for i in range(count):
+
+        def node(i):
             z = 1.0 - (2.0 * i + 1.0) / count
             r = math.sqrt(max(1.0 - z * z, 0.0))
             phi = golden * i
-            nodes.append((r * math.cos(phi), r * math.sin(phi), z))
-        return tuple(nodes)
-    v = sample_candidates(sphere_surface(np.zeros(dim), 1.0), count, seed=0)
-    return tuple(map(tuple, v.tolist()))
+            return r * math.cos(phi), r * math.sin(phi), z
+    else:
+        steps, p = [], 1
+        while len(steps) < dim + dim % 2:
+            p += 1
+            if all(p % q for q in range(2, math.isqrt(p) + 1)):
+                steps.append(math.sqrt(p) % 1.0)
 
-
-@functools.lru_cache(maxsize=4)
-def _sphere_node_columns(count: int, dim: int) -> np.ndarray:
-    """The nodes of ``_sphere_nodes`` as a (dim, count) array whose rows are
-    contiguous coordinate columns."""
-    return np.array(_sphere_nodes(count, dim)).T.copy()
+        def node(i):
+            u = [(i + 0.5) * a % 1.0 for a in steps]
+            g = []
+            for a, b in zip(u[::2], u[1::2]):
+                rho, theta = math.sqrt(-2.0 * math.log(a)), 2.0 * math.pi * b
+                g += rho * math.cos(theta), rho * math.sin(theta)
+            norm = math.sqrt(math.fsum(v * v for v in g[:dim]))
+            return [v / norm for v in g[:dim]]
+    nodes = np.fromiter(chain.from_iterable(map(node, range(count))), float, count * dim).reshape(count, dim)
+    nodes.flags.writeable = False
+    return nodes
 
 
 def sphere_potential_quadrature(
@@ -145,10 +188,10 @@ def sphere_potential_quadrature(
     value uses the doubled node count. Probes within 5% of the surface
     trigger a near-singular warning and a 4x refined rule.
 
-    Evaluated over all nodes at once with elementwise subtract, multiply,
-    add, sqrt and divide only, which IEEE rounds exactly on every numpy
-    build, and an exact-rounded ``math.fsum`` mean, so the d = 3 values
-    replay bitwise across numpy builds.
+    Evaluated over blocks of ``_PAIRS`` nodes with elementwise subtract,
+    multiply, add, sqrt and divide only, which IEEE rounds exactly on
+    every numpy build, and one exact-rounded ``math.fsum`` mean over all
+    blocks, so the values replay bitwise across numpy builds.
     """
     require_newtonian(spec, "spherical quadrature")
     if nodes < 1000:
@@ -167,17 +210,25 @@ def sphere_potential_quadrature(
     power = spec.dim - 2  # Newtonian kernel |x|^(2-d)
 
     def value(m: int) -> float:
-        r2 = np.zeros(m)
-        with np.errstate(over="ignore"):
-            for a, col in zip(yt, _sphere_node_columns(m, spec.dim)):
-                t = a - radius * col
-                r2 += t * t
-        if not r2.all():
-            raise ZeroDivisionError("probe coincides with a quadrature node")
-        inv = (1.0 / np.sqrt(r2)).tolist()
-        # d = 3 stays clear of pow: sqrt and division round exactly; d > 3
-        # takes Python's scalar pow, never a vectorized np.power
-        return math.fsum(inv if power == 1 else (v ** power for v in inv)) / m
+        grid = _sphere_nodes(m, spec.dim)
+
+        def blocks():
+            for start in range(0, m, _PAIRS):
+                block = grid[start:start + _PAIRS]
+                r2 = np.zeros(len(block))
+                for a, col in zip(yt, block.T):
+                    t = a - radius * col
+                    r2 += t * t
+                if not r2.all():
+                    raise ZeroDivisionError("probe coincides with a quadrature node")
+                inv = 1.0 / np.sqrt(r2)
+                # d = 3 stays clear of pow: sqrt and division round exactly, and
+                # a memoryview yields the Python floats without a list; d > 3
+                # takes Python's scalar pow, never a vectorized np.power
+                yield memoryview(inv) if power == 1 else map(pow, inv.tolist(), repeat(power))
+
+        with np.errstate(over="ignore"):  # like Python floats: inf, no warning
+            return math.fsum(chain.from_iterable(blocks())) / m
 
     v1 = value(nodes)
     v2 = value(2 * nodes)
@@ -282,11 +333,9 @@ def make_default_ledger_records() -> list:
     rng = substream(11, "covering-probes")
     probes = rng.normal(size=(100, 3))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    r2 = np.zeros((len(probes), len(cands)))
-    for c in range(3):
-        t = probes[:, c, None] - cands[None, :, c]
-        r2 += t * t
-    cover = float(np.sqrt(r2.min(axis=1)).max())
+    step = max(1, _PAIRS // len(cands))
+    nearest = [_squared_distances(probes[i:i + step], cands).min(axis=1) for i in range(0, len(probes), step)]
+    cover = float(np.sqrt(np.concatenate(nearest)).max())
     records.append(OracleRecord(
         name="covering_radius_sphere_4096",
         inputs=json.dumps({"shape": "sphere", "count": 4096, "probes": 100}, sort_keys=True),

@@ -423,8 +423,9 @@ def _widened_grid(E: CompactSetModel, offset: float, count: int) -> np.ndarray:
     """Probes of the boundary of a compact set that holds
     {x : d_E(x) <= offset}: the ``count``-point candidate grid (seed 0) of
     each ball's sphere widened by ``offset`` (ball, sphere, union), or
-    ``count`` lattice points on the faces of the widened box, whose last
-    coordinate picks a face by its area."""
+    ``count`` points on the faces of the widened box: its 2^dim corners
+    first, where the Green function of a convex E peaks on that boundary,
+    then lattice points whose last coordinate picks a face by its area."""
     if E.kind != "box":
         return np.concatenate([sample_candidates(sphere_surface(c, r + offset), count, 0) for c, r in _balls(E)])
     low, side = E.low - offset, E.high - E.low + 2.0 * offset
@@ -433,6 +434,8 @@ def _widened_grid(E: CompactSetModel, offset: float, count: int) -> np.ndarray:
     face = np.searchsorted(np.cumsum(area)[:-1] / area.sum(), u[:, -1], side="right")
     out = low + u[:, :-1] * side
     out[np.arange(count), face // 2] = low[face // 2] + (face % 2) * side[face // 2]
+    corners = (np.arange(min(count, 2 ** E.dim))[:, None] >> np.arange(E.dim)) & 1
+    out[:len(corners)] = low + corners * side
     return out
 
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from rieszpoints import CoincidentPointsError, KernelSpec, PointConfig, sphere_surface
 from rieszpoints.acceptance import criterion_provenance, find_default_ledger
 from rieszpoints.measures import discrete_energy
+from rieszpoints.seeding import substream
+from rieszpoints.sets import sample_candidates
 from rieszpoints.oracles import (
+    _PAIRS,
     _sphere_nodes,
     describe_mismatch,
     make_default_ledger_records,
@@ -65,7 +69,7 @@ def _loop_quadrature(radius, spec, y, nodes):
 
     def value(m):
         terms = []
-        for node in _sphere_nodes(m, spec.dim):
+        for node in _sphere_nodes(m, spec.dim).tolist():
             r2 = 0.0
             for a, b in zip(yt, node):
                 t = a - radius * b
@@ -97,6 +101,11 @@ def test_reference_energy_matches_scalar_loop_bitwise():
         n = int(rng.integers(2, 60))
         spec = KernelSpec(float(rng.uniform(0.1, d - 0.1)), d)
         configs.append((PointConfig(rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)), spec))
+    # sizes that span several blocks of pairs
+    for n in (200, 400):
+        for d in (3, 4):
+            configs.append((PointConfig(rng.normal(size=(n, d))), KernelSpec(float(rng.uniform(0.1, d - 0.1)), d)))
+    assert 200 * 199 // 2 > _PAIRS
     # squared distances that overflow to inf
     configs.append((PointConfig([[1e200, 0, 0], [-1e200, 0, 0], [0.0, 1, 0]]), SPEC))
     for X, spec in configs:
@@ -114,6 +123,21 @@ def test_reference_energy_names_first_coincident_pair_in_loop_order():
     with pytest.raises(CoincidentPointsError) as fast:
         reference_energy(X, SPEC)
     assert str(fast.value) == str(loop.value) == "points 0 and 4 coincide"
+
+
+def test_reference_energy_names_first_coincident_pair_of_a_later_block():
+    # of 400 points, the first block holds rows j < _PAIRS // 399; (350, 390)
+    # and (300, 399) coincide, and the loop over j < k meets (300, 399) first
+    pts = np.random.default_rng(4).normal(size=(400, 3))
+    assert _PAIRS // 399 <= 300
+    pts[390] = pts[350]
+    pts[399] = pts[300]
+    X = PointConfig(pts)
+    with pytest.raises(CoincidentPointsError) as loop:
+        _loop_reference_energy(X, SPEC)
+    with pytest.raises(CoincidentPointsError) as fast:
+        reference_energy(X, SPEC)
+    assert str(fast.value) == str(loop.value) == "points 300 and 399 coincide"
 
 
 def test_reference_agrees_with_main_path():
@@ -219,6 +243,17 @@ def test_quadrature_matches_scalar_loop_bitwise(y, dim):
 
 
 @pytest.mark.parametrize("dim", [3, 4])
+def test_quadrature_over_several_blocks_matches_scalar_loop_bitwise(dim):
+    """9000 and 18 000 nodes span two and three blocks of nodes."""
+    assert _PAIRS < 9000 and 2 * _PAIRS < 18_000
+    spec = KernelSpec(2.0, dim)
+    for y in ([0.4, -0.2, 0.1], [1.6, 0.3, -0.9]):
+        probe = np.array(y + [0.25] * (dim - 3))
+        got = sphere_potential_quadrature(1.3, spec, probe, nodes=9000, return_error=True)
+        assert _bits(got) == _bits(_loop_quadrature(1.3, spec, probe, 9000))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
 def test_quadrature_near_surface_matches_scalar_loop_bitwise(dim):
     spec = KernelSpec(2.0, dim)
     probe = np.array([1.01] + [0.0] * (dim - 1))
@@ -235,6 +270,66 @@ def test_quadrature_probe_on_a_node_raises_like_the_scalar_loop():
     for quadrature in (sphere_potential_quadrature, _loop_quadrature):
         with pytest.warns(RuntimeWarning), pytest.raises(ZeroDivisionError):
             quadrature(1.0, SPEC, probe, 1000)
+
+
+def test_sphere_nodes_are_the_tuple_formulas_bitwise():
+    """The d = 3 nodes are the Fibonacci lattice's scalar expressions;
+    every rule is a read-only array of unit vectors."""
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    for count in (1000, 40_000):
+        want = []
+        for i in range(count):
+            z = 1.0 - (2.0 * i + 1.0) / count
+            r = math.sqrt(max(1.0 - z * z, 0.0))
+            want.append((r * math.cos(golden * i), r * math.sin(golden * i), z))
+        got = _sphere_nodes(count, 3)
+        assert got.shape == (count, 3) and _bits(got.ravel()) == _bits(np.ravel(want))
+    for dim in (3, 4, 5):
+        nodes = _sphere_nodes(2000, dim)
+        assert not nodes.flags.writeable
+        np.testing.assert_allclose(np.linalg.norm(nodes, axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_covering_radius_row_is_the_three_plane_formula(default_records):
+    cands = sample_candidates(UNIT_SPHERE, 4096, seed=11)
+    probes = substream(11, "covering-probes").normal(size=(100, 3))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    r2 = np.zeros((len(probes), len(cands)))
+    for c in range(3):
+        t = probes[:, c, None] - cands[None, :, c]
+        r2 += t * t
+    [row] = [rec for rec in default_records if rec.name == "covering_radius_sphere_4096"]
+    assert row.value.hex() == float(np.sqrt(r2.min(axis=1)).max()).hex()
+
+
+def _traced_peak_mib(f, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_reference_energy_memory_is_bounded():
+    X = PointConfig(np.random.default_rng(8).normal(size=(2000, 3)))
+    assert _traced_peak_mib(reference_energy, X, SPEC) < 2.0
+
+
+def test_ledger_memory_is_bounded_with_a_cold_and_a_warm_node_cache():
+    _sphere_nodes.cache_clear()
+    assert _traced_peak_mib(make_default_ledger_records) < 4.0
+    assert _traced_peak_mib(make_default_ledger_records) < 4.0
+
+
+def test_quadrature_working_memory_is_bounded():
+    """With its rules cached, a near-surface probe at 20 000 nodes sums
+    80 000 and 160 000 terms in blocks."""
+    probe = [1.01, 0.0, 0.0]
+    with pytest.warns(RuntimeWarning):
+        sphere_potential_quadrature(1.0, SPEC, probe, nodes=20_000)
+    with pytest.warns(RuntimeWarning):
+        assert _traced_peak_mib(sphere_potential_quadrature, 1.0, SPEC, probe, nodes=20_000) < 4.0
 
 
 def test_quadrature_near_surface_warns():

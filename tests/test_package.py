@@ -162,6 +162,22 @@ def test_sets_and_measures_are_low_layers(module, allowed):
     assert _package_imports(_package_sources()[module]) <= allowed
 
 
+def test_oracles_import_only_the_inputs_of_their_second_opinion():
+    """oracles.py takes from the package only its input and error types,
+    the Newtonian check, the seeded streams and the sphere it pins a grid
+    on; ``sample_candidates`` is called only in the ledger's covering row,
+    which measures the library's own grid."""
+    tree = _package_sources()["oracles"]
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+                for a in node.names}
+    assert imported == {"CoincidentPointsError", "KernelSpec", "require_newtonian", "PointConfig", "substream",
+                        "sample_candidates", "sphere_surface"}
+    callers = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "sample_candidates"]
+    assert callers == ["make_default_ledger_records"]
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, rieszpoints, rieszpoints.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -412,6 +412,17 @@ def test_quadrature_backed_oracle_for_box():
     assert np.all(np.abs(oracle.moments - mc) <= 4.0 * stderr)
 
 
+def test_box_read_reaches_the_green_function_at_the_widened_corners():
+    """g_E of a convex E has convex sublevel sets, so its maximum over the
+    widened box lies at one of its corners, and the read reaches it."""
+    B = box([0.0, 0, 0], [1.0, 1, 1])
+    oracle = equilibrium_oracle(B, SPEC)
+    bits = np.array([[(i >> k) & 1 for k in range(3)] for i in range(8)])
+    for t in (0.02, 0.1, 0.5):
+        corners = B.low - t + bits * (B.high - B.low + 2 * t)
+        assert max_green_on_shell(oracle, t) >= np.max(oracle.green(corners)) > 0.0, t
+
+
 def test_box_probes_lie_on_the_faces_of_the_widened_box():
     """The box's probes of the Green function's maximum lie on the faces
     of the box widened by the offset, so even a slab thinner than the
