@@ -7,7 +7,7 @@ that compare a configuration with them: the closeness functional m_E and
 the moment distance. Builds test functions that carry closed-form bounds
 on their modulus of continuity and Dirichlet integral, assembles the
 smoothing-based discrepancy bound for test-function means, with the
-Green function's maximum near E read from a fixed grid of a widened set,
+Green function's maximum near E read on fixed probes of a widened set,
 measures potential errors against the equilibrium potential with their
 predicted decay shapes, and reads the sup of the potential deficit off the
 greedy step's minimum.
@@ -42,7 +42,7 @@ from .sets import (
 from .seeding import substream
 
 # grid points of the potential minimum in sup_potential_deficit, and of
-# each widened set that max_green_on_shell reads
+# each widened sphere that max_green_on_shell reads
 _MIN_GRID = 4096
 
 
@@ -65,9 +65,7 @@ class EquilibriumOracle:
     potential U, the Green function (``green``, derived from W and U), an
     i.i.d. sampler of the equilibrium measure, and its exact ``moments``:
     the means of the monomials of degree 1 and 2, in the order of
-    ``_monomials``. ``approximate`` marks quadrature-backed oracles whose
-    values carry discretization error. Consumers read E and the kernel
-    from here."""
+    ``_monomials``. Consumers read E and the kernel from here."""
 
     set_model: CompactSetModel
     spec: KernelSpec
@@ -75,7 +73,6 @@ class EquilibriumOracle:
     potential: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[int, int], np.ndarray]  # (count, seed) -> points
     moments: np.ndarray
-    approximate: bool = False
 
     def green(self, x):
         """The Green function g_E(x) = max(W(E) - U(x), 0), from this
@@ -112,7 +109,6 @@ def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOr
         potential=potential,
         sampler=sampler,
         moments=np.concatenate([c, second[np.triu_indices(d)]]),
-        approximate=False,
     )
 
 
@@ -148,7 +144,6 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> Equilibri
         potential=potential,
         sampler=sampler,
         moments=_monomials(support.points).mean(axis=0),
-        approximate=True,
     )
 
 
@@ -232,17 +227,17 @@ def phi_for_potential(E: CompactSetModel, y) -> TestFunction:
     """Truncated Newtonian-kernel test function tied to an exterior probe.
 
     phi(x) = max((|y-x| + d_E(x))**(2-d) - R**(2-d), 0) with d = E.dim and
-    R = diam(E) + d_E(y) + 1. On E it reduces to |y-x|**(2-d) - R**(2-d),
-    so its mean against a configuration in E recovers the discrete
-    potential at y up to the constant truncation, and its mean against
-    mu_E, which lives on E, is exactly U^{mu_E}(y) - R**(2-d).
+    R = 2 * enclosing_radius + d_E(y) + 1 > |y-x| for x in E. On E it is
+    |y-x|**(2-d) - R**(2-d), so its mean against a configuration in E
+    recovers the discrete potential at y up to the constant truncation,
+    and its mean against mu_E (on E) is exactly U^{mu_E}(y) - R**(2-d).
     """
     d = E.dim
     yv = np.asarray(y, dtype=float)
     dEy = float(distance_to_set(E, yv))
     if dEy <= 0.0:
         raise ValueError("probe point must lie strictly outside the set")
-    R = E.diameter + dEy + 1.0
+    R = 2.0 * E.enclosing_radius + dEy + 1.0
     expo = 2.0 - d
     tail = R ** expo
 
@@ -323,16 +318,14 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
 
 def max_green_on_shell(oracle: EquilibriumOracle, offset: float) -> float:
     """Max of the oracle's Green function over {x : d_E(x) <= offset}, read
-    on ``_MIN_GRID`` fixed probes of the boundary of a compact D that holds
-    it (``sets._widened_grid``): each ball's sphere widened by ``offset``
-    (ball, sphere, union), or the faces of the widened box. g_E is 0 on E
-    and subharmonic off it, so its max over D lies on the boundary of D
-    and bounds the slab's. Exact up to rounding on a ball or sphere,
-    W - (R + offset)**(2-d). On a box the probes include the widened
-    box's corners, where that max lies: g_E of a convex E has convex
-    sublevel sets (Lewis, 1977), so the read is the max over D, which
-    exceeds the slab's since the corners lie past it. A grid estimate on
-    a union."""
+    on fixed probes of the boundary of a compact D that holds it
+    (``sets._widened_grid``); g_E is 0 on E and subharmonic off it, so its
+    max over D bounds the slab's. On a ball, sphere or union D is each
+    ball widened by ``offset``, read on a ``_MIN_GRID``-point grid of its
+    sphere: W - (R + offset)**(2-d) up to rounding on a ball or sphere, a
+    grid estimate on a union. On a box D is the widened box, read at its
+    2^d corners: g_E of a convex E has convex sublevel sets (Lewis, 1977),
+    so its max over D lies at a corner, past the slab."""
     return float(np.max(oracle.green(_widened_grid(oracle.set_model, offset, _MIN_GRID))))
 
 
@@ -345,8 +338,9 @@ class DiscrepancyReport:
     ``rhs`` is omega_term + sqrt(D[phi]/((d-2) omega_d)) * sqrt(max(I_value, 0)).
     ``I_value`` bounds the energy of tau_r - mu_E, which is >= 0 (the
     Newtonian kernel is positive definite), so a correct run has
-    I_value >= 0 and lhs <= rhs. ``energy`` is the configuration's
-    ``discrete_energy``, computed once here for callers.
+    I_value >= 0 and lhs <= rhs. ``energy`` is E_n, the configuration's
+    ``discrete_energy``, computed once here for callers; ``energy_gap`` is
+    I_value's (n-1)/n * E_n - W, not the ``study`` CSV's E_n - W.
     """
 
     lhs: float
@@ -359,8 +353,6 @@ class DiscrepancyReport:
     m_term: float
     I_value: float
     rhs: float
-    r: float
-    n: int
 
 
 def discrepancy_bound(
@@ -424,8 +416,6 @@ def discrepancy_bound(
         m_term=m_term,
         I_value=I_value,
         rhs=rhs,
-        r=r,
-        n=n,
     )
 
 

@@ -186,7 +186,9 @@ def sphere_potential_quadrature(
 
     The error estimate is the change under node doubling; the returned
     value uses the doubled node count. Probes within 5% of the surface
-    trigger a near-singular warning and a 4x refined rule.
+    trigger a near-singular warning and a 4x refined rule. For d > 3 the
+    estimate does not bound the error: at d = 4, ``nodes=1000``, the unit
+    sphere and probe (1.01, 0, 0, 0) it reads 0.0025, the error 0.024.
 
     Evaluated over blocks of ``_PAIRS`` nodes with elementwise subtract,
     multiply, add, sqrt and divide only, which IEEE rounds exactly on

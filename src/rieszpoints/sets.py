@@ -9,8 +9,9 @@ This is the one module that reads a shape's fields. A ball, a sphere and
 a union share one list of (center, radius) pairs (``_balls``). The other
 layers ask it for the active face of a descent step (``_active_face``),
 the surface a potential's minimum is searched on (``_min_surface``), the
-widened probe grid of the Green function's maximum (``_widened_grid``)
-and the support cache's key (``_shape_key``).
+probes of the Green function's maximum near E (``_widened_grid``: a grid
+of each widened ball's sphere, or the widened box's corners) and the
+support cache's key (``_shape_key``).
 
 Candidate grids on balls, boxes, unions and spheres outside d = 3 come
 from one seeded Kronecker lattice, shifted at random (``_lattice``); the
@@ -59,17 +60,6 @@ class CompactSetModel:
     def __post_init__(self):
         if self.holder_s is not None and not 0 < self.holder_s <= 1:  # NaN fails too
             raise ValueError(f"holder_s needs a finite 0 < s <= 1, got {self.holder_s!r}")
-
-    @property
-    def diameter(self) -> float:
-        if self.kind == "box":
-            return float(np.linalg.norm(self.high - self.low))
-        balls = _balls(self)
-        best = 0.0
-        for i, (ci, ri) in enumerate(balls):
-            for cj, rj in balls[i:]:
-                best = max(best, float(np.linalg.norm(ci - cj)) + ri + rj)
-        return best
 
     @property
     def enclosing_center(self) -> np.ndarray:
@@ -422,21 +412,13 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
 def _widened_grid(E: CompactSetModel, offset: float, count: int) -> np.ndarray:
     """Probes of the boundary of a compact set that holds
     {x : d_E(x) <= offset}: the ``count``-point candidate grid (seed 0) of
-    each ball's sphere widened by ``offset`` (ball, sphere, union), or
-    ``count`` points on the faces of the widened box: its 2^dim corners
-    first, where the Green function of a convex E peaks on that boundary,
-    then lattice points whose last coordinate picks a face by its area."""
+    each ball's sphere widened by ``offset`` (ball, sphere, union), or the
+    2^dim corners of the box widened by ``offset``, where the Green
+    function of a convex E peaks on that boundary."""
     if E.kind != "box":
         return np.concatenate([sample_candidates(sphere_surface(c, r + offset), count, 0) for c, r in _balls(E)])
-    low, side = E.low - offset, E.high - E.low + 2.0 * offset
-    u = _lattice(child_seed(0, "widened-box"), E.dim + 1, count)
-    area = np.repeat(np.prod(side) / side, 2)  # faces low_0, high_0, low_1, ...
-    face = np.searchsorted(np.cumsum(area)[:-1] / area.sum(), u[:, -1], side="right")
-    out = low + u[:, :-1] * side
-    out[np.arange(count), face // 2] = low[face // 2] + (face % 2) * side[face // 2]
-    corners = (np.arange(min(count, 2 ** E.dim))[:, None] >> np.arange(E.dim)) & 1
-    out[:len(corners)] = low + corners * side
-    return out
+    corners = (np.arange(2 ** E.dim)[:, None] >> np.arange(E.dim)) & 1
+    return (E.low - offset) + corners * (E.high - E.low + 2.0 * offset)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,29 @@ def test_phi_support():
     assert np.all(phi.evaluator(outside) == 0.0)
 
 
+def test_phi_support_holds_an_unequal_union():
+    """On an unequal union the support radius R = 2 * enclosing_radius
+    + d_E(y) + 1 exceeds the union's diameter plus d_E(y) + 1, yet still
+    bounds |y - x| over E, so on E phi is the untruncated kernel minus
+    R**(2-d), and lhs is the one with R = diameter + d_E(y) + 1."""
+    U = union_of_balls([([0.0, 0, 0], 1.0), ([2.5, 0, 0], 0.5)])
+    y = np.array([-2.0, 0, 0])
+    phi = phi_for_potential(U, y)
+    assert U.enclosing_radius == 2.25 and phi.support_radius == 4.5 + 1.0 + 1.0
+    pts = np.vstack([sample_candidates(U, 20_000, seed=2), [[3.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]])
+    values = phi.evaluator(pts)
+    assert np.all(values > 0.0)
+    np.testing.assert_allclose(values, 1.0 / np.linalg.norm(y - pts, axis=1) - 1.0 / phi.support_radius,
+                               rtol=1e-14, atol=0)
+    oracle = equilibrium_oracle(U, SPEC)
+    X = PointConfig(sample_candidates(U, 200, seed=5))
+    rep = discrepancy_bound(oracle, X, phi, r=0.1)
+    tail = 1.0 / (4.0 + 1.0 + 1.0)
+    old_lhs = abs(float(np.mean(1.0 / np.linalg.norm(y - X.points, axis=1) - tail))
+                  - (float(oracle.potential(y)) - tail))
+    assert abs(rep.lhs - old_lhs) <= 1e-15
+
+
 def test_phi_rejects_inside_probe():
     with pytest.raises(ValueError):
         phi_for_potential(UNIT_BALL, np.array([0.5, 0, 0]))
@@ -199,7 +222,6 @@ def test_discrepancy_bound_warns_on_a_negative_composite_term():
         base,
         robin_constant=10.0,
         potential=lambda x: base.potential(x) + 9.0,
-        approximate=True,
     )
     X = PointConfig([[0.0, 0, 1.0], [0.0, 0, -1.0]])
     phi = radial_hat([0.5, 0, 0], radius=2.0)

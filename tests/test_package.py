@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -29,7 +30,7 @@ def test_all_drops_the_estimators_and_the_grid_budget_error():
         assert gone not in rieszpoints.__all__
         assert not hasattr(rieszpoints, gone)
     assert len(rieszpoints.__all__) == 37
-    assert _public_parameter_count() == 104
+    assert _public_parameter_count() == 101
 
 
 def _public_parameter_count():
@@ -54,6 +55,16 @@ def test_all_drops_the_greedy_step_and_the_dead_kernel_api():
         assert not hasattr(rieszpoints, gone)
     assert not hasattr(rieszpoints.kernel, "newtonian_flag")
     assert not hasattr(rieszpoints.configurations, "leja_next")
+
+
+def test_the_bound_path_carries_no_unread_field():
+    """A set has no diameter (the test function's support takes twice the
+    enclosing radius), an oracle no ``approximate`` flag (which shapes get
+    the approximate oracle is documented on ``equilibrium_oracle``), and a
+    discrepancy report does not restate the caller's ``r`` and ``n``."""
+    assert not hasattr(rieszpoints.CompactSetModel, "diameter")
+    assert "approximate" not in {f.name for f in dataclasses.fields(rieszpoints.EquilibriumOracle)}
+    assert not {"r", "n"} & {f.name for f in dataclasses.fields(rieszpoints.DiscrepancyReport)}
 
 
 def test_no_module_imports_scipy():

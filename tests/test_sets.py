@@ -26,7 +26,7 @@ from rieszpoints import (
 from rieszpoints.discrepancy import _monomials, max_green_on_shell
 from rieszpoints.oracles import equilibrium_mean_mc, sphere_potential_quadrature
 from rieszpoints.sets import _lattice, _lattice_ball, _widened_grid, sample_uniform
-from rieszpoints.seeding import substream
+from rieszpoints.seeding import child_seed, substream
 
 SPEC = KernelSpec(2.0, 3)
 UNIT_BALL = ball([0.0, 0.0, 0.0], 1.0)
@@ -296,7 +296,6 @@ def test_equilibrium_oracle_ball_values():
     assert oracle.green(np.array([2.0, 0, 0])) == 0.5
     assert oracle.green(np.array([0.5, 0, 0])) == 0.0
     assert oracle.potential(np.array([0.25, 0, 0])) == 1.0
-    assert not oracle.approximate
 
 
 def test_oracle_requires_newtonian():
@@ -390,7 +389,6 @@ def test_quadrature_backed_oracle_for_box():
     B = box([0.0, 0, 0], [1.0, 1, 1])
     oracle = equilibrium_oracle(B, SPEC)
     assert oracle.set_model is B and oracle.spec == SPEC
-    assert oracle.approximate
     assert oracle.robin_constant > 0
     # Green vanishes on the set and grows away from it
     assert oracle.green(np.array([0.5, 0.5, 0.5])) == 0.0
@@ -423,21 +421,38 @@ def test_box_read_reaches_the_green_function_at_the_widened_corners():
         assert max_green_on_shell(oracle, t) >= np.max(oracle.green(corners)) > 0.0, t
 
 
-def test_box_probes_lie_on_the_faces_of_the_widened_box():
-    """The box's probes of the Green function's maximum lie on the faces
-    of the box widened by the offset, so even a slab thinner than the
-    lattice spacing is read; each face holds about its share of the area."""
+def test_box_probes_are_the_corners_of_the_widened_box():
+    """On a box the Green function's maximum is read at the 2^d corners of
+    the box widened by the offset, and nowhere else."""
     B = box([0.0, 0, 0], [1.0, 2, 1])
+    bits = np.array([[(i >> k) & 1 for k in range(3)] for i in range(8)])
     for t in (0.02, 0.1):
-        probes = _widened_grid(B, t, 4096)
-        assert probes.shape == (4096, 3)
-        assert np.all((probes >= B.low - t) & (probes <= B.high + t))
-        low, high = np.isclose(probes, B.low - t, rtol=0, atol=1e-15), np.isclose(probes, B.high + t, rtol=0, atol=1e-15)
-        assert np.all((low | high).sum(axis=1) >= 1)
-        side = B.high - B.low + 2 * t
-        share = np.prod(side) / side / (2 * (np.prod(side) / side).sum())
-        np.testing.assert_allclose(low.mean(axis=0), share, atol=0.01)
-        np.testing.assert_allclose(high.mean(axis=0), share, atol=0.01)
+        np.testing.assert_array_equal(_widened_grid(B, t, 4096), B.low - t + bits * (B.high - B.low + 2 * t))
+
+
+def _corners_and_faces(B, t, count=4096):
+    """The box's earlier probes: the widened box's 2^d corners, then
+    lattice points on its faces, each face picked by its area."""
+    low, side = B.low - t, B.high - B.low + 2.0 * t
+    u = _lattice(child_seed(0, "widened-box"), B.dim + 1, count)
+    area = np.repeat(np.prod(side) / side, 2)
+    face = np.searchsorted(np.cumsum(area)[:-1] / area.sum(), u[:, -1], side="right")
+    out = low + u[:, :-1] * side
+    out[np.arange(count), face // 2] = low[face // 2] + (face % 2) * side[face // 2]
+    bits = (np.arange(2 ** B.dim)[:, None] >> np.arange(B.dim)) & 1
+    out[:len(bits)] = low + bits * side
+    return out
+
+
+@pytest.mark.parametrize("low, high", [([0.0, 0, 0], [1.0, 1, 1]), ([0.0, 0, 0], [1.0, 2, 1]),
+                                       ([-1.0, 0, 0], [3.0, 0.5, 0.2])], ids=["unit-cube", "box-1x2x1", "box-4x0.5x0.2"])
+def test_box_corner_read_equals_the_face_lattice_read(low, high):
+    """No probe on the widened box's faces reads above its corners, so the
+    corners alone give the value of the earlier 4096-probe read."""
+    oracle = equilibrium_oracle(box(low, high), SPEC)
+    for t in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0):
+        reference = float(np.max(oracle.green(_corners_and_faces(oracle.set_model, t))))
+        assert max_green_on_shell(oracle, t) == reference, t
 
 
 def test_dimension_four_sphere_candidates_and_oracle():
