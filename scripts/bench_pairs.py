@@ -1,12 +1,14 @@
 """Run the benchmark in two checkouts as alternating pairs and summarize.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workload fekete-sphere --seed 1 --seconds 20 --pairs 10 --out BENCH_pair_kernel.json
+        --workload fekete-sphere leja-study-ball --seed 1 --seconds 20 --pairs 10 --out BENCH_x.json
 
 Each pair runs ``perfbench/run.py --workload <w> --seed <s> --seconds <t>
 --trace <0|1>`` once from the root of each checkout, one after the other;
 pair 0 starts with the parent, pair 1 with the change, and so on, so a
-drift of the machine's speed falls on both sides alike. The runs are
+drift of the machine's speed falls on both sides alike. ``--workload``
+takes one or more names, and each pair then runs every one of them in
+turn, so one command covers several workloads. The runs are
 appended to the ``--out`` JSON file (created when missing), and its
 ``summary`` is rebuilt over all its pairs, one entry per workload, seed
 and trace setting: per metric, the medians and quartiles of each side,
@@ -133,7 +135,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
     p.add_argument("--change", type=Path, required=True, help="root of the changed checkout")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, nargs="+", help="one or more workloads, each run in every pair")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=int, default=20)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -149,17 +151,18 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {"pair": len(doc["pairs"]), "workload": args.workload, "seed": args.seed, "trace": args.trace,
-                "first": order[0]}
-        for side in order:
-            pair[side] = run_once(checkouts[side], args.workload, args.seed, args.seconds, args.trace)
-            machine = pair[side].pop("machine", None)
-            if machine and not doc.get("machine"):
-                doc["machine"] = machine
-        doc["pairs"].append(pair)
-        print(json.dumps({side: pair[side].get("metrics", pair[side].get("error")) for side in order}), flush=True)
-        doc["summary"] = summarize(doc["pairs"])
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        for workload in args.workload:
+            pair = {"pair": len(doc["pairs"]), "workload": workload, "seed": args.seed, "trace": args.trace,
+                    "first": order[0]}
+            for side in order:
+                pair[side] = run_once(checkouts[side], workload, args.seed, args.seconds, args.trace)
+                machine = pair[side].pop("machine", None)
+                if machine and not doc.get("machine"):
+                    doc["machine"] = machine
+            doc["pairs"].append(pair)
+            print(json.dumps({side: pair[side].get("metrics", pair[side].get("error")) for side in order}), flush=True)
+            doc["summary"] = summarize(doc["pairs"])
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .errors import (
     CoincidentPointsError,
     InfeasiblePointError,
-    MissingHolderDataError,
     RieszPointsError,
     SetDefinitionError,
     UnsupportedOracleError,
@@ -55,7 +54,6 @@ __all__ = [
     # errors
     "CoincidentPointsError",
     "InfeasiblePointError",
-    "MissingHolderDataError",
     "RieszPointsError",
     "SetDefinitionError",
     "UnsupportedOracleError",

@@ -47,7 +47,6 @@ from .discrepancy import (discrepancy_bound, equilibrium_oracle, moment_distance
 from .errors import (
     CoincidentPointsError,
     InfeasiblePointError,
-    MissingHolderDataError,
     SetDefinitionError,
     UnsupportedOracleError,
 )
@@ -72,7 +71,6 @@ _EXIT_CODES = {
     OverflowError: EXIT_PARSE_ERROR,
     InfeasiblePointError: EXIT_INFEASIBLE,
     UnsupportedOracleError: EXIT_UNSUPPORTED,
-    MissingHolderDataError: EXIT_UNSUPPORTED,
 }
 
 STUDY_COLUMNS = ["n", "energy", "energy_gap", "m_E", "moment_distance",

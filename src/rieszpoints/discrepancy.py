@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingHolderDataError, UnsupportedOracleError
+from .errors import UnsupportedOracleError
 from .kernel import KernelSpec, potential_sums, require_newtonian
 from .measures import PointConfig, discrete_energy, discrete_potential
 from .configurations import FeketeSearchParams, _potential_min, fekete_search_run
@@ -88,8 +88,7 @@ class EquilibriumOracle:
 
 def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
     d = spec.dim
-    R = E.radius
-    c = E.center
+    c, R = E.balls[0]
 
     def potential(x):
         rho = np.linalg.norm(_vec(x, d) - c, axis=-1)
@@ -242,12 +241,9 @@ def phi_for_potential(E: CompactSetModel, y) -> TestFunction:
     tail = R ** expo
 
     def evaluator(x):
-        pts = np.asarray(x, dtype=float)
-        scalar = pts.ndim == 1
-        p = pts[None, :] if scalar else pts
+        p = np.asarray(x, dtype=float)
         f = np.linalg.norm(yv - p, axis=-1) + distance_to_set(E, p)
-        out = np.maximum(f ** expo - tail, 0.0)
-        return float(out[0]) if scalar else out
+        return np.maximum(f ** expo - tail, 0.0)
 
     # |grad phi| <= 2(d-2) sqrt(d) / d_E(y)**(d-1) a.e., hence the linear
     # modulus and the two-region Dirichlet bound below
@@ -282,11 +278,7 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
     a = _radius(radius)
 
     def evaluator(x):
-        pts = np.asarray(x, dtype=float)
-        scalar = pts.ndim == 1
-        p = pts[None, :] if scalar else pts
-        out = np.maximum(1.0 - np.linalg.norm(p - c, axis=-1) / a, 0.0)
-        return float(out[0]) if scalar else out
+        return np.maximum(1.0 - np.linalg.norm(np.asarray(x, dtype=float) - c, axis=-1) / a, 0.0)
 
     def antiderivative(rho):
         return rho * rho / 2.0 - rho ** 3 / (3.0 * a)
@@ -297,8 +289,8 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
             raise UnsupportedOracleError(
                 f"the radial hat's equilibrium mean needs a ball or sphere in d = 3, got a {E.kind} in d = {E.dim}"
             )
-        R = E.radius
-        s = float(np.linalg.norm(c - E.center))
+        center, R = E.balls[0]
+        s = float(np.linalg.norm(c - center))
         if s == 0.0:
             return max(1.0 - R / a, 0.0)
         lo, hi = abs(R - s), min(R + s, a)
@@ -449,14 +441,14 @@ def potential_error(oracle: EquilibriumOracle, X: PointConfig, y) -> tuple:
     measured = |U^{mu_E}(y) - U^{tau(X)}(y)|
     shape    = d_E(y)**(1-d) n**(-p/s) + d_E(y)**(1-d/2) n**(-p/2),
     with p = s/(d+s-2) from the set's declared Holder exponent
-    ``holder_s``; a set that declares none raises MissingHolderDataError.
+    ``holder_s``; a set that declares none raises UnsupportedOracleError.
     ``y`` is one probe (dim,), giving two floats, or a batch (m, dim),
     giving two arrays of length m.
     """
     E, spec = oracle.set_model, oracle.spec
     require_newtonian(spec, "potential error bound")
     if E.holder_s is None:
-        raise MissingHolderDataError("the set declares no Holder exponent s")
+        raise UnsupportedOracleError("the set declares no Holder exponent s")
     yv = np.asarray(y, dtype=float)
     dEy = distance_to_set(E, yv)
     if np.any(dEy <= 0.0):

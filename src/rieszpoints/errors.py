@@ -15,7 +15,8 @@ class CoincidentPointsError(RieszPointsError):
 
 
 class UnsupportedOracleError(RieszPointsError):
-    """No equilibrium oracle available for this kernel/shape combination."""
+    """No equilibrium oracle available for this kernel/shape combination,
+    or the set lacks data the operation needs (a declared Holder exponent)."""
 
 
 class InfeasiblePointError(RieszPointsError):
@@ -24,7 +25,3 @@ class InfeasiblePointError(RieszPointsError):
 
 class SetDefinitionError(RieszPointsError):
     """A set definition file or text block could not be parsed."""
-
-
-class MissingHolderDataError(RieszPointsError):
-    """The operation needs a declared Holder exponent s on the set."""

@@ -6,12 +6,13 @@ union of balls. Their equilibrium data (Robin constant, potential, Green
 function) live with the bound machinery, in ``discrepancy``.
 
 This is the one module that reads a shape's fields. A ball, a sphere and
-a union share one list of (center, radius) pairs (``_balls``). The other
-layers ask it for the active face of a descent step (``_active_face``),
-the surface a potential's minimum is searched on (``_min_surface``), the
-probes of the Green function's maximum near E (``_widened_grid``: a grid
-of each widened ball's sphere, or the widened box's corners) and the
-support cache's key (``_shape_key``).
+a union keep their shape in one list of (center, radius) pairs
+(``balls``), one pair for a ball or sphere, and every query reads that
+list. The other layers ask this module for the active face of a descent
+step (``_active_face``), the surface a potential's minimum is searched
+on (``_min_surface``), the probes of the Green function's maximum near E
+(``_widened_grid``: a grid of each widened ball's sphere, or the widened
+box's corners) and the support cache's key (``_shape_key``).
 
 Candidate grids on balls, boxes, unions and spheres outside d = 3 come
 from one seeded Kronecker lattice, shifted at random (``_lattice``); the
@@ -21,6 +22,7 @@ from one seeded Kronecker lattice, shifted at random (``_lattice``); the
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from statistics import NormalDist
 from typing import Optional
 
@@ -37,7 +39,10 @@ MEMBERSHIP_TOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class CompactSetModel:
     """A compact set E: its shape's parameters and an optional Holder
-    exponent. The geometric queries are this module's functions.
+    exponent. A box keeps its corners ``low`` and ``high``; a ball, a
+    sphere and a union keep ``balls``, a tuple of (center, radius) pairs
+    with one pair for a ball or sphere. The geometric queries are this
+    module's functions.
 
     ``holder_s`` is the user-declared exponent s, 0 < s <= 1, of a bound
     g_E(x) <= A * d_E(x)**s on the Green function; the constant A never
@@ -50,8 +55,6 @@ class CompactSetModel:
 
     dim: int
     kind: str  # "ball" | "sphere" | "box" | "union"
-    center: Optional[np.ndarray] = None
-    radius: Optional[float] = None
     low: Optional[np.ndarray] = None
     high: Optional[np.ndarray] = None
     balls: Optional[tuple] = None  # tuple of (center ndarray, radius)
@@ -61,29 +64,19 @@ class CompactSetModel:
         if self.holder_s is not None and not 0 < self.holder_s <= 1:  # NaN fails too
             raise ValueError(f"holder_s needs a finite 0 < s <= 1, got {self.holder_s!r}")
 
-    @property
+    # computed once per set: the greedy polish reads the radius on every point
+    @cached_property
     def enclosing_center(self) -> np.ndarray:
-        if self.kind == "box":
-            return 0.5 * (self.low + self.high)
-        if self.kind == "union":
-            return np.mean([c for c, _ in self.balls], axis=0)
-        # the mean of one center, without the reduction
-        return self.center.copy()
+        m = 0.5 * (self.low + self.high) if self.kind == "box" else np.mean([c for c, _ in self.balls], axis=0)
+        m.setflags(write=False)
+        return m
 
-    @property
+    @cached_property
     def enclosing_radius(self) -> float:
         if self.kind == "box":
             return float(np.linalg.norm(self.high - self.low)) / 2.0
-        if self.kind == "union":
-            m = self.enclosing_center
-            return max(float(np.linalg.norm(c - m)) + r for c, r in self.balls)
-        return self.radius
-
-
-def _balls(E: CompactSetModel) -> tuple:
-    """The ``(center, radius)`` pairs of a ball, sphere or union: one
-    pair for a ball or sphere."""
-    return E.balls or ((E.center, E.radius),)
+        m = self.enclosing_center
+        return max(float(np.linalg.norm(c - m)) + r for c, r in self.balls)
 
 
 def _vec(x, dim, name="point"):
@@ -112,12 +105,12 @@ def _radius(r, name="radius"):
 
 def ball(center, radius: float, holder_s=1.0) -> CompactSetModel:
     c = _frozen_finite(center, "center")
-    return CompactSetModel(dim=c.size, kind="ball", center=c, radius=_radius(radius), holder_s=holder_s)
+    return CompactSetModel(dim=c.size, kind="ball", balls=((c, _radius(radius)),), holder_s=holder_s)
 
 
 def sphere_surface(center, radius: float, holder_s=1.0) -> CompactSetModel:
     c = _frozen_finite(center, "center")
-    return CompactSetModel(dim=c.size, kind="sphere", center=c, radius=_radius(radius), holder_s=holder_s)
+    return CompactSetModel(dim=c.size, kind="sphere", balls=((c, _radius(radius)),), holder_s=holder_s)
 
 
 def box(low, high, holder_s=None) -> CompactSetModel:
@@ -166,12 +159,11 @@ def distance_to_set(E: CompactSetModel, x):
     Exact for all shipped shapes; vectorized over leading axes.
     """
     p = _vec(x, E.dim)
-    if E.kind == "sphere":
-        out = np.abs(np.linalg.norm(p - E.center, axis=-1) - E.radius)
-    elif E.kind == "box":
+    if E.kind == "box":
         out = np.linalg.norm(p - np.clip(p, E.low, E.high), axis=-1)
     else:
-        out = np.minimum.reduce([np.maximum(np.linalg.norm(p - c, axis=-1) - r, 0.0) for c, r in _balls(E)])
+        gaps = [np.linalg.norm(p - c, axis=-1) - r for c, r in E.balls]
+        out = np.abs(gaps[0]) if E.kind == "sphere" else np.minimum.reduce([np.maximum(g, 0.0) for g in gaps])
     return float(out) if out.ndim == 0 else out
 
 
@@ -193,48 +185,36 @@ def _shell_point(v, rho, center, radius):
     return center + radius * unit
 
 
-def _project_to_sphere_shell(p, center, radius):
-    """Radial projection onto |x - center| = radius; center maps to +e1."""
-    v = p - center
-    return _shell_point(v, _norms(v)[:, None], center, radius)
-
-
-def _project_to_ball(q, center, radius):
-    """Nearest point of the solid ball: inside points stay, outside points
-    go radially to the boundary."""
-    v = q - center
-    rho = _norms(v)[:, None]
-    inside = rho <= radius
-    if inside.all():
-        return q.copy()
-    return np.where(inside, q, _shell_point(v, rho, center, radius))
-
-
 def _nearest_ball(E: CompactSetModel, q):
-    """Centers and radii of E's balls (a ball or sphere is one), and each
-    row's nearest: least signed gap |x - c| - r, lowest index on ties."""
-    balls = _balls(E)
-    centers = np.array([c for c, _ in balls])
-    radii = np.array([r for _, r in balls])
-    gaps = np.linalg.norm(q[:, None, :] - centers, axis=2) - radii
-    return centers, radii, np.argmin(gaps, axis=1)
+    """The center and radius of each row's nearest ball of E (least signed
+    gap |x - c| - r, lowest index on ties), as an (n, dim) array and an
+    (n, 1) column; a one-ball set gives its own pair."""
+    if len(E.balls) == 1:
+        return E.balls[0]
+    centers = np.array([c for c, _ in E.balls])
+    radii = np.array([r for _, r in E.balls])
+    j = np.argmin(np.linalg.norm(q[:, None, :] - centers, axis=2) - radii, axis=1)
+    return centers[j], radii[j, None]
 
 
 def project_to_set(E: CompactSetModel, x):
     """Nearest point of E; deterministic tie-breaks (sphere center -> +e1,
-    equidistant union balls -> lowest index)."""
+    equidistant union balls -> lowest index). A point of a solid ball
+    stays; any other goes radially to its nearest ball's sphere."""
     p = _vec(x, E.dim)
     scalar = p.ndim == 1
     q = p[None, :] if scalar else p
-    if E.kind == "sphere":
-        out = _project_to_sphere_shell(q, E.center, E.radius)
-    elif E.kind == "box":
+    if E.kind == "box":
         out = np.clip(q, E.low, E.high)
-    elif E.kind == "ball":
-        out = _project_to_ball(q, E.center, E.radius)
     else:
-        centers, radii, j = _nearest_ball(E, q)
-        out = _project_to_ball(q, centers[j], radii[j, None])
+        center, radius = _nearest_ball(E, q)
+        v = q - center
+        rho = _norms(v)[:, None]
+        if E.kind == "sphere":
+            out = _shell_point(v, rho, center, radius)
+        else:
+            inside = rho <= radius
+            out = q.copy() if inside.all() else np.where(inside, q, _shell_point(v, rho, center, radius))
     return out[0] if scalar else out
 
 
@@ -255,23 +235,20 @@ def _active_face(E: CompactSetModel, X, F):
     mask of the points held to their ball's sphere: every point of a
     sphere, and boundary points of a ball or union whose force points out
     of their ball; ``normals`` holds their unit outward normals (zero rows
-    for the rest) and ``radius`` the sphere's radius, per point on a
-    union. Two faces at the same X are equal when their ``held`` are."""
+    for the rest) and ``radius`` their ball's radius (``_nearest_ball``:
+    one float for a one-ball set, an (n, 1) column otherwise). Two faces
+    at the same X are equal when their ``held`` are."""
     if E.kind == "box":
         held = ((X <= E.low) & (F < 0.0)) | ((X >= E.high) & (F > 0.0))
         return held, None, None
-    if E.kind == "union":
-        centers, radii, j = _nearest_ball(E, X)
-        center, radius = centers[j], radii[j]
-    else:
-        center, radius = E.center, E.radius
+    center, radius = _nearest_ball(E, X)
     V = X - center
     rho = _norms(V)[:, None]
     U = V / rho if rho.all() else np.divide(V, rho, out=np.zeros_like(V), where=rho > 0)
     if E.kind == "sphere":
         held = np.ones(len(X), dtype=bool)
     else:
-        held = (rho[:, 0] >= (1.0 - _ON_SPHERE) * radius) & (_rowdot(F, U) > 0.0)
+        held = (rho >= (1.0 - _ON_SPHERE) * radius)[:, 0] & (_rowdot(F, U) > 0.0)
     N = U if held.all() else np.where(held[:, None], U, 0.0)
     return held, N, radius
 
@@ -287,7 +264,7 @@ def _restrict(V, held, normals):
 
 def _min_surface(E: CompactSetModel) -> CompactSetModel:
     """Where a potential's minimum over E lies: a ball's boundary sphere, E otherwise."""
-    return sphere_surface(E.center, E.radius) if E.kind == "ball" else E
+    return sphere_surface(*E.balls[0]) if E.kind == "ball" else E
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +338,7 @@ def sample_uniform(E: CompactSetModel, count: int, rng: np.random.Generator) -> 
     d = E.dim
     if E.kind == "box":
         return E.low + rng.random((count, d)) * (E.high - E.low)
-    balls = _balls(E)
+    balls = E.balls
     centers, radii = np.array([c for c, _ in balls]), np.array([r for _, r in balls])
     vols = np.array([r ** d for _, r in balls])
     out, todo = np.empty((count, d)), np.arange(count)
@@ -381,31 +358,39 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
 
     Used as argmin grids for the greedy sequence and as probe grids; the
     mesh norm shrinks toward zero as count grows for every shipped shape.
+    A ball, sphere, box or disjoint union gets exactly ``count`` points.
+    A union allocates them to its balls by volume and drops each ball's
+    points that lie in an earlier ball, as ``sample_uniform`` redraws
+    them, so an overlap is not covered twice and an overlapping union
+    returns fewer than ``count`` points. A union needs a ``count`` of at
+    least its number of balls, so that its first ball keeps a point.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    least = len(E.balls) if E.balls else 1
+    if count < least:
+        raise ValueError(f"count must be >= {least}")
     d = E.dim
-    if E.kind == "sphere" and d == 3:
-        base = fibonacci_sphere(count)
-        rot = random_rotation(substream(seed, "candidates", "rotation"), 3)
-        return E.center + E.radius * (base @ rot.T)
-    if E.kind in ("ball", "sphere"):
-        return _lattice_ball(E.center, E.radius, d, count, child_seed(seed, "candidates"), solid=E.kind == "ball")
     if E.kind == "box":
         u = _lattice(child_seed(seed, "candidates"), d, count)
         return E.low + u * (E.high - E.low)
-    # union: allocate by volume, at least one candidate per ball
+    if E.kind != "union":
+        c, r = E.balls[0]
+        if E.kind == "sphere" and d == 3:
+            rot = random_rotation(substream(seed, "candidates", "rotation"), 3)
+            return c + r * (fibonacci_sphere(count) @ rot.T)
+        return _lattice_ball(c, r, d, count, child_seed(seed, "candidates"), solid=E.kind == "ball")
+    # allocate by volume, at least one candidate per ball
     vols = np.array([r ** d for _, r in E.balls])
     alloc = np.maximum((count * vols / vols.sum()).astype(int), 1)
     while alloc.sum() > count:
         alloc[np.argmax(alloc)] -= 1
     while alloc.sum() < count:
         alloc[np.argmax(vols)] += 1
-    parts = [
-        _lattice_ball(c, r, d, k, child_seed(seed, "candidates", i), solid=True)
-        for i, ((c, r), k) in enumerate(zip(E.balls, alloc))
-        if k > 0
-    ]
+    parts = []
+    for i, ((c, r), k) in enumerate(zip(E.balls, alloc)):
+        pts = _lattice_ball(c, r, d, k, child_seed(seed, "candidates", i), solid=True)
+        for c0, r0 in E.balls[:i]:
+            pts = pts[np.linalg.norm(pts - c0, axis=1) >= r0]
+        parts.append(pts)
     return np.concatenate(parts)
 
 
@@ -416,7 +401,7 @@ def _widened_grid(E: CompactSetModel, offset: float, count: int) -> np.ndarray:
     2^dim corners of the box widened by ``offset``, where the Green
     function of a convex E peaks on that boundary."""
     if E.kind != "box":
-        return np.concatenate([sample_candidates(sphere_surface(c, r + offset), count, 0) for c, r in _balls(E)])
+        return np.concatenate([sample_candidates(sphere_surface(c, r + offset), count, 0) for c, r in E.balls])
     corners = (np.arange(2 ** E.dim)[:, None] >> np.arange(E.dim)) & 1
     return (E.low - offset) + corners * (E.high - E.low + 2.0 * offset)
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -115,3 +116,32 @@ def test_summarize_reads_the_benchmark_bounds_by_default():
     metrics = bench_pairs.summarize(pairs)["fekete-sphere seed 1"]["metrics"]
     assert {name for name, m in metrics.items() if "within_bound" in m} == {"setup_s", "wall_s", "peak_rss_mib"}
     assert metrics["wall_s"]["within_bound"] is True
+
+
+def test_each_pair_runs_every_workload_in_the_alternating_order(monkeypatch, tmp_path):
+    """``--workload`` takes several names: each pair runs them all, with
+    the pair's side order, and the summary has one entry per workload."""
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, workload))
+        return _run(1.0 if checkout.name == "parent" else 0.9)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                             "--workload", "fekete-sphere", "leja-study-ball", "--seed", "1", "--pairs", "2",
+                             "--out", str(out)]) == 0
+    assert calls == [("parent", "fekete-sphere"), ("change", "fekete-sphere"),
+                     ("parent", "leja-study-ball"), ("change", "leja-study-ball"),
+                     ("change", "fekete-sphere"), ("parent", "fekete-sphere"),
+                     ("change", "leja-study-ball"), ("parent", "leja-study-ball")]
+    doc = json.loads(out.read_text())
+    assert [(p["pair"], p["workload"], p["first"]) for p in doc["pairs"]] == [
+        (0, "fekete-sphere", "parent"), (1, "leja-study-ball", "parent"),
+        (2, "fekete-sphere", "change"), (3, "leja-study-ball", "change")]
+    assert set(doc["summary"]) == {"fekete-sphere seed 1", "leja-study-ball seed 1"}
+    assert all(entry["pairs"] == 2 and entry["metrics"]["wall_s"]["change_wins"] == 2
+               for entry in doc["summary"].values())

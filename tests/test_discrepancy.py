@@ -9,7 +9,6 @@ import pytest
 from rieszpoints import (
     DiscrepancyReport,
     KernelSpec,
-    MissingHolderDataError,
     PointConfig,
     UnsupportedOracleError,
     ball,
@@ -47,10 +46,10 @@ def test_phi_for_potential_values():
     y = np.array([2.0, 0, 0])
     phi = phi_for_potential(UNIT_BALL, y)
     assert phi.support_radius == 4.0
-    assert phi.evaluator(y) == pytest.approx(0.75)
-    assert phi.evaluator(np.array([1.0, 0, 0])) == pytest.approx(0.75)
+    assert phi.evaluator(y[None]) == pytest.approx(0.75)
+    assert phi.evaluator(np.array([1.0, 0, 0])[None]) == pytest.approx(0.75)
     # truncation: zero once |y-x| + d_E(x) reaches the support radius
-    assert phi.evaluator(np.array([-3.0, 0, 0])) == 0.0
+    assert phi.evaluator(np.array([-3.0, 0, 0])[None]) == 0.0
 
 
 def test_phi_support():
@@ -148,7 +147,8 @@ def test_max_green_on_shell_exact(E, offset):
     # g = W - (R + offset)**(2-d) with W = R**(2-d)
     oracle = equilibrium_oracle(E, SPEC)
     g = max_green_on_shell(oracle, offset=offset)
-    assert abs(g - (1.0 / E.radius - 1.0 / (E.radius + offset))) <= 1e-15
+    R = E.balls[0][1]
+    assert abs(g - (1.0 / R - 1.0 / (R + offset))) <= 1e-15
 
 
 def test_quadrature_backed_support_is_solved_once_per_geometry(monkeypatch):
@@ -278,13 +278,19 @@ def test_phi_for_potential_mean_matches_quadrature(E, probe):
     assert abs(mean - (q - 1.0 / phi.support_radius)) <= err
 
 
+def _at(E, *offset):
+    """The point c + R * offset of the ball or sphere E."""
+    c, R = E.balls[0]
+    return c + R * np.array(offset)
+
+
 @pytest.mark.parametrize("E", [UNIT_SPHERE, UNIT_BALL, ball([0.3, -0.2, 0.1], 1.5)], ids=["sphere", "ball", "ball-off"])
 @pytest.mark.parametrize("make_phi", [
-    lambda E: phi_for_potential(E, E.center + E.radius * np.array([1.5, 0.0, 0.0])),
-    lambda E: phi_for_potential(E, E.center + E.radius * np.array([0.0, 3.0, 2.0])),
-    lambda E: radial_hat(E.center + E.radius * np.array([0.5, 0.0, 0.0]), radius=2.0 * E.radius),
-    lambda E: radial_hat(E.center + E.radius * np.array([0.5, 0.0, 0.0]), radius=E.radius),
-    lambda E: radial_hat(E.center + E.radius * np.array([1.2, 0.3, 0.0]), radius=0.6 * E.radius),
+    lambda E: phi_for_potential(E, _at(E, 1.5, 0.0, 0.0)),
+    lambda E: phi_for_potential(E, _at(E, 0.0, 3.0, 2.0)),
+    lambda E: radial_hat(_at(E, 0.5, 0.0, 0.0), radius=2.0 * E.balls[0][1]),
+    lambda E: radial_hat(_at(E, 0.5, 0.0, 0.0), radius=E.balls[0][1]),
+    lambda E: radial_hat(_at(E, 1.2, 0.3, 0.0), radius=0.6 * E.balls[0][1]),
 ], ids=["pfp-1.5", "pfp-far", "hat-matrix", "hat-cut", "hat-rim"])
 def test_equilibrium_means_match_monte_carlo(E, make_phi):
     phi = make_phi(E)
@@ -365,7 +371,7 @@ def test_potential_error_requires_holder_and_inside_config():
     no_holder = sphere_surface([0.0, 0, 0], 1.0, holder_s=None)
     oracle = equilibrium_oracle(no_holder, SPEC)
     X = PointConfig(oracle.sampler(10, 1))
-    with pytest.raises(MissingHolderDataError):
+    with pytest.raises(UnsupportedOracleError, match="Holder exponent"):
         potential_error(oracle, X, np.array([2.0, 0, 0]))
     oracle2 = equilibrium_oracle(UNIT_SPHERE, SPEC)
     outside = PointConfig([[3.0, 0, 0], [0.0, 0, 1.0]])
@@ -438,13 +444,14 @@ def _probe_max_deficit(oracle, X, seed):
     0.05, 0.15 and 0.4 times the radius R from E: radius R(1 + rel), and
     on a sphere also R(1 - rel)."""
     E = oracle.set_model
+    c, R = E.balls[0]
     probes = [sample_candidates(E, 512, child_seed(seed, "sup-grid"))]
     rng = substream(seed, "sup-shell")
     scales = [1.0 + rel for rel in (0.05, 0.15, 0.4)]
     if E.kind == "sphere":
         scales += [1.0 - rel for rel in (0.05, 0.15, 0.4)]
     for scale in scales:
-        probes.append(E.center + scale * E.radius * random_directions(rng, 128, E.dim))
+        probes.append(c + scale * R * random_directions(rng, 128, E.dim))
     probes = np.concatenate(probes)
     u = potential_sums(SPEC, probes, X.points)
     keep = np.isfinite(u)

@@ -26,11 +26,11 @@ def test_all_drops_the_estimators_and_the_grid_budget_error():
     """The bound machinery exports only paths that yield bounds, and no
     search budget needs an error class of its own."""
     for gone in ("modulus_of_continuity", "dirichlet_integral", "GridBudgetError", "SingularityError",
-                 "unit_sphere_area"):
+                 "unit_sphere_area", "MissingHolderDataError"):
         assert gone not in rieszpoints.__all__
         assert not hasattr(rieszpoints, gone)
-    assert len(rieszpoints.__all__) == 37
-    assert _public_parameter_count() == 101
+    assert len(rieszpoints.__all__) == 36
+    assert _public_parameter_count() == 99
 
 
 def _public_parameter_count():

@@ -25,7 +25,7 @@ from rieszpoints import (
 )
 from rieszpoints.discrepancy import _monomials, max_green_on_shell
 from rieszpoints.oracles import equilibrium_mean_mc, sphere_potential_quadrature
-from rieszpoints.sets import _lattice, _lattice_ball, _widened_grid, sample_uniform
+from rieszpoints.sets import MEMBERSHIP_TOL, _active_face, _lattice, _lattice_ball, _widened_grid, sample_uniform
 from rieszpoints.seeding import child_seed, substream
 
 SPEC = KernelSpec(2.0, 3)
@@ -72,9 +72,10 @@ def test_ball_projection_matches_radial_reference_bitwise():
 
 @pytest.mark.parametrize("center, radius", [([0.0, 0, 0], 1.0), ([0.5, -1.0, 2.0], 2.5), ([0.1, 0.2, -0.3, 0.4], 0.7)])
 def test_ball_and_sphere_reads_are_the_balls_path_bitwise(center, radius):
-    """The ball's and the sphere's own branches give bitwise what the
-    general (center, radius) list gives: the mean of one center, the
-    largest |c - m| + r, and a one-ball union's projection."""
+    """A ball and a sphere give bitwise what the general (center, radius)
+    list gives: the mean of one center, the largest |c - m| + r, and a
+    one-ball union's distance, projection and active face; a sphere's
+    distance is the shell's |rho - r|."""
     union = union_of_balls([(center, radius)])
     for E in (ball(center, radius), sphere_surface(center, radius)):
         assert np.array_equal(E.enclosing_center, union.enclosing_center)
@@ -83,9 +84,29 @@ def test_ball_and_sphere_reads_are_the_balls_path_bitwise(center, radius):
     rng = np.random.default_rng(5)
     x = np.vstack([np.asarray(center) + rng.normal(scale=radius, size=(300, len(center))), center])
     E = ball(center, radius)
+    assert np.array_equal(distance_to_set(E, x), distance_to_set(union, x))
     assert np.array_equal(project_to_set(E, x), project_to_set(union, x))
     for row in x[::30]:
+        assert distance_to_set(E, row) == distance_to_set(union, row)
         assert np.array_equal(project_to_set(E, row), project_to_set(union, row))
+    # boundary points with forces pointing in and out, and the center
+    X = np.vstack([project_to_set(sphere_surface(center, radius), x[:-1]), center])
+    F = rng.normal(size=X.shape)
+    for got, want in zip(_active_face(E, X, F), _active_face(union, X, F)):
+        assert np.array_equal(got, want)
+    shell = np.abs(np.linalg.norm(x - np.asarray(center), axis=-1) - radius)
+    assert np.array_equal(distance_to_set(sphere_surface(center, radius), x), shell)
+
+
+@pytest.mark.parametrize("make", [ball, sphere_surface])
+def test_ball_and_sphere_keep_their_shape_in_the_balls_list(make):
+    """A ball or sphere stores its one (center, radius) pair in ``balls``,
+    as a union does, and has no fields of its own."""
+    E = make([0.5, -1.0, 2.0], 2.5)
+    (c, r), = E.balls
+    assert np.array_equal(c, [0.5, -1.0, 2.0]) and r == 2.5
+    assert [f.name for f in dataclasses.fields(E)] == ["dim", "kind", "low", "high", "balls", "holder_s"]
+    assert not hasattr(E, "center") and not hasattr(E, "radius")
 
 
 def test_projection_realizes_distance():
@@ -240,6 +261,40 @@ def test_union_draws_are_uniform_on_the_overlap():
     lens = np.mean((np.linalg.norm(x, axis=1) <= 1.0) & (np.linalg.norm(x - [1.0, 0, 0], axis=1) <= 1.0))
     p = 5.0 / 27.0
     assert abs(lens - p) <= 4.0 * np.sqrt(p * (1.0 - p) / x.shape[0]), lens
+
+
+def test_union_candidates_cover_the_overlap_once():
+    """Unit balls one apart: the second ball's grid points in the first
+    ball are dropped, so the lens holds about its volume share 5/27 of
+    the grid, not the 5/16 of each ball's grid, and the grid has fewer
+    points than asked for. Fewer points than balls are refused: the drop
+    could leave none."""
+    lapped = union_of_balls([([0.0, 0, 0], 1.0), ([1.0, 0, 0], 1.0)])
+    x = sample_candidates(lapped, 4096, seed=0)
+    assert len(x) < 4096
+    assert np.all(distance_to_set(lapped, x) <= MEMBERSHIP_TOL)
+    lens = np.mean((np.linalg.norm(x, axis=1) <= 1.0) & (np.linalg.norm(x - [1.0, 0, 0], axis=1) <= 1.0))
+    assert abs(lens - 5.0 / 27.0) <= 0.005, lens
+    nested = union_of_balls([([0.0, 0, 0], 2.0), ([0.5, 0, 0], 0.5)])
+    assert len(sample_candidates(nested, 2, seed=0)) == 1
+    with pytest.raises(ValueError, match="count must be >= 2"):
+        sample_candidates(nested, 1, seed=0)
+
+
+@pytest.mark.parametrize("E", [union_of_balls([([0.0, 0, 0], 1.0), ([2.5, 0, 0], 1.0)]),
+                               union_of_balls([([0.0, 0, 0], 1.0), ([4.0, 0, 0], 2.0), ([0.0, 5.0, 0], 0.5)])],
+                         ids=["two", "three"])
+def test_disjoint_union_candidates_are_each_balls_grid(E):
+    """A disjoint union drops no grid point: its grid is each ball's
+    volume-allocated lattice grid, in order, with exactly ``count`` points."""
+    x = sample_candidates(E, 1000, seed=4)
+    assert len(x) == 1000
+    vols = np.array([r ** 3 for _, r in E.balls])
+    alloc = np.maximum((1000 * vols / vols.sum()).astype(int), 1)
+    alloc[np.argmax(vols)] += 1000 - alloc.sum()
+    want = np.concatenate([_lattice_ball(c, r, 3, k, child_seed(4, "candidates", i), solid=True)
+                           for i, ((c, r), k) in enumerate(zip(E.balls, alloc))])
+    assert x.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("E", [union_of_balls([([0.0, 0, 0], 1.0), ([2.5, 0, 0], 1.0)]),
@@ -477,7 +532,7 @@ def test_parse_set_definition_ball():
     center = 0 0 0
     radius = 1.0
     """)
-    assert E.kind == "ball" and E.dim == 3 and E.radius == 1.0
+    assert E.kind == "ball" and E.dim == 3 and E.balls[0][1] == 1.0
     assert E.holder_s == 1.0
 
 
