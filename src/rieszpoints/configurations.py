@@ -29,11 +29,11 @@ Anal. 48, 2010), and polishes it by Newton directions from the exact
 Hessian, with a held sphere's curvature term (Absil, Mahony and
 Sepulchre, ch. 6). That step is ``_potential_min``, the minimum over a
 set of a configuration's potential; ``discrepancy.sup_potential_deficit``
-calls it too. On a ball both search the boundary sphere
-(``sets._min_surface``): a potential is superharmonic, so by the minimum
-principle (Landkof, Foundations of Modern Potential Theory, 1972) its
-minimum lies there. A seeded uniform baseline rounds out the benchmark
-trio.
+calls it too. On a ball or union both search its spheres, which lie in E
+and hold its boundary (``sets._min_surface``): a potential is
+superharmonic, so by the minimum principle (Landkof, Foundations of
+Modern Potential Theory, 1972) its minimum lies there. A seeded uniform
+baseline rounds out the benchmark trio.
 """
 
 from __future__ import annotations
@@ -370,8 +370,8 @@ def leja_sequence(
 ) -> PointConfig:
     """Greedy sequence of length n started at xi0 in E.
 
-    A ball's greedy steps search its boundary sphere (``_min_surface``), so
-    from a boundary xi0 it gives the sphere's sequence; xi0 may lie inside.
+    Greedy steps on a ball or union search its spheres (``_min_surface``),
+    so from a boundary xi0 a ball gives its sphere's sequence; xi0 may lie inside.
     One seeded candidate grid serves the whole sequence. Its prefix
     potential is kept and gains one kernel column per new point, so a
     step costs O(candidate_count), not O(candidate_count * k), and its

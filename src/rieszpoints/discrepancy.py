@@ -30,6 +30,7 @@ from .sets import (
     CompactSetModel,
     MEMBERSHIP_TOL,
     _min_surface,
+    _one_ball,
     _radius,
     _shape_key,
     _vec,
@@ -37,7 +38,6 @@ from .sets import (
     distance_to_set,
     sample_candidates,
     sample_uniform,
-    sphere_surface,
 )
 from .seeding import substream
 
@@ -88,7 +88,7 @@ class EquilibriumOracle:
 
 def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
     d = spec.dim
-    c, R = E.balls[0]
+    c, R = _one_ball(E)
 
     def potential(x):
         rho = np.linalg.norm(_vec(x, d) - c, axis=-1)
@@ -96,7 +96,7 @@ def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOr
         return float(out) if out.ndim == 0 else out
 
     def sampler(count, seed):
-        return sample_uniform(sphere_surface(c, R), count, substream(seed, "equilibrium-sampler"))
+        return sample_uniform(_min_surface(E), count, substream(seed, "equilibrium-sampler"))
 
     # uniform measure on the sphere: E[x] = c, E[x x^T] = c c^T + (R^2/d) I
     second = np.outer(c, c) + (R * R / d) * np.eye(d)
@@ -149,10 +149,10 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> Equilibri
 def equilibrium_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
     """Equilibrium oracle for E under the given kernel.
 
-    Balls and spheres get the exact Newtonian closed forms (classical:
-    the equilibrium measure is the uniform surface measure, so
-    W = R**(2-d) and U(x) = max(|x-c|, R)**(2-d)). Boxes and unions get
-    the approximate quadrature-backed oracle, whose read-only 400-point
+    One ball or sphere gets the exact Newtonian closed forms (classical:
+    the equilibrium measure is the uniform surface measure, so W = R**(2-d)
+    and U(x) = max(|x-c|, R)**(2-d)). Boxes and several balls get the
+    approximate quadrature-backed oracle, whose read-only 400-point
     support is solved once per process for each geometry and kernel.
     Either records E and the kernel as ``set_model`` and ``spec``.
     Non-Newtonian kernels have no fallback and raise.
@@ -160,7 +160,7 @@ def equilibrium_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracl
     if E.dim != spec.dim:
         raise ValueError(f"set dimension {E.dim} != kernel dimension {spec.dim}")
     require_newtonian(spec, "equilibrium oracle")
-    if E.kind in ("ball", "sphere"):
+    if _one_ball(E) is not None:
         return _analytic_ball_oracle(E, spec)
     return _quadrature_backed_oracle(E, spec)
 
@@ -264,7 +264,7 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
     """Hat bump max(1 - |x-c|/a, 0): exact modulus min(r/a, 1) and exact
     Dirichlet integral a**(d-2) * vol(unit ball).
 
-    Its equilibrium mean is closed-form on a ball or sphere in d = 3,
+    Its equilibrium mean is closed-form on one ball or sphere in d = 3,
     where mu_E is uniform on the sphere of radius R about E's center
     (Archimedes): at distance s from the hat's center, rho = |x - c| has
     density rho/(2Rs) on [|R-s|, R+s]. Elsewhere it raises
@@ -285,11 +285,11 @@ def radial_hat(center, radius: float = 1.0) -> TestFunction:
 
     def equilibrium_mean(oracle):
         E = oracle.set_model
-        if E.kind not in ("ball", "sphere") or E.dim != 3:
+        if (one := _one_ball(E)) is None or E.dim != 3:
             raise UnsupportedOracleError(
-                f"the radial hat's equilibrium mean needs a ball or sphere in d = 3, got a {E.kind} in d = {E.dim}"
+                f"the radial hat's equilibrium mean needs one ball or sphere in d = 3, not this set in d = {E.dim}"
             )
-        center, R = E.balls[0]
+        center, R = one
         s = float(np.linalg.norm(c - center))
         if s == 0.0:
             return max(1.0 - R / a, 0.0)
@@ -312,10 +312,10 @@ def max_green_on_shell(oracle: EquilibriumOracle, offset: float) -> float:
     """Max of the oracle's Green function over {x : d_E(x) <= offset}, read
     on fixed probes of the boundary of a compact D that holds it
     (``sets._widened_grid``); g_E is 0 on E and subharmonic off it, so its
-    max over D bounds the slab's. On a ball, sphere or union D is each
-    ball widened by ``offset``, read on a ``_MIN_GRID``-point grid of its
-    sphere: W - (R + offset)**(2-d) up to rounding on a ball or sphere, a
-    grid estimate on a union. On a box D is the widened box, read at its
+    max over D bounds the slab's. On a ball or sphere set D is each ball
+    widened by ``offset``, read on a ``_MIN_GRID``-point grid of its sphere:
+    W - (R + offset)**(2-d) up to rounding on one ball, a grid estimate on
+    several. On a box D is the widened box, read at its
     2^d corners: g_E of a convex E has convex sublevel sets (Lewis, 1977),
     so its max over D lies at a corner, past the slab."""
     return float(np.max(oracle.green(_widened_grid(oracle.set_model, offset, _MIN_GRID))))
@@ -466,13 +466,13 @@ def potential_error(oracle: EquilibriumOracle, X: PointConfig, y) -> tuple:
 
 def sup_potential_deficit(oracle: EquilibriumOracle, X: PointConfig) -> float:
     """W - min over S of U^{tau(X)}, for the oracle's set E and kernel, where
-    S is the boundary sphere of a ball and E itself for a sphere, box or
-    union (``_min_surface``). The minimum is ``_potential_min`` on a
-    ``_MIN_GRID``-point (4096) grid of S at a fixed seed: the grid minimum
-    polished by projected Newton with the exact Hessian, so the value is a
-    lower bound of the supremum, not a certificate.
+    S is the spheres of a ball or union and E itself for a sphere or box
+    (``_min_surface``). The minimum is ``_potential_min`` on a
+    ``_MIN_GRID``-point (4096) grid of S at a fixed seed, on a union its
+    boundary: the grid minimum polished by projected Newton with the exact
+    Hessian, so the value is a lower bound of the supremum, not a certificate.
 
-    On a ball or sphere B this is sup over R^d of U^{mu_E} - U^{tau(X)}
+    On one ball or sphere B this is sup over R^d of U^{mu_E} - U^{tau(X)}
     wherever the points lie: off the sphere the difference is subharmonic
     (U^{mu_E} is harmonic there, U^{tau(X)} superharmonic) and tends to 0
     at infinity, so its sup is max(W - min over the sphere of U^{tau(X)}, 0);

@@ -1,27 +1,27 @@
 """Compact sets in R^d: shapes, distance and projection queries,
 samplers and the plain-text set grammar.
 
-Shipped shapes: solid ball, sphere surface, axis-aligned box, finite
-union of balls. Their equilibrium data (Robin constant, potential, Green
-function) live with the bound machinery, in ``discrepancy``.
+Shipped shapes (``kind``): "ball", one solid ball or a finite union of
+them; "sphere", a sphere surface; "box", an axis-aligned box. Their
+equilibrium data live with the bound machinery, in ``discrepancy``.
 
-This is the one module that reads a shape's fields. A ball, a sphere and
-a union keep their shape in one list of (center, radius) pairs
-(``balls``), one pair for a ball or sphere, and every query reads that
-list. The other layers ask this module for the active face of a descent
-step (``_active_face``), the surface a potential's minimum is searched
-on (``_min_surface``), the probes of the Green function's maximum near E
-(``_widened_grid``: a grid of each widened ball's sphere, or the widened
-box's corners) and the support cache's key (``_shape_key``).
+This is the one module that reads a shape's fields. A ball or sphere set
+keeps one or more (center, radius) pairs (``balls``), the union of the
+solid balls or of their spheres; every query branches on solid, shell or
+box. Other layers ask it for a descent step's active face
+(``_active_face``), the surface a potential's minimum is searched on
+(``_min_surface``), a one-ball set's pair (``_one_ball``), the probes of
+the Green function's maximum near E (``_widened_grid``) and the support
+cache's key (``_shape_key``).
 
-Candidate grids on balls, boxes, unions and spheres outside d = 3 come
-from one seeded Kronecker lattice, shifted at random (``_lattice``); the
-2-sphere in R^3 keeps a rotated Fibonacci lattice.
+Candidate grids on balls, boxes and spheres outside d = 3 come from one
+seeded Kronecker lattice, shifted at random (``_lattice``); the 2-sphere
+in R^3 keeps a rotated Fibonacci lattice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from statistics import NormalDist
 from typing import Optional
@@ -39,10 +39,10 @@ MEMBERSHIP_TOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class CompactSetModel:
     """A compact set E: its shape's parameters and an optional Holder
-    exponent. A box keeps its corners ``low`` and ``high``; a ball, a
-    sphere and a union keep ``balls``, a tuple of (center, radius) pairs
-    with one pair for a ball or sphere. The geometric queries are this
-    module's functions.
+    exponent. A box keeps its corners ``low`` and ``high``; a ball or
+    sphere set keeps ``balls``, a tuple of one or more (center, radius)
+    pairs, and is the union of the solid balls or of their spheres. The
+    geometric queries are this module's functions.
 
     ``holder_s`` is the user-declared exponent s, 0 < s <= 1, of a bound
     g_E(x) <= A * d_E(x)**s on the Green function; the constant A never
@@ -54,7 +54,7 @@ class CompactSetModel:
     """
 
     dim: int
-    kind: str  # "ball" | "sphere" | "box" | "union"
+    kind: str  # "ball" (solid balls) | "sphere" (their spheres) | "box"
     low: Optional[np.ndarray] = None
     high: Optional[np.ndarray] = None
     balls: Optional[tuple] = None  # tuple of (center ndarray, radius)
@@ -104,8 +104,7 @@ def _radius(r, name="radius"):
 
 
 def ball(center, radius: float, holder_s=1.0) -> CompactSetModel:
-    c = _frozen_finite(center, "center")
-    return CompactSetModel(dim=c.size, kind="ball", balls=((c, _radius(radius)),), holder_s=holder_s)
+    return union_of_balls([(center, radius)], holder_s=holder_s)
 
 
 def sphere_surface(center, radius: float, holder_s=1.0) -> CompactSetModel:
@@ -124,18 +123,12 @@ def box(low, high, holder_s=None) -> CompactSetModel:
 
 
 def union_of_balls(balls_list, holder_s=None) -> CompactSetModel:
-    if not balls_list:
+    packed = tuple((_frozen_finite(c, "ball center"), _radius(r, "ball radius")) for c, r in balls_list)
+    if not packed:
         raise ValueError("union needs at least one ball")
-    packed = []
-    dim = None
-    for c, r in balls_list:
-        cv = _frozen_finite(c, "ball center")
-        if dim is None:
-            dim = cv.size
-        elif cv.size != dim:
-            raise ValueError("all union balls must share a dimension")
-        packed.append((cv, _radius(r, "ball radius")))
-    return CompactSetModel(dim=dim, kind="union", balls=tuple(packed), holder_s=holder_s)
+    if len({c.size for c, _ in packed}) > 1:
+        raise ValueError("all union balls must share a dimension")
+    return CompactSetModel(dim=packed[0][0].size, kind="ball", balls=packed, holder_s=holder_s)
 
 
 def _shape_key(E: CompactSetModel) -> tuple:
@@ -162,8 +155,8 @@ def distance_to_set(E: CompactSetModel, x):
     if E.kind == "box":
         out = np.linalg.norm(p - np.clip(p, E.low, E.high), axis=-1)
     else:
-        gaps = [np.linalg.norm(p - c, axis=-1) - r for c, r in E.balls]
-        out = np.abs(gaps[0]) if E.kind == "sphere" else np.minimum.reduce([np.maximum(g, 0.0) for g in gaps])
+        gap = np.abs if E.kind == "sphere" else lambda g: np.maximum(g, 0.0)
+        out = np.minimum.reduce([gap(np.linalg.norm(p - c, axis=-1) - r) for c, r in E.balls])
     return float(out) if out.ndim == 0 else out
 
 
@@ -186,21 +179,22 @@ def _shell_point(v, rho, center, radius):
 
 
 def _nearest_ball(E: CompactSetModel, q):
-    """The center and radius of each row's nearest ball of E (least signed
-    gap |x - c| - r, lowest index on ties), as an (n, dim) array and an
-    (n, 1) column; a one-ball set gives its own pair."""
+    """The center and radius of each row's nearest ball of E (least gap
+    |x - c| - r, in magnitude on a shell, lowest index on ties), as an
+    (n, dim) array and an (n, 1) column; a one-ball set gives its own pair."""
     if len(E.balls) == 1:
         return E.balls[0]
     centers = np.array([c for c, _ in E.balls])
     radii = np.array([r for _, r in E.balls])
-    j = np.argmin(np.linalg.norm(q[:, None, :] - centers, axis=2) - radii, axis=1)
+    gaps = np.linalg.norm(q[:, None, :] - centers, axis=2) - radii
+    j = np.argmin(np.abs(gaps) if E.kind == "sphere" else gaps, axis=1)
     return centers[j], radii[j, None]
 
 
 def project_to_set(E: CompactSetModel, x):
     """Nearest point of E; deterministic tie-breaks (sphere center -> +e1,
-    equidistant union balls -> lowest index). A point of a solid ball
-    stays; any other goes radially to its nearest ball's sphere."""
+    equidistant balls -> lowest index). A point of a solid ball stays;
+    any other goes radially to its nearest ball's sphere."""
     p = _vec(x, E.dim)
     scalar = p.ndim == 1
     q = p[None, :] if scalar else p
@@ -233,8 +227,8 @@ def _active_face(E: CompactSetModel, X, F):
     mask of the coordinates on a face whose force points out of it, and
     ``normals`` and ``radius`` are None. Otherwise ``held`` is an (n,)
     mask of the points held to their ball's sphere: every point of a
-    sphere, and boundary points of a ball or union whose force points out
-    of their ball; ``normals`` holds their unit outward normals (zero rows
+    shell, and boundary points of a solid set whose force points out of
+    their ball; ``normals`` holds their unit outward normals (zero rows
     for the rest) and ``radius`` their ball's radius (``_nearest_ball``:
     one float for a one-ball set, an (n, 1) column otherwise). Two faces
     at the same X are equal when their ``held`` are."""
@@ -263,8 +257,13 @@ def _restrict(V, held, normals):
 
 
 def _min_surface(E: CompactSetModel) -> CompactSetModel:
-    """Where a potential's minimum over E lies: a ball's boundary sphere, E otherwise."""
-    return sphere_surface(*E.balls[0]) if E.kind == "ball" else E
+    """Where a potential's minimum over E lies: a solid set's spheres, E otherwise."""
+    return replace(E, kind="sphere") if E.kind == "ball" else E
+
+
+def _one_ball(E: CompactSetModel):
+    """The (center, radius) pair of a ball or sphere set of one ball, else None."""
+    return E.balls[0] if E.kind != "box" and len(E.balls) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -328,28 +327,28 @@ def _lattice_ball(center, radius, dim, count, seed, solid) -> np.ndarray:
 
 def sample_uniform(E: CompactSetModel, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` i.i.d. draws from the natural uniform measure on E
-    (volume measure for solids, surface measure for the sphere shell).
+    (volume measure for solids, surface measure for shells).
 
-    Spheres, balls and unions share one path: a union's ball chosen in
-    proportion to its volume, one direction draw and one radius draw
-    (choice, normal, random). A union's draw from ball i that lies in a
-    ball j < i is drawn again the same way, so an overlap is not drawn
-    twice as often; a disjoint union draws nothing more."""
+    Balls and spheres share one path: with two or more balls a ball chosen
+    in proportion to its volume (area on a shell), one direction draw and
+    a solid's radius draw (choice, normal, random). A solid's draw from
+    ball i that lies in a ball j < i is drawn again the same way, so an
+    overlap is not drawn twice as often; a disjoint union draws no more."""
     d = E.dim
     if E.kind == "box":
         return E.low + rng.random((count, d)) * (E.high - E.low)
-    balls = E.balls
+    balls, solid = E.balls, E.kind == "ball"
     centers, radii = np.array([c for c, _ in balls]), np.array([r for _, r in balls])
-    vols = np.array([r ** d for _, r in balls])
+    sizes = np.array([r ** (d - 1 + solid) for _, r in balls])
     out, todo = np.empty((count, d)), np.arange(count)
     while todo.size:
         k = todo.size
-        idx = rng.choice(len(balls), size=k, p=vols / vols.sum()) if E.kind == "union" else np.zeros(k, dtype=int)
+        idx = rng.choice(len(balls), size=k, p=sizes / sizes.sum()) if len(balls) > 1 else np.zeros(k, dtype=int)
         v = random_directions(rng, k, d)
-        scale = radii[idx, None] if E.kind == "sphere" else radii[idx, None] * rng.random((k, 1)) ** (1.0 / d)
+        scale = radii[idx, None] * rng.random((k, 1)) ** (1.0 / d) if solid else radii[idx, None]
         out[todo] = centers[idx] + scale * v
         inside = np.linalg.norm(out[todo, None, :] - centers, axis=2) < radii
-        todo = todo[(inside & (np.arange(len(balls)) < idx[:, None])).any(axis=1)]
+        todo = todo[(inside & (np.arange(len(balls)) < idx[:, None])).any(axis=1) & solid]
     return out
 
 
@@ -358,12 +357,12 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
 
     Used as argmin grids for the greedy sequence and as probe grids; the
     mesh norm shrinks toward zero as count grows for every shipped shape.
-    A ball, sphere, box or disjoint union gets exactly ``count`` points.
-    A union allocates them to its balls by volume and drops each ball's
-    points that lie in an earlier ball, as ``sample_uniform`` redraws
-    them, so an overlap is not covered twice and an overlapping union
-    returns fewer than ``count`` points. A union needs a ``count`` of at
-    least its number of balls, so that its first ball keeps a point.
+    A box, one ball or sphere, or a disjoint union gets exactly ``count``
+    points. Several balls share them by volume (area on a shell), one each
+    at least, so ``count`` must reach their number. A solid drops each
+    ball's points in an earlier ball, as ``sample_uniform`` redraws them,
+    and a shell each sphere's points strictly inside another ball, so its
+    grid is the boundary of the union; an overlap so returns fewer points.
     """
     least = len(E.balls) if E.balls else 1
     if count < least:
@@ -372,32 +371,31 @@ def sample_candidates(E: CompactSetModel, count: int, seed: int) -> np.ndarray:
     if E.kind == "box":
         u = _lattice(child_seed(seed, "candidates"), d, count)
         return E.low + u * (E.high - E.low)
-    if E.kind != "union":
-        c, r = E.balls[0]
-        if E.kind == "sphere" and d == 3:
-            rot = random_rotation(substream(seed, "candidates", "rotation"), 3)
-            return c + r * (fibonacci_sphere(count) @ rot.T)
-        return _lattice_ball(c, r, d, count, child_seed(seed, "candidates"), solid=E.kind == "ball")
-    # allocate by volume, at least one candidate per ball
-    vols = np.array([r ** d for _, r in E.balls])
-    alloc = np.maximum((count * vols / vols.sum()).astype(int), 1)
+    shell = E.kind == "sphere"
+    sizes = np.array([r ** (d - shell) for _, r in E.balls])
+    alloc = np.maximum((count * sizes / sizes.sum()).astype(int), 1)
     while alloc.sum() > count:
         alloc[np.argmax(alloc)] -= 1
     while alloc.sum() < count:
-        alloc[np.argmax(vols)] += 1
+        alloc[np.argmax(sizes)] += 1
     parts = []
     for i, ((c, r), k) in enumerate(zip(E.balls, alloc)):
-        pts = _lattice_ball(c, r, d, k, child_seed(seed, "candidates", i), solid=True)
-        for c0, r0 in E.balls[:i]:
+        names = ("candidates",) if len(E.balls) == 1 else ("candidates", i)
+        if shell and d == 3:
+            rot = random_rotation(substream(seed, *names, "rotation"), 3)
+            pts = c + r * (fibonacci_sphere(k) @ rot.T)
+        else:
+            pts = _lattice_ball(c, r, d, k, child_seed(seed, *names), solid=not shell)
+        for c0, r0 in E.balls[:i] + (E.balls[i + 1:] if shell else ()):
             pts = pts[np.linalg.norm(pts - c0, axis=1) >= r0]
         parts.append(pts)
-    return np.concatenate(parts)
+    return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
 def _widened_grid(E: CompactSetModel, offset: float, count: int) -> np.ndarray:
     """Probes of the boundary of a compact set that holds
     {x : d_E(x) <= offset}: the ``count``-point candidate grid (seed 0) of
-    each ball's sphere widened by ``offset`` (ball, sphere, union), or the
+    each ball's sphere widened by ``offset`` (ball, sphere), or the
     2^dim corners of the box widened by ``offset``, where the Green
     function of a convex E peaks on that boundary."""
     if E.kind != "box":

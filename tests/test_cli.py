@@ -346,6 +346,21 @@ def test_study_union_uses_approximate_oracle(tmp_path):
     assert np.isfinite(float(rows[0]["rhs"]))
 
 
+@pytest.mark.parametrize("method", ["leja", "random", "fekete"])
+def test_one_ball_union_study_is_the_balls(tmp_path, method):
+    """A union of one ball is that ball: the same closed-form oracle, grid
+    and sampler, so its study CSV is byte-identical to the ball's."""
+    written = []
+    for name, text in [("ball", "shape = ball\ncenter = 0.5 -1 2\nradius = 2.5\n"),
+                       ("union", "shape = union\nball = 0.5 -1 2 2.5\n")]:
+        (tmp_path / f"{name}.txt").write_text(text)
+        out = tmp_path / f"{name}.csv"
+        assert main(["study", "--set", str(tmp_path / f"{name}.txt"), "--method", method, "--schedule", "12,20",
+                     "--seed", "3", "--restarts", "1", "--candidates", "512", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_study_small_smoothing_radius_reaches_the_shell(tmp_path):
     # the green term reads a shell at offset 2 r_n, here below 1e-6
     ball_file = tmp_path / "ball.txt"

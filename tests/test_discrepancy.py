@@ -151,6 +151,20 @@ def test_max_green_on_shell_exact(E, offset):
     assert abs(g - (1.0 / R - 1.0 / (R + offset))) <= 1e-15
 
 
+def test_one_ball_union_gets_the_closed_form_oracle(monkeypatch):
+    """A union of one ball is that ball: its oracle is the closed form,
+    W = 1/R exactly, with no support solve."""
+    monkeypatch.setattr(discrepancy, "fekete_search_run", None)
+    E = union_of_balls([([0.5, -1, 2], 2.5)])
+    oracle = equilibrium_oracle(E, SPEC)
+    assert E.kind == "ball" and oracle.set_model is E
+    assert oracle.robin_constant == 1.0 / 2.5
+    ball_oracle = equilibrium_oracle(ball([0.5, -1, 2], 2.5), SPEC)
+    assert oracle.moments.tobytes() == ball_oracle.moments.tobytes()
+    y = np.array([[4.0, 0, 0], [0.5, -1, 2]])
+    assert oracle.potential(y).tobytes() == ball_oracle.potential(y).tobytes()
+
+
 def test_quadrature_backed_support_is_solved_once_per_geometry(monkeypatch):
     """The support solve reads the geometry and the kernel, not the
     declared Holder exponent: a cube with and without one shares a solve,

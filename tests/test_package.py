@@ -123,10 +123,8 @@ _SHAPE_FIELDS = {"kind", "center", "radius", "low", "high", "balls"}
 
 def test_only_sets_reads_a_set_shape():
     """sets.py decides what a set's shape means. Outside it and the
-    independent reference paths of oracles.py, the shape fields are read
-    only by the closed-form oracle of a ball or sphere: its builder, the
-    dispatch to it, and the radial hat's equilibrium mean."""
-    allowed = {"discrepancy._analytic_ball_oracle", "discrepancy.equilibrium_oracle", "discrepancy.radial_hat"}
+    independent reference paths of oracles.py, no shape field is read: the
+    closed-form oracle of one ball or sphere asks ``sets._one_ball``."""
     offenders = []
     for name, tree in _package_sources().items():
         if name in ("sets", "oracles"):
@@ -135,7 +133,7 @@ def test_only_sets_reads_a_set_shape():
             where = f"{name}.{getattr(top, 'name', '<module>')}"
             offenders += [f"{where}:{node.lineno}" for node in ast.walk(top)
                           if isinstance(node, ast.Attribute) and node.attr in _SHAPE_FIELDS
-                          and isinstance(node.ctx, ast.Load) and where not in allowed]
+                          and isinstance(node.ctx, ast.Load)]
     assert offenders == []
 
 

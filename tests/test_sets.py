@@ -25,7 +25,8 @@ from rieszpoints import (
 )
 from rieszpoints.discrepancy import _monomials, max_green_on_shell
 from rieszpoints.oracles import equilibrium_mean_mc, sphere_potential_quadrature
-from rieszpoints.sets import MEMBERSHIP_TOL, _active_face, _lattice, _lattice_ball, _widened_grid, sample_uniform
+from rieszpoints.sets import (MEMBERSHIP_TOL, _active_face, _lattice, _lattice_ball, _min_surface, _widened_grid,
+                              sample_uniform)
 from rieszpoints.seeding import child_seed, substream
 
 SPEC = KernelSpec(2.0, 3)
@@ -279,6 +280,33 @@ def test_union_candidates_cover_the_overlap_once():
     assert len(sample_candidates(nested, 2, seed=0)) == 1
     with pytest.raises(ValueError, match="count must be >= 2"):
         sample_candidates(nested, 1, seed=0)
+
+
+@pytest.mark.parametrize("second", [1.0, 2.5], ids=["overlapping", "disjoint"])
+def test_union_search_grid_lies_on_its_boundary(second):
+    """A union's potential minimum is searched on its spheres
+    (``_min_surface``), on a grid of the union's boundary: every point lies
+    on a sphere and in no other ball. Overlapping unit balls one apart each
+    lose a quarter of their sphere, a cap of height 1/2, so 3/4 of the grid
+    stays. The shell's distance and projection read the nearer sphere."""
+    E = union_of_balls([([0.0, 0, 0], 1.0), ([second, 0, 0], 1.0)])
+    S = _min_surface(E)
+    assert S.kind == "sphere" and S.balls is E.balls
+    x = sample_candidates(S, 4096, 5)
+    rho = np.linalg.norm(x[:, None, :] - np.array([c for c, _ in E.balls]), axis=2)
+    assert np.abs(rho - 1.0).min(axis=1).max() <= 1e-12
+    assert np.all(rho >= 1.0 - 1e-12)
+    if second == 1.0:
+        assert abs(len(x) - 3072) <= 0.01 * 3072, len(x)
+    else:
+        assert len(x) == 4096
+    y = np.random.default_rng(3).normal(scale=2.0, size=(500, 3))
+    gap = np.linalg.norm(y[:, None, :] - np.array([c for c, _ in E.balls]), axis=2) - 1.0
+    near = np.abs(gap).min(axis=1)
+    np.testing.assert_allclose(distance_to_set(S, y), near, rtol=0, atol=1e-15)
+    p = project_to_set(S, y)
+    np.testing.assert_allclose(np.linalg.norm(y - p, axis=1), near, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(distance_to_set(S, p), 0.0, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("E", [union_of_balls([([0.0, 0, 0], 1.0), ([2.5, 0, 0], 1.0)]),
@@ -543,7 +571,7 @@ def test_parse_set_definition_union_and_holder():
     ball = -3, 0, 0, 1
     holder_s = 0.5
     """)
-    assert E.kind == "union" and len(E.balls) == 2
+    assert E.kind == "ball" and len(E.balls) == 2
     assert E.holder_s == 0.5
     # a box and a union declare no exponent unless the file gives one
     assert parse_set_definition("shape = box\nlow = 0 0 0\nhigh = 1 1 1\n").holder_s is None
