@@ -12,7 +12,7 @@ comments allowed)::
     ball = <d numbers> <radius>     # union, repeatable
     holder_s = <number>             # optional Holder exponent s, 0 < s <= 1,
                                     # of the Green function near E (default
-                                    # 1 for ball/sphere, none for box/union:
+                                    # 1 for ball/sphere/union, none for box:
                                     # a box edge gives 2/3, a vertex ~0.45)
 
 Vectors accept spaces or commas between numbers. The ambient dimension is

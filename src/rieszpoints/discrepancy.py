@@ -32,7 +32,6 @@ from .sets import (
     _min_surface,
     _one_ball,
     _radius,
-    _shape_key,
     _vec,
     _widened_grid,
     distance_to_set,
@@ -111,22 +110,12 @@ def _analytic_ball_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOr
     )
 
 
-# (support, W_hat) of each quadrature-backed oracle solved in this
-# process, keyed by the kernel and the shape (``sets._shape_key``): the
-# solve does not read ``holder_s``
-_SUPPORTS: dict = {}
-
-
 def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracle:
     # The equilibrium measure is approximated by a dense low-energy
     # configuration on E and its discrete potential; documented as
-    # approximate, never used by the acceptance bounds. The solve is
-    # deterministic, so each geometry is solved once per process.
-    key = spec, _shape_key(E)
-    if key not in _SUPPORTS:
-        run = fekete_search_run(E, spec, FeketeSearchParams(n=400, restarts=1, tol=1e-10, seed=20406))
-        _SUPPORTS[key] = run.config, run.energy
-    support, W_hat = _SUPPORTS[key]
+    # approximate, never used by the acceptance bounds.
+    run = fekete_search_run(E, spec, FeketeSearchParams(n=400, restarts=1, tol=1e-10, seed=20406))
+    support = run.config
 
     def potential(x):
         return discrete_potential(support, spec, x)
@@ -139,7 +128,7 @@ def _quadrature_backed_oracle(E: CompactSetModel, spec: KernelSpec) -> Equilibri
     return EquilibriumOracle(
         set_model=E,
         spec=spec,
-        robin_constant=W_hat,
+        robin_constant=run.energy,
         potential=potential,
         sampler=sampler,
         moments=_monomials(support.points).mean(axis=0),
@@ -152,9 +141,10 @@ def equilibrium_oracle(E: CompactSetModel, spec: KernelSpec) -> EquilibriumOracl
     One ball or sphere gets the exact Newtonian closed forms (classical:
     the equilibrium measure is the uniform surface measure, so W = R**(2-d)
     and U(x) = max(|x-c|, R)**(2-d)). Boxes and several balls get the
-    approximate quadrature-backed oracle, whose read-only 400-point
-    support is solved once per process for each geometry and kernel.
-    Either records E and the kernel as ``set_model`` and ``spec``.
+    approximate quadrature-backed oracle, whose 400-point Fekete support
+    is solved on each call; a caller that needs the oracle again keeps
+    the immutable oracle it got. Either records E and the kernel as
+    ``set_model`` and ``spec``.
     Non-Newtonian kernels have no fallback and raise.
     """
     if E.dim != spec.dim:

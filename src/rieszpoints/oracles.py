@@ -179,10 +179,10 @@ def sphere_potential_quadrature(
     spec: KernelSpec,
     y,
     nodes: int = 20_000,
-    return_error: bool = False,
 ):
     """Potential of the uniform unit-mass measure on the origin-centered
-    sphere of ``radius``, by quasi-uniform surface quadrature.
+    sphere of ``radius``, by quasi-uniform surface quadrature, as
+    ``(value, error estimate)``.
 
     The error estimate is the change under node doubling; the returned
     value uses the doubled node count. Probes within 5% of the surface
@@ -234,8 +234,7 @@ def sphere_potential_quadrature(
 
     v1 = value(nodes)
     v2 = value(2 * nodes)
-    err = abs(v2 - v1)
-    return (v2, err) if return_error else v2
+    return v2, abs(v2 - v1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ def make_default_ledger_records() -> list:
         ("unit_ball_potential_inside", [0.5, 0.0, 0.0]),
         ("unit_ball_potential_at_2e1", [2.0, 0.0, 0.0]),
     ]:
-        v, err = sphere_potential_quadrature(1.0, spec, probe, nodes=20_000, return_error=True)
+        v, err = sphere_potential_quadrature(1.0, spec, probe, nodes=20_000)
         records.append(OracleRecord(
             name=tag,
             inputs=json.dumps({"radius": 1.0, "alpha": 2.0, "dim": 3, "y": probe, "nodes": 20000}, sort_keys=True),

@@ -10,9 +10,8 @@ keeps one or more (center, radius) pairs (``balls``), the union of the
 solid balls or of their spheres; every query branches on solid, shell or
 box. Other layers ask it for a descent step's active face
 (``_active_face``), the surface a potential's minimum is searched on
-(``_min_surface``), a one-ball set's pair (``_one_ball``), the probes of
-the Green function's maximum near E (``_widened_grid``) and the support
-cache's key (``_shape_key``).
+(``_min_surface``), a one-ball set's pair (``_one_ball``) and the probes
+of the Green function's maximum near E (``_widened_grid``).
 
 Candidate grids on balls, boxes and spheres outside d = 3 come from one
 seeded Kronecker lattice, shifted at random (``_lattice``); the 2-sphere
@@ -21,7 +20,7 @@ in R^3 keeps a rotated Fibonacci lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from statistics import NormalDist
 from typing import Optional
@@ -46,11 +45,16 @@ class CompactSetModel:
 
     ``holder_s`` is the user-declared exponent s, 0 < s <= 1, of a bound
     g_E(x) <= A * d_E(x)**s on the Green function; the constant A never
-    enters a result, and the toolkit never estimates s. Balls and spheres
-    default to s = 1, which holds: g_E(x) <= (d-2) d_E(x) / R**(d-1) there.
-    Boxes and unions declare none by default: outside a box the Green
-    function grows like d_E**(2/3) at an edge and like about d_E**0.45 at
-    a vertex.
+    enters a result, and the toolkit never estimates s. Balls, unions of
+    balls and spheres default to s = 1, which holds: for one ball,
+    g_E(x) <= (d-2) d_E(x) / R**(d-1), as rho**(2-d) has slope at most
+    (d-2) R**(1-d) beyond R. For a ball B_j in a union E, cap(E) >=
+    cap(B_j), so W(E) <= W(B_j); then g_{B_j} - g_E is harmonic off E, is
+    >= 0 on the boundary of E and has a limit W(B_j) - W(E) >= 0 at
+    infinity, so g_E <= g_{B_j}. With B_j the ball nearest x this gives
+    g_E(x) <= (d-2) d_E(x) / r_min**(d-1). Boxes declare none by default:
+    outside a box the Green function grows like d_E**(2/3) at an edge and
+    like about d_E**0.45 at a vertex.
     """
 
     dim: int
@@ -122,24 +126,13 @@ def box(low, high, holder_s=None) -> CompactSetModel:
     return CompactSetModel(dim=lo.size, kind="box", low=lo, high=hi, holder_s=holder_s)
 
 
-def union_of_balls(balls_list, holder_s=None) -> CompactSetModel:
+def union_of_balls(balls_list, holder_s=1.0) -> CompactSetModel:
     packed = tuple((_frozen_finite(c, "ball center"), _radius(r, "ball radius")) for c, r in balls_list)
     if not packed:
         raise ValueError("union needs at least one ball")
     if len({c.size for c, _ in packed}) > 1:
         raise ValueError("all union balls must share a dimension")
     return CompactSetModel(dim=packed[0][0].size, kind="ball", balls=packed, holder_s=holder_s)
-
-
-def _shape_key(E: CompactSetModel) -> tuple:
-    """E's shape as a hashable key: every field but ``holder_s``, with
-    arrays by their bytes, so two sets share a key when they are the same
-    shape with the same parameters."""
-    def exact(v):
-        if isinstance(v, np.ndarray):
-            return v.tobytes()
-        return tuple(map(exact, v)) if isinstance(v, tuple) else v
-    return tuple(exact(getattr(E, f.name)) for f in fields(E) if f.name != "holder_s")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -405,10 +406,15 @@ def test_potential_query(sphere_file, tmp_path, capsys):
     assert "bound_shape" in payload
 
 
-def test_potential_bound_shape_needs_a_declared_exponent(tmp_path, capsys):
+def test_potential_bound_shape_needs_a_declared_exponent(tmp_path, capsys, monkeypatch):
     """A box declares no Holder exponent by default (its exterior Green
     function grows like d**(2/3) at an edge), so ``potential`` prints no
-    decay shape until the file gives holder_s."""
+    decay shape until the file gives holder_s. The plumbing alone is under
+    test, so the box's support is solved at n = 40."""
+    def small_solve(E, spec, params):
+        return configurations.fekete_search_run(E, spec, dataclasses.replace(params, n=40))
+
+    monkeypatch.setattr(discrepancy, "fekete_search_run", small_solve)
     cube = "shape = box\nlow = 0 0 0\nhigh = 1 1 1\n"
     pts = tmp_path / "pts.csv"
     pts.write_text("x1,x2,x3\n0.5,0.5,0.5\n1.0,0.0,1.0\n")
@@ -424,6 +430,23 @@ def test_potential_bound_shape_needs_a_declared_exponent(tmp_path, capsys):
     # n = 2, d_E = 1, p = s/(d+s-2) = 1/3: 2**(-p/s) + 2**(-p/2)
     assert declared["bound_shape"] == pytest.approx(2 ** (-2 / 3) + 2 ** (-1 / 6), rel=1e-12)
     assert {k: v for k, v in declared.items() if k != "bound_shape"} == bare
+
+
+def test_potential_bound_shape_of_a_one_ball_union_is_the_ball_s(tmp_path, capsys):
+    """A union of balls defaults to s = 1 like one ball, so ``potential``
+    reports the same output, decay shape included, for a one-ball union
+    and for the ball."""
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2,x3\n0.5,-1,2\n3.0,-1,2\n")
+    payloads = []
+    for text in ("shape = ball\ncenter = 0.5 -1 2\nradius = 2.5\n", "shape = union\nball = 0.5 -1 2 2.5\n"):
+        set_file = tmp_path / "set.txt"
+        set_file.write_text(text)
+        assert main(["potential", "--set", str(set_file), "--points", str(pts), "--y", "4,0,0"]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    as_ball, as_union = payloads
+    assert "bound_shape" in as_ball
+    assert as_union == as_ball
 
 
 def test_potential_inside_probe_exits_3(tmp_path, capsys):

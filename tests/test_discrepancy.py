@@ -165,36 +165,29 @@ def test_one_ball_union_gets_the_closed_form_oracle(monkeypatch):
     assert oracle.potential(y).tobytes() == ball_oracle.potential(y).tobytes()
 
 
-def test_quadrature_backed_support_is_solved_once_per_geometry(monkeypatch):
-    """The support solve reads the geometry and the kernel, not the
-    declared Holder exponent: a cube with and without one shares a solve,
-    and each oracle still records its caller's set. A box that differs
-    only in ``high``, and a union that differs only in one radius, solve
-    again."""
-    solved = []
+def test_quadrature_backed_oracle_solves_its_support_on_each_call(monkeypatch):
+    """No support outlives its oracle: two oracles on one box run two
+    solves, each records its caller's set, and each solve warns on its own
+    when it stops before converging."""
+    solved, supports = [], []
 
     def small_solve(E, spec, params):
+        run = fekete_search_run(E, spec, dataclasses.replace(params, n=40, max_iters=5))
         solved.append(E)
-        return fekete_search_run(E, spec, dataclasses.replace(params, n=40))
+        supports.append(run.config)
+        return run
 
-    monkeypatch.setattr(discrepancy, "_SUPPORTS", {})
     monkeypatch.setattr(discrepancy, "fekete_search_run", small_solve)
     bare, declared = box([0.0, 0, 0], [1.0, 1, 1]), box([0.0, 0, 0], [1.0, 1, 1], holder_s=0.5)
-    first, second = equilibrium_oracle(bare, SPEC), equilibrium_oracle(declared, SPEC)
-    assert len(solved) == 1
+    with pytest.warns(RuntimeWarning, match="before converging"):
+        first = equilibrium_oracle(bare, SPEC)
+    with pytest.warns(RuntimeWarning, match="before converging"):
+        second = equilibrium_oracle(declared, SPEC)
+    assert len(solved) == 2 and solved[0] is bare and solved[1] is declared
     assert first.set_model is bare and second.set_model is declared
     assert first.robin_constant == second.robin_constant
     assert first.moments.tobytes() == second.moments.tobytes()
-    (support, _), = discrepancy._SUPPORTS.values()
-    assert not support.points.flags.writeable
-    equilibrium_oracle(box([0.0, 0, 0], [1.0, 2, 1]), SPEC)
-    assert len(solved) == 2
-    pair = [([0.0, 0, 0], 1.0), ([2.5, 0, 0], 1.0)]
-    equilibrium_oracle(union_of_balls(pair), SPEC)
-    equilibrium_oracle(union_of_balls(pair, holder_s=0.5), SPEC)
-    assert len(solved) == 3
-    equilibrium_oracle(union_of_balls([pair[0], ([2.5, 0, 0], 0.5)]), SPEC)
-    assert len(solved) == 4
+    assert not any(support.points.flags.writeable for support in supports)
 
 
 def test_discrepancy_bound_composite_term_antipodal_pair():
@@ -287,7 +280,7 @@ def test_discrepancy_bound_hat_off_ball_is_unsupported():
 def test_phi_for_potential_mean_matches_quadrature(E, probe):
     y = np.array([probe, 0.0, 0.0])
     phi = phi_for_potential(E, y)
-    q, err = sphere_potential_quadrature(1.0, SPEC, y, return_error=True)
+    q, err = sphere_potential_quadrature(1.0, SPEC, y)
     mean = phi.equilibrium_mean(equilibrium_oracle(E, SPEC))
     assert abs(mean - (q - 1.0 / phi.support_radius)) <= err
 

@@ -207,11 +207,11 @@ def test_simplex_energy_rejects_n_outside_the_simplex_range():
 
 
 def test_quadrature_interior_and_exterior():
-    v, err = sphere_potential_quadrature(1.0, SPEC, np.array([0.0, 0, 0]), nodes=2000, return_error=True)
+    v, err = sphere_potential_quadrature(1.0, SPEC, np.array([0.0, 0, 0]), nodes=2000)
     assert v == pytest.approx(1.0, abs=1e-3)
-    v2 = sphere_potential_quadrature(1.0, SPEC, np.array([2.0, 0, 0]), nodes=2000)
+    v2, _ = sphere_potential_quadrature(1.0, SPEC, np.array([2.0, 0, 0]), nodes=2000)
     assert v2 == pytest.approx(0.5, abs=1e-3)
-    v3 = sphere_potential_quadrature(1.0, SPEC, np.array([0.5, 0, 0]), nodes=2000)
+    v3, _ = sphere_potential_quadrature(1.0, SPEC, np.array([0.5, 0, 0]), nodes=2000)
     assert abs(v3 - v) <= 2e-3
 
 
@@ -223,8 +223,8 @@ def test_quadrature_node_doubling_error():
         if abs(rho - 1.0) < 0.08:
             continue
         y *= rho / np.linalg.norm(y)
-        v, err = sphere_potential_quadrature(1.0, SPEC, y, nodes=1000, return_error=True)
-        v2 = sphere_potential_quadrature(1.0, SPEC, y, nodes=2000)
+        v, err = sphere_potential_quadrature(1.0, SPEC, y, nodes=1000)
+        v2, _ = sphere_potential_quadrature(1.0, SPEC, y, nodes=2000)
         assert abs(v - v2) <= max(err, 1e-12) + 1e-9
 
 
@@ -238,7 +238,7 @@ def test_quadrature_matches_scalar_loop_bitwise(y, dim):
     probe = np.array(y + [0.25] * (dim - 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = sphere_potential_quadrature(1.3, spec, probe, nodes=1000, return_error=True)
+        got = sphere_potential_quadrature(1.3, spec, probe, nodes=1000)
     assert _bits(got) == _bits(_loop_quadrature(1.3, spec, probe, 1000))
 
 
@@ -249,7 +249,7 @@ def test_quadrature_over_several_blocks_matches_scalar_loop_bitwise(dim):
     spec = KernelSpec(2.0, dim)
     for y in ([0.4, -0.2, 0.1], [1.6, 0.3, -0.9]):
         probe = np.array(y + [0.25] * (dim - 3))
-        got = sphere_potential_quadrature(1.3, spec, probe, nodes=9000, return_error=True)
+        got = sphere_potential_quadrature(1.3, spec, probe, nodes=9000)
         assert _bits(got) == _bits(_loop_quadrature(1.3, spec, probe, 9000))
 
 
@@ -258,7 +258,7 @@ def test_quadrature_near_surface_matches_scalar_loop_bitwise(dim):
     spec = KernelSpec(2.0, dim)
     probe = np.array([1.01] + [0.0] * (dim - 1))
     with pytest.warns(RuntimeWarning):
-        got = sphere_potential_quadrature(1.0, spec, probe, nodes=1000, return_error=True)
+        got = sphere_potential_quadrature(1.0, spec, probe, nodes=1000)
     with pytest.warns(RuntimeWarning):
         want = _loop_quadrature(1.0, spec, probe, 1000)
     assert _bits(got) == _bits(want)

@@ -118,6 +118,56 @@ def test_one_function_runs_the_line_search():
     assert readers == ["configurations._projected_descent"]
 
 
+_MUTATORS = {"append", "extend", "update", "setdefault", "add", "insert", "pop", "remove", "clear"}
+
+
+def _module_variables(tree):
+    """The names a module binds by assignment at its top level."""
+    names = set()
+    for top in tree.body:
+        targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+        names |= {n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _root_name(node):
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_function_writes_module_state():
+    """Every function is a pure function of its arguments as far as module
+    state goes: none stores into or deletes from a subscript of a module
+    variable, declares ``global``, or calls a mutating method (``append``,
+    ``update``, ``pop`` and the like) on one. A function's own parameters
+    and assigned names are its locals. The one process-wide cache is the
+    ``lru_cache`` on ``oracles._sphere_nodes``, which holds read-only node
+    rules of the reference quadrature that ``verify`` reuses."""
+    offenders = set()
+    for name, tree in _package_sources().items():
+        module_vars = _module_variables(tree)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args
+            local = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+            local |= {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            shared = module_vars - local
+            for node in ast.walk(func):
+                if isinstance(node, ast.Global):
+                    hit = True
+                elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    hit = _root_name(node) in shared
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    hit = node.func.attr in _MUTATORS and _root_name(node.func.value) in shared
+                else:
+                    hit = False
+                if hit:
+                    offenders.add(f"{name}.{func.name}:{node.lineno}")
+    assert sorted(offenders) == []
+
+
 _SHAPE_FIELDS = {"kind", "center", "radius", "low", "high", "balls"}
 
 

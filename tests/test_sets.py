@@ -34,6 +34,15 @@ UNIT_BALL = ball([0.0, 0.0, 0.0], 1.0)
 UNIT_SPHERE = sphere_surface([0.0, 0.0, 0.0], 1.0)
 BOX = box([0.0, 0, 0], [1.0, 2, 1])
 TWO_BALLS = union_of_balls([([-1.0, 0, 0], 1.0), ([1.0, 0, 0], 1.0)])
+CUBE_CORNERS = ([0.0, 0, 0], [1.0, 1, 1])
+UNIT_CUBE = box(*CUBE_CORNERS)
+
+
+@pytest.fixture(scope="module")
+def unit_cube_oracle():
+    """The unit cube's quadrature-backed oracle, whose 400-point support is
+    solved once for every test here that reads it."""
+    return equilibrium_oracle(UNIT_CUBE, SPEC)
 
 
 def test_distance_examples():
@@ -396,7 +405,7 @@ def test_oracle_matches_quadrature():
         y *= rng.uniform(0.2, 3.0) / np.linalg.norm(y)
         if abs(np.linalg.norm(y) - 1.0) < 0.1:
             continue
-        q = sphere_potential_quadrature(1.0, SPEC, y, nodes=4000)
+        q, _ = sphere_potential_quadrature(1.0, SPEC, y, nodes=4000)
         worst = max(worst, abs(q - float(oracle.potential(y))))
     assert worst <= 1e-2
 
@@ -468,9 +477,8 @@ def test_sampler_on_surface_and_deterministic():
     np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 
 
-def test_quadrature_backed_oracle_for_box():
-    B = box([0.0, 0, 0], [1.0, 1, 1])
-    oracle = equilibrium_oracle(B, SPEC)
+def test_quadrature_backed_oracle_for_box(unit_cube_oracle):
+    B, oracle = UNIT_CUBE, unit_cube_oracle
     assert oracle.set_model is B and oracle.spec == SPEC
     assert oracle.robin_constant > 0
     # Green vanishes on the set and grows away from it
@@ -493,11 +501,10 @@ def test_quadrature_backed_oracle_for_box():
     assert np.all(np.abs(oracle.moments - mc) <= 4.0 * stderr)
 
 
-def test_box_read_reaches_the_green_function_at_the_widened_corners():
+def test_box_read_reaches_the_green_function_at_the_widened_corners(unit_cube_oracle):
     """g_E of a convex E has convex sublevel sets, so its maximum over the
     widened box lies at one of its corners, and the read reaches it."""
-    B = box([0.0, 0, 0], [1.0, 1, 1])
-    oracle = equilibrium_oracle(B, SPEC)
+    B, oracle = UNIT_CUBE, unit_cube_oracle
     bits = np.array([[(i >> k) & 1 for k in range(3)] for i in range(8)])
     for t in (0.02, 0.1, 0.5):
         corners = B.low - t + bits * (B.high - B.low + 2 * t)
@@ -527,12 +534,12 @@ def _corners_and_faces(B, t, count=4096):
     return out
 
 
-@pytest.mark.parametrize("low, high", [([0.0, 0, 0], [1.0, 1, 1]), ([0.0, 0, 0], [1.0, 2, 1]),
+@pytest.mark.parametrize("low, high", [CUBE_CORNERS, ([0.0, 0, 0], [1.0, 2, 1]),
                                        ([-1.0, 0, 0], [3.0, 0.5, 0.2])], ids=["unit-cube", "box-1x2x1", "box-4x0.5x0.2"])
-def test_box_corner_read_equals_the_face_lattice_read(low, high):
+def test_box_corner_read_equals_the_face_lattice_read(low, high, unit_cube_oracle):
     """No probe on the widened box's faces reads above its corners, so the
     corners alone give the value of the earlier 4096-probe read."""
-    oracle = equilibrium_oracle(box(low, high), SPEC)
+    oracle = unit_cube_oracle if (low, high) == CUBE_CORNERS else equilibrium_oracle(box(low, high), SPEC)
     for t in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0):
         reference = float(np.max(oracle.green(_corners_and_faces(oracle.set_model, t))))
         assert max_green_on_shell(oracle, t) == reference, t
@@ -549,7 +556,7 @@ def test_dimension_four_sphere_candidates_and_oracle():
     assert oracle.set_model is S4 and oracle.spec == spec4
     assert oracle.robin_constant == 1.0
     assert oracle.green(np.array([2.0, 0, 0, 0])) == pytest.approx(1 - 0.25)
-    q = sphere_potential_quadrature(1.0, spec4, np.array([0.5, 0, 0, 0]), nodes=4000)
+    q, _ = sphere_potential_quadrature(1.0, spec4, np.array([0.5, 0, 0, 0]), nodes=4000)
     assert q == pytest.approx(1.0, abs=1e-2)
 
 
@@ -573,9 +580,9 @@ def test_parse_set_definition_union_and_holder():
     """)
     assert E.kind == "ball" and len(E.balls) == 2
     assert E.holder_s == 0.5
-    # a box and a union declare no exponent unless the file gives one
+    # a box declares no exponent unless the file gives one; a union, like a ball, defaults to s = 1
     assert parse_set_definition("shape = box\nlow = 0 0 0\nhigh = 1 1 1\n").holder_s is None
-    assert parse_set_definition("shape = union\nball = 0 0 0 1\n").holder_s is None
+    assert parse_set_definition("shape = union\nball = 0 0 0 1\n").holder_s == 1.0
 
 
 def test_parse_errors():
