@@ -18,11 +18,15 @@ Five array primitives carry all the pair and probe work:
 ``pair_terms`` and ``potential_sums`` take their distances from
 ``_distances``, which subtracts, squares and adds the coordinate planes
 in coordinate order and then takes the square root: bitwise what
-scipy's ``cdist`` and ``pdist`` return. Both run over row blocks sized
-by entries, about ``_ENTRIES`` distances each, so beyond its output a
-call holds memory bounded by that budget, not by n**2 or m * n, and
-each row sums in the same order as an unblocked evaluation; a
-4096-probe column against one point is a single block.
+scipy's ``cdist`` and ``pdist`` return. Both run over row blocks of at
+most ``_ENTRIES`` distances, each computed into scratch arrays that
+every block of the call reuses, so beyond its output a call holds
+memory bounded by that budget, not by n**2 or m * n, and each row sums
+in the same order as an unblocked evaluation; a 4096-probe column
+against one point is a single block. ``pair_terms`` walks the upper
+triangle in blocks of at most ``_ROWS`` rows, each against the points
+after its first row, so it computes fewer than ``_ROWS`` / 2 distances
+per row on average that it does not keep.
 
 Callers choose their own summation of ``pair_terms``. The einsum sums
 of ``pair_energy_forces`` repeat bitwise on one machine, not across
@@ -40,6 +44,9 @@ from .errors import CoincidentPointsError, UnsupportedOracleError
 
 # distances per row block of pair_terms and potential_sums
 _ENTRIES = 1 << 17
+# rows per block of pair_terms: row r of a block computes r distances that
+# it does not keep, fewer than _ROWS / 2 per row on average
+_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -77,12 +84,11 @@ def require_newtonian(spec: KernelSpec, what: str) -> None:
         raise UnsupportedOracleError(f"{what} requires the Newtonian kernel (alpha = 2), got alpha={spec.alpha}")
 
 
-def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray, t: np.ndarray) -> np.ndarray:
     """out[i, j] = |a[i] - b[j]| for (m, dim) and (n, dim) arrays into an
     (m, n) ``out``: per coordinate the planes are subtracted, squared and
-    added in coordinate order, then the square root is taken. Uses one
-    scratch array the size of ``out``."""
-    t = np.empty_like(out)
+    added in coordinate order, then the square root is taken. ``t`` is a
+    scratch array of the shape of ``out``."""
     np.subtract(a[:, 0, None], b[None, :, 0], out=out)
     np.multiply(out, out, out=out)
     for k in range(1, a.shape[1]):
@@ -95,23 +101,32 @@ def _distances(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 def pair_terms(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
     """Kernel over every pair j < k of an (n, dim) array, in pdist order.
 
-    Rows j are taken in blocks against the points after the block's first
-    row, and each block keeps its pairs j < k; no n-by-n array is built.
+    The upper triangle is walked in blocks of at most ``_ROWS`` rows j
+    (fewer when n - 1 columns would pass ``_ENTRIES``), each against the
+    points after the block's first row, and each block keeps its pairs
+    j < k; no n-by-n array is built. The coordinate planes are made
+    contiguous once and one pair of scratch arrays serves every block.
     Raises CoincidentPointsError when two points coincide exactly.
     """
     if points.shape[-1] != spec.dim:
         raise ValueError(f"config dimension {points.shape[-1]} != kernel dimension {spec.dim}")
     n = len(points)
-    d = np.empty(n * (n - 1) // 2)
-    rows = max(1, _ENTRIES // max(n, 1))
+    w = max(n - 1, 0)
+    d = np.empty(n * w // 2)
+    rows = max(1, min(_ROWS, w, _ENTRIES // max(w, 1)))
+    planes = np.ascontiguousarray(points.T)
+    out, t = np.empty(rows * w), np.empty(rows * w)
+    # keep[r, c]: column c of a block lies after its row r
+    keep = np.arange(w) >= np.arange(rows)[:, None]
     pos = 0
-    for i in range(0, n - 1, rows):
-        a = points[i:min(i + rows, n - 1)]
-        block = _distances(a, points[i + 1:], np.empty((len(a), n - 1 - i)))
-        above = block[np.arange(n - 1 - i) >= np.arange(len(a))[:, None]]
-        d[pos:pos + len(above)] = above
-        pos += len(above)
-    if np.any(d == 0.0):
+    for i in range(0, w, rows):
+        b, c = min(rows, w - i), w - i
+        block = _distances(planes[:, i:i + b].T, planes[:, i + 1:].T, out[:b * c].reshape(b, c),
+                           t[:b * c].reshape(b, c))
+        kept = b * c - b * (b - 1) // 2
+        d[pos:pos + kept] = block[keep[:b, :c]]
+        pos += kept
+    if not d.all():
         raise CoincidentPointsError("configuration contains coincident points")
     return _kernel_of_distance(d, spec.exponent, d)
 
@@ -220,11 +235,13 @@ def potential_sums(spec: KernelSpec, probes: np.ndarray, points: np.ndarray) -> 
     out = np.empty(m)
     rows = max(1, _ENTRIES // max(len(points), 1))
     buf = np.empty((min(m, rows), len(points)))
+    t = np.empty_like(buf)
     with np.errstate(divide="ignore"):
         for i in range(0, m, rows):
-            r = _distances(probes[i:i + rows], points, buf[:min(rows, m - i)])
+            k = min(rows, m - i)
+            r = _distances(probes[i:i + k], points, buf[:k], t[:k])
             _kernel_of_distance(r, spec.exponent, r)
-            np.add.reduce(r, axis=1, out=out[i:i + len(r)])
+            np.add.reduce(r, axis=1, out=out[i:i + k])
     return out
 
 

@@ -11,8 +11,9 @@ are not part of the library's top-level API.
 
 The energy sum and the quadrature evaluate arrays with elementwise
 subtract, multiply, add, sqrt and divide only, which round exactly on
-every numpy build; other powers are Python's scalar ``**`` and every sum
-is ``math.fsum``, so their ledgered values replay bitwise across numpy
+every numpy build; other powers are the C library's scalar ``pow``
+(Python's ``**``, or ``math.pow`` in the energy sum) and every sum is
+``math.fsum``, so their ledgered values replay bitwise across numpy
 builds. Single-threaded by design: determinism outranks speed for ground
 truth.
 
@@ -66,11 +67,15 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (len(a), len(b)) squared distances between the rows of ``a`` and
     of ``b``, summed coordinate by coordinate with elementwise subtract,
     multiply and add, which round exactly."""
-    r2 = np.zeros((len(a), len(b)))
+    r2 = np.empty((len(a), len(b)))
+    t = np.empty_like(r2)
     with np.errstate(over="ignore"):  # like Python floats: inf, no warning
-        for c in range(a.shape[1]):
-            t = a[:, c, None] - b[None, :, c]
-            r2 += t * t
+        np.subtract(a[:, 0, None], b[None, :, 0], out=r2)
+        r2 *= r2
+        for c in range(1, a.shape[1]):
+            np.subtract(a[:, c, None], b[None, :, c], out=t)
+            t *= t
+            r2 += t
     return r2
 
 
@@ -80,29 +85,31 @@ def reference_energy(X: PointConfig, spec: KernelSpec) -> float:
 
     The pairs j < k are taken in blocks of consecutive rows j, each against
     the points after its first row, so a block holds at most ``_PAIRS``
-    squared distances (one row, when n - 1 exceeds it). Each pair's
-    power is Python's scalar ``float ** float`` and one exact-rounded
-    ``math.fsum`` takes every block's terms, so the value does not depend
-    on the block size and replays bitwise across numpy builds.
+    squared distances (one row, when n - 1 exceeds it), read from
+    contiguous coordinate planes. Each pair's power is ``math.pow``, the C
+    library's scalar ``pow`` as Python's ``float ** float`` is, streamed
+    from a memoryview of the block's squared distances into one
+    exact-rounded ``math.fsum``, so the value does not depend on the block
+    size and replays bitwise across numpy builds.
     """
     n = X.n
     if n < 2:
         raise ValueError("reference energy needs n >= 2")
-    pts = np.asarray(X.points, dtype=float)
+    planes = np.ascontiguousarray(np.asarray(X.points, dtype=float).T)
     half_expo = (spec.alpha - spec.dim) / 2.0
 
     def blocks():
         j = 0
         while j < n - 1:
-            later = pts[j + 1:]
-            rows = pts[j:j + max(1, _PAIRS // len(later))]
+            later = planes[:, j + 1:].T
+            rows = planes[:, j:j + max(1, _PAIRS // len(later))].T
             r2 = _squared_distances(rows, later)
-            upper = ~np.tri(len(rows), len(later), -1, dtype=bool)  # k > j
-            hit = upper & (r2 == 0.0)
-            if hit.any():
-                a, b = np.unravel_index(np.argmax(hit), hit.shape)
+            upper = np.arange(len(later)) >= np.arange(len(rows))[:, None]  # k > j
+            terms = r2[upper]
+            if not terms.all():
+                a, b = np.unravel_index(np.argmax(upper & (r2 == 0.0)), r2.shape)
                 raise CoincidentPointsError(f"points {j + a} and {j + 1 + b} coincide")
-            yield map(pow, r2[upper].tolist(), repeat(half_expo))
+            yield map(math.pow, memoryview(terms), repeat(half_expo))
             j += len(rows)
 
     return 2.0 * math.fsum(chain.from_iterable(blocks())) / (n * (n - 1))

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist, pdist
 
 import rieszpoints
 from rieszpoints import CoincidentPointsError, KernelSpec, UnsupportedOracleError
-from rieszpoints.kernel import (_ENTRIES, pair_energy_forces, pair_hessian, pair_terms, potential_sums,
+from rieszpoints.kernel import (_ENTRIES, _ROWS, pair_energy_forces, pair_hessian, pair_terms, potential_sums,
                                probe_potential_derivatives,
                                 require_newtonian)
 
@@ -278,12 +278,15 @@ def test_potential_sums_row_blocks_match_unblocked_bitwise(d):
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_pair_terms_and_potential_sums_match_scipy_bitwise(d):
     """The kernel's own distances are scipy's pdist and cdist bitwise, for
-    pair sets inside one row block and across several, and probe counts on
-    both sides of a block boundary."""
+    pair sets inside one row block and across several (on both sides of
+    ``_ROWS`` rows, and where ``_ENTRIES`` caps a block below ``_ROWS``
+    rows), and probe counts on both sides of a block boundary."""
     rng = np.random.default_rng(30 + d)
+    capped = _ENTRIES // _ROWS + 2
+    assert _ENTRIES // (capped - 1) < _ROWS
     for alpha in (2.0, 0.7):
         spec = KernelSpec(alpha, d)
-        for n in (1, 2, 64, 65, 363, 700, 1500):
+        for n in (1, 2, _ROWS, _ROWS + 1, _ROWS + 2, 2 * _ROWS + 2, 363, 700, 1500, capped):
             points = rng.normal(size=(n, d))
             assert np.array_equal(pair_terms(spec, points), pdist(points) ** spec.exponent)
             rows = _ENTRIES // n
@@ -305,8 +308,12 @@ def test_pair_terms_allocates_no_pair_square():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the output is half an n-by-n array; a row block holds 1 MiB
-    assert peak < n * (n - 1) // 2 * 8 + n * n * 8 / 4
+    # beyond the n(n - 1)/2 output and the transposed coordinate planes, a
+    # block of rows = min(_ROWS, _ENTRIES // (n - 1)) rows by n - 1 columns
+    # is held as two float scratch arrays, the float copy of its kept
+    # pairs and a bool mask: 3 * 8 + 1 bytes per entry, plus one of slack
+    rows = min(_ROWS, _ENTRIES // (n - 1))
+    assert peak < n * (n - 1) // 2 * 8 + n * 3 * 8 + rows * (n - 1) * (3 * 8 + 2)
 
 
 def test_potential_sums_warm_call_allocates_no_probe_by_point_array():
